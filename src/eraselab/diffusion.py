@@ -134,7 +134,7 @@ GuidanceFn = Callable[[np.ndarray, int, int, int], np.ndarray]
 def conditional_eps(params: nnet.Parameters) -> GuidanceFn:
     """Plain eps_theta(z, c, t) closure (no guidance)."""
     def guid(Z, sampler_index, schedule_t, c):
-        out, _ = nnet.forward_batch(params, Z, schedule_t, c)
+        out = nnet.forward_batch(params, Z, schedule_t, c)[0]
         return out
     return guid
 
@@ -230,7 +230,7 @@ def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
     for i in range(0, sampler.T):
         t_from = sampler.schedule_t(i)
         t_to = sampler.schedule_t(i + 1)
-        eps_hat, _ = nnet.forward_batch(params, Z, t_to, c)
+        eps_hat = nnet.forward_batch(params, Z, t_to, c)[0]
         Z = ddim_step(Z, eps_hat, t_from, t_to, sched)
         if not np.all(np.isfinite(Z)):
             raise NumericalError(f"non-finite state inverting step "
@@ -304,5 +304,5 @@ def validation_eps_loss(params: nnet.Parameters, dataset: Dataset,
     eps = rng.standard_normal(x0.shape)
     a = sched.alpha_bar[t - 1][:, None]
     z_t = np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
-    eps_hat, _ = nnet.forward_batch(params, z_t, t, c)
+    eps_hat = nnet.forward_batch(params, z_t, t, c)[0]
     return float(((eps_hat - eps) ** 2).sum() / n_rows)

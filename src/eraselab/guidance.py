@@ -100,8 +100,8 @@ def cfg_compose(eps_uncond: np.ndarray, eps_cond: np.ndarray,
 def class_direction(params: nnet.Parameters, z: np.ndarray, t: int,
                     c: int) -> np.ndarray:
     """eps(z, c) - eps(z, null): the scaled class-posterior gradient."""
-    e_c, _ = nnet.forward_batch(params, np.atleast_2d(z), t, c)
-    e_u, _ = nnet.forward_batch(params, np.atleast_2d(z), t, params.null_id)
+    e_c = nnet.forward_batch(params, np.atleast_2d(z), t, c)[0]
+    e_u = nnet.forward_batch(params, np.atleast_2d(z), t, params.null_id)[0]
     out = e_c - e_u
     return out[0] if np.asarray(z).ndim == 1 else out
 
@@ -145,8 +145,8 @@ def delta(instructions: Sequence[InstructionConcept], Z: np.ndarray,
                               f"0..{params_vocab_limit - 1}")
         if not ins.in_window(sampler_index) or not warmup.active(sampler_index):
             continue
-        e_c, _ = nnet.forward_batch(params, Z_arr, schedule_t, ins.concept_id)
-        e_u, _ = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)
+        e_c = nnet.forward_batch(params, Z_arr, schedule_t, ins.concept_id)[0]
+        e_u = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)[0]
         direction = e_c - e_u
         mask = _mask_rows(np.abs(direction), ins.kappa)
         out += ins.g_c * mask * direction
@@ -159,8 +159,8 @@ def guided_eps(params: nnet.Parameters, z: np.ndarray, sampler_index: int,
                warmup: WarmupRule) -> np.ndarray:
     """Rollout prediction eps_uncond + gamma*(eps_cond - eps_uncond) + delta."""
     Z_arr = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    e_u, _ = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)
-    e_c, _ = nnet.forward_batch(params, Z_arr, schedule_t, c)
+    e_u = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)[0]
+    e_c = nnet.forward_batch(params, Z_arr, schedule_t, c)[0]
     out = e_u + gamma * (e_c - e_u)
     if instructions:
         out = out + delta(instructions, Z_arr, sampler_index, schedule_t,
@@ -171,8 +171,8 @@ def guided_eps(params: nnet.Parameters, z: np.ndarray, sampler_index: int,
 def cfg_guidance(params: nnet.Parameters, gamma: float) -> GuidanceFn:
     """Sampling closure for plain CFG: (1+gamma)*eps_c - gamma*eps_uncond."""
     def guid(Z, sampler_index, schedule_t, c):
-        e_c, _ = nnet.forward_batch(params, Z, schedule_t, c)
-        e_u, _ = nnet.forward_batch(params, Z, schedule_t, params.null_id)
+        e_c = nnet.forward_batch(params, Z, schedule_t, c)[0]
+        e_u = nnet.forward_batch(params, Z, schedule_t, params.null_id)[0]
         return cfg_compose(e_u, e_c, gamma)
     return guid
 

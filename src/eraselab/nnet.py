@@ -6,6 +6,12 @@ fully connected stack. Conditioning is concatenation at the input layer:
 and unconditional passes share every weight. All arithmetic is f64; the
 backward pass is a hand-rolled tape replay that is exact up to rounding,
 which keeps finite-difference oracles tight.
+
+Optimizer contract: parameter arrays are never mutated. `adamw_step`
+returns a new Parameters whose updated tensors are freshly allocated, so
+tapes recorded against older parameters stay valid. The Adam moments and
+the optimizer's scratch buffers, which belong to `OptimizerState`, are
+updated in place.
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ class NetworkShape:
 class Parameters:
     """Weights/biases per linear layer plus the concept embedding table.
 
-    Row K of the table is the unconditional token. Arrays are treated as
-    immutable: updates allocate new arrays, so tapes recorded against an
-    older Parameters stay valid.
+    Row K of the table is the unconditional token. Arrays are never
+    mutated: an optimizer step allocates new arrays for the tensors it
+    updates and shares the others, so tapes recorded against an older
+    Parameters stay valid.
     """
 
     shape: NetworkShape
@@ -199,16 +206,17 @@ class Tape:
     c_ids: np.ndarray
     inputs: list[np.ndarray]       # input to each linear layer, (n, fan_in)
     pre_acts: list[np.ndarray]     # pre-activation of each hidden layer
+    sigmoids: list[np.ndarray]     # expit(pre_act) of each hidden layer
     output: np.ndarray             # (n, input_dim)
 
 
-def _silu(x: np.ndarray) -> np.ndarray:
-    return x * expit(x)
-
-
-def _silu_grad(x: np.ndarray) -> np.ndarray:
-    s = expit(x)
-    return s * (1.0 + x * (1.0 - s))
+def _silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """s * (1 + x * (1 - s)) with s = expit(x), in one scratch array."""
+    out = 1.0 - s
+    np.multiply(x, out, out=out)
+    np.add(out, 1.0, out=out)
+    np.multiply(s, out, out=out)
+    return out
 
 
 def forward_batch(params: Parameters, Z: np.ndarray, t, c) -> tuple[np.ndarray, Tape]:
@@ -224,19 +232,22 @@ def forward_batch(params: Parameters, Z: np.ndarray, t, c) -> tuple[np.ndarray, 
     tf = time_features(t_arr, params.shape.time_embed_dim)
     x = np.concatenate([Z, tf, params.concept_embed[c_ids]], axis=1)
 
-    inputs, pre_acts = [], []
+    inputs, pre_acts, sigmoids = [], [], []
     h = x
     n_layers = len(params.weights)
     for i in range(n_layers):
         inputs.append(h)
-        pre = h @ params.weights[i].T + params.biases[i]
+        pre = h @ params.weights[i].T
+        np.add(pre, params.biases[i], out=pre)
         if i < n_layers - 1:
+            s = expit(pre)
             pre_acts.append(pre)
-            h = _silu(pre)
+            sigmoids.append(s)
+            h = pre * s
         else:
             h = pre
     tape = Tape(params=params, c_ids=c_ids, inputs=inputs,
-                pre_acts=pre_acts, output=h)
+                pre_acts=pre_acts, sigmoids=sigmoids, output=h)
     return h, tape
 
 
@@ -260,25 +271,37 @@ def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
         raise StructuralError(f"upstream shape {up.shape} does not match tape "
                               f"output {tape.output.shape}")
 
-    grads = GradientBuffer.zeros(params)
-    delta = up
     n_layers = len(params.weights)
+    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    delta = up
     for i in reversed(range(n_layers)):
-        grads.d_weights[i] += delta.T @ tape.inputs[i]
-        grads.d_biases[i] += delta.sum(axis=0)
+        d_weights[i] = delta.T @ tape.inputs[i]
+        d_biases[i] = delta.sum(axis=0)
+        delta = delta @ params.weights[i]
         if i > 0:
-            delta = (delta @ params.weights[i]) * _silu_grad(tape.pre_acts[i - 1])
-        else:
-            delta = delta @ params.weights[i]
+            np.multiply(delta, _silu_grad(tape.pre_acts[i - 1],
+                                          tape.sigmoids[i - 1]), out=delta)
 
+    d_embed = np.zeros_like(params.concept_embed)
     embed_slice = slice(params.shape.input_dim + params.shape.time_embed_dim, None)
-    np.add.at(grads.d_embed, tape.c_ids, delta[:, embed_slice])
-    return grads
+    np.add.at(d_embed, tape.c_ids, delta[:, embed_slice])
+    return GradientBuffer(d_weights, d_biases, d_embed)
+
+
+# Elements per slice of the AdamW update. The update is elementwise, so
+# running all of its passes over one slice before the next keeps the slice
+# in cache without changing any result.
+_ADAMW_CHUNK = 16384
 
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam moments per parameter tensor."""
+    """Decoupled-weight-decay Adam moments per parameter tensor.
+
+    `adamw_step` updates the C-contiguous moments `m` and `v` in place and
+    works in `scratch`, two flat buffers of one update slice each that
+    `fresh` allocates once. Only the state mutates; parameters never do.
+    """
 
     lr: float = 1e-5
     betas: tuple[float, float] = (0.9, 0.999)
@@ -287,6 +310,7 @@ class OptimizerState:
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: tuple = ()
 
     @staticmethod
     def fresh(params: Parameters, lr: float = 1e-5, weight_decay: float = 0.0,
@@ -294,8 +318,11 @@ class OptimizerState:
               eps: float = 1e-8) -> "OptimizerState":
         state = OptimizerState(lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
         for name in params.tensor_names():
-            state.m[name] = np.zeros_like(params.get_tensor(name))
-            state.v[name] = np.zeros_like(params.get_tensor(name))
+            shape = params.get_tensor(name).shape
+            state.m[name] = np.zeros(shape)
+            state.v[name] = np.zeros(shape)
+        chunk = min(_ADAMW_CHUNK, max(m.size for m in state.m.values()))
+        state.scratch = (np.empty(chunk), np.empty(chunk))
         return state
 
 
@@ -303,8 +330,13 @@ def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
                state: OptimizerState) -> Parameters:
     """One AdamW update on the masked-in tensors; returns new Parameters.
 
-    Masked-out tensors keep their exact array objects. Raises on non-finite
-    gradients before touching params or state.
+    Masked-out tensors keep their exact array objects; updated tensors are
+    new arrays. The moments change in place, in the operation order of
+
+        m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
+        p - lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
+
+    Raises on non-finite gradients before touching params or state.
     """
     for name in params.tensor_names():
         g = grads.get_tensor(name)
@@ -321,12 +353,30 @@ def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
     for name in params.tensor_names():
         if not mask.covers(name):
             continue
-        g = grads.get_tensor(name)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
-        p = params.get_tensor(name)
-        update = m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p
-        out.set_tensor(name, p - state.lr * update)
+        param = params.get_tensor(name)
+        new = np.empty(param.shape)
+        flat_p, flat_new = param.reshape(-1), new.reshape(-1)
+        flat_g = grads.get_tensor(name).reshape(-1)
+        flat_m, flat_v = state.m[name].reshape(-1), state.v[name].reshape(-1)
+        for lo in range(0, param.size, _ADAMW_CHUNK):
+            hi = min(lo + _ADAMW_CHUNK, param.size)
+            p, g, m, v = flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+            a, b = state.scratch[0][:hi - lo], state.scratch[1][:hi - lo]
+            np.multiply(m, b1, out=m)
+            np.multiply(g, 1.0 - b1, out=a)
+            np.add(m, a, out=m)
+            np.multiply(v, b2, out=v)
+            np.multiply(g, 1.0 - b2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            np.divide(v, bc2, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, state.eps, out=b)
+            np.divide(m, bc1, out=a)
+            np.divide(a, b, out=a)
+            np.multiply(p, state.weight_decay, out=b)
+            np.add(a, b, out=a)
+            np.multiply(a, state.lr, out=a)
+            np.subtract(p, a, out=flat_new[lo:hi])
+        out.set_tensor(name, new)
     return out

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 import os
 import struct
 import time
@@ -273,18 +274,41 @@ def _default_erase(sampler_T: int = 35) -> er.EraseConfig:
                           warmup=gd.WarmupRule(5, "literal"))
 
 
+# Range rules checked as a value is parsed: (section, key) -> (rule, test).
+_AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
+_POSITIVE_FINITE = ("finite and > 0", lambda x: math.isfinite(x) and x > 0)
+_RANGE_CHECKS = {
+    ("base", "steps"): _AT_LEAST_ONE,
+    ("base", "batch_size"): _AT_LEAST_ONE,
+    ("base", "lr"): _POSITIVE_FINITE,
+    ("base", "p_uncond"): ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    ("erase", "lr"): _POSITIVE_FINITE,
+    ("erase", "weight_decay"): ("finite and >= 0",
+                                lambda x: math.isfinite(x) and x >= 0),
+}
+
+
+def _check_range(section: str, key: str, value):
+    rule = _RANGE_CHECKS.get((section, key))
+    if rule is not None and not rule[1](value):
+        raise ConfigError(f"[{section}] {key}: must be {rule[0]}, got {value}")
+    return value
+
+
 def _parse_int(section: str, key: str, raw: str) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
+    return _check_range(section, key, value)
 
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
+    return _check_range(section, key, value)
 
 
 def _parse_window_edge(section: str, key: str, raw: str, sampler_T: int) -> int:

@@ -159,6 +159,32 @@ class TestPipelineArtifacts:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("train-base", "base", "batch_size", "0"),
+        ("train-base", "base", "lr", "nan"),
+        ("train-base", "base", "lr", "inf"),
+        ("train-base", "base", "lr", "-1"),
+        ("train-base", "base", "steps", "-3"),
+        ("train-base", "base", "p_uncond", "2"),
+        ("erase", "erase", "lr", "0"),
+        ("erase", "erase", "lr", "nan"),
+        ("erase", "erase", "weight_decay", "-0.1"),
+        ("erase", "erase", "weight_decay", "inf"),
+    ])
+    def test_out_of_range_hyperparameter_is_config(self, pipeline, tmp_path,
+                                                   capsys, command, section,
+                                                   key, value):
+        bad = tmp_path / "bad.ini"
+        bad.write_text(f"[{section}]\n{key} = {value}\n")
+        inputs = (["--data", str(pipeline["data"] / "dataset.csv")]
+                  if command == "train-base"
+                  else ["--base", str(pipeline["base"] / "base.ssrg")])
+        code = cli.main([command, "--config", str(bad), *inputs,
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"[{section}] {key}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_is_io(self, tmp_path):
         code = cli.main(["gen-data", "--config", str(tmp_path / "none.ini"),
                          "--out", str(tmp_path / "o")])

@@ -220,6 +220,13 @@ class TestLoadConfig:
         assert cfg.erase.replacement_mode == "explicit"
         assert cfg.erase.replacement_id == 2
 
+    def test_hyperparameter_range_edges_accepted(self, tmp_path):
+        path = write_config(tmp_path, "[base]\nsteps = 1\nbatch_size = 1\n"
+                            "p_uncond = 1\n[erase]\nweight_decay = 0\n")
+        cfg = persistence.load_config(path)
+        assert (cfg.base_steps, cfg.base_batch, cfg.base_p_uncond) == (1, 1, 1.0)
+        assert cfg.erase.weight_decay == 0.0
+
     def test_non_numeric_value_rejected_with_path(self, tmp_path):
         path = write_config(tmp_path, "[metrics]\nthreshold = high\n")
         with pytest.raises(ConfigError, match=r"\[metrics\] threshold"):
