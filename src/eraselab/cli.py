@@ -12,7 +12,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -29,15 +28,11 @@ from .errors import (ConfigError, FormatError, NumericalError,
                      StructuralError)
 
 
-def _utc_stamp() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
 def _write_manifest(out_dir, command, cfg, seeds) -> None:
     manifest = {
         "command": command,
         "version": f"eraselab-{__version__}",
-        "created_utc": _utc_stamp(),
+        "created_utc": ps._utc_stamp(),
         "seeds": seeds,
         "config": cfg.snapshot_dict() if cfg is not None else None,
     }
@@ -72,13 +67,21 @@ def _generate(cfg, n_per_concept, seed):
     return tw.gen_glyphs(spec, n_per_concept, seed=seed)
 
 
+def _read_checkpoint(cfg, path):
+    """Read a checkpoint whose mode, vocab and schedule match the config."""
+    params, meta = ps.read_checkpoint(path)
+    expected = _checkpoint_meta(cfg, None)
+    for key in ("mode", "vocab", "schedule"):
+        if meta.get(key) != expected[key]:
+            raise ConfigError(f"{path}: checkpoint {key} {meta.get(key)!r} "
+                              f"does not match the config's {expected[key]!r}")
+    return params, meta
+
+
 def _oracle(cfg):
     _, spec = cfg.vocab_and_spec()
     if cfg.mode == "points2d":
-        def classify(x):
-            label, posterior = tw.bayes_classify(spec, x)
-            return label, float(posterior[label])
-        return classify
+        return tw.bayes_oracle(spec)
     return tw.template_oracle(spec)
 
 
@@ -128,7 +131,7 @@ def cmd_erase(args) -> int:
     cfg = ps.load_config(args.config)
     out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
-    base, _ = ps.read_checkpoint(args.base)
+    base, _ = _read_checkpoint(cfg, args.base)
     ecfg = cfg.erase if args.seed is None \
         else dataclasses.replace(cfg.erase, seed=args.seed)
     model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab)
@@ -155,7 +158,7 @@ def cmd_sample(args) -> int:
     cfg = ps.load_config(args.config)
     out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
-    model, _ = ps.read_checkpoint(args.model)
+    model, _ = _read_checkpoint(cfg, args.model)
     concept = vocab.id_of(args.concept)
     seed = cfg.seed if args.seed is None else args.seed
     gamma = cfg.eval_gamma if args.gamma is None else args.gamma
@@ -173,7 +176,7 @@ def cmd_invert(args) -> int:
     cfg = ps.load_config(args.config)
     out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
-    model, _ = ps.read_checkpoint(args.model)
+    model, _ = _read_checkpoint(cfg, args.model)
     dataset = tw.dataset_from_csv(args.data, cfg.mode, vocab.size)
     sched, sampler = cfg.schedule(), cfg.sampler()
     guid = df.conditional_eps(model)
@@ -205,7 +208,7 @@ def _timeline(cfg, ckpt_dir, concept, n, seed):
     iterations, rates = [], []
     oracle = _oracle(cfg)
     for name in files:
-        snapshot, meta = ps.read_checkpoint(os.path.join(ckpt_dir, name))
+        snapshot, meta = _read_checkpoint(cfg, os.path.join(ckpt_dir, name))
         X = _sample_batch(snapshot, cfg, concept, n, seed, cfg.eval_gamma)
         iterations.append(int(meta.get("iteration", len(iterations))))
         rates.append(an.erasure_rate(X, concept, oracle, cfg.threshold))
@@ -216,8 +219,8 @@ def cmd_eval(args) -> int:
     cfg = ps.load_config(args.config)
     out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
-    base, _ = ps.read_checkpoint(args.base)
-    model, model_meta = ps.read_checkpoint(args.model)
+    base, _ = _read_checkpoint(cfg, args.base)
+    model, model_meta = _read_checkpoint(cfg, args.model)
     method = args.method or model_meta.get("loss_kind", "ours")
     oracle = _oracle(cfg)
     sched, sampler = cfg.schedule(), cfg.sampler()
@@ -271,7 +274,7 @@ def cmd_sweep_lambda(args) -> int:
     cfg = ps.load_config(args.config)
     out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
-    base, _ = ps.read_checkpoint(args.base)
+    base, _ = _read_checkpoint(cfg, args.base)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
@@ -462,6 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         return args.handler(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -60,8 +60,8 @@ class EraseConfig:
             raise ConfigError("explicit replacement mode needs replacement_id")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.slack != 0.0:
             raise ConfigError("slack is fixed at 0")
         if self.n_iters < 1:

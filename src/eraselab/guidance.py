@@ -25,15 +25,6 @@ from .errors import ConfigError, StructuralError
 
 
 @dataclass(frozen=True)
-class GuidanceConfig:
-    gamma: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma):
-            raise ConfigError(f"gamma must be finite, got {self.gamma}")
-
-
-@dataclass(frozen=True)
 class InstructionConcept:
     """One term of the erasing signal: concept, signed weight, window, kappa."""
 
@@ -106,6 +97,11 @@ def class_direction(params: nnet.Parameters, z: np.ndarray, t: int,
     return out[0] if np.asarray(z).ndim == 1 else out
 
 
+def _nearest_rank(kappa: float, n: int) -> int:
+    """Nearest-rank index of the kappa percentile among n sorted values."""
+    return int(np.clip(np.ceil(kappa * n) - 1, 0, n - 1))
+
+
 def percentile_threshold(values: np.ndarray, kappa: float) -> float:
     """Nearest-rank percentile: ascending sort, element ceil(kappa*n) - 1."""
     values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -113,14 +109,12 @@ def percentile_threshold(values: np.ndarray, kappa: float) -> float:
         raise StructuralError("percentile of an empty vector")
     if not 0.0 <= kappa <= 1.0:
         raise ConfigError(f"kappa must lie in [0, 1], got {kappa}")
-    idx = int(np.clip(np.ceil(kappa * values.size) - 1, 0, values.size - 1))
-    return float(np.sort(values)[idx])
+    return float(np.sort(values)[_nearest_rank(kappa, values.size)])
 
 
 def _mask_rows(abs_delta: np.ndarray, kappa: float) -> np.ndarray:
     """Per-row percentile bottleneck mask: 1 where |delta| >= threshold."""
-    d = abs_delta.shape[1]
-    idx = int(np.clip(np.ceil(kappa * d) - 1, 0, d - 1))
+    idx = _nearest_rank(kappa, abs_delta.shape[1])
     thresh = np.sort(abs_delta, axis=1)[:, idx][:, None]
     return (abs_delta >= thresh).astype(np.float64)
 

@@ -12,9 +12,9 @@ Checkpoint layout (little-endian throughout):
 
 The header is self-describing and readable without touching the payload;
 the payload keeps values bit-exact. Run configuration is a flat INI-style
-text file; an empty file resolves to the full default operating point
-(gamma1 = gamma2 = 7.5, lambda = 5, N = 200, T = 35, t_warmup = 5,
-kappa = 0.95), and every unknown section or key is rejected by name.
+text file. One table, _ROWS (and _INSTRUCTION_ROWS), gives each key its
+field, parser, default and range rule; it drives parsing, the rejection of
+unknown names, validation and snapshot_dict.
 """
 
 from __future__ import annotations
@@ -22,20 +22,23 @@ from __future__ import annotations
 import configparser
 import json
 import math
+import operator
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from . import diffusion as df
 from . import erasure as er
 from . import guidance as gd
 from . import nnet
 from . import toyworld as tw
 from .errors import (ConfigError, CorruptionError, FormatError,
-                     UnsupportedVersionError)
+                     StructuralError, UnsupportedVersionError)
 
 MAGIC = b"SSRG"
 VERSION = 1
@@ -114,96 +117,74 @@ def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         payload = fh.read()
-    model = header["model"]
-    shape = nnet.NetworkShape(input_dim=model["input_dim"],
-                              hidden=tuple(model["hidden"]),
-                              time_embed_dim=model["time_embed_dim"],
-                              concept_embed_dim=model["concept_embed_dim"])
-    params = nnet.zero_like_params(
-        nnet.init_params(shape, model["n_concepts"], seed=0))
-
-    manifest = header["tensors"]
-    listed = [entry["name"] for entry in manifest]
-    if listed != list(params.tensor_names()):
+    try:
+        model, meta = header["model"], dict(header["meta"])
+        params = nnet.init_params(nnet.NetworkShape(
+            input_dim=model["input_dim"], hidden=tuple(model["hidden"]),
+            time_embed_dim=model["time_embed_dim"],
+            concept_embed_dim=model["concept_embed_dim"]),
+            model["n_concepts"], seed=0)
+        manifest = [(entry["name"], tuple(entry["shape"]), entry["offset"])
+                    for entry in header["tensors"]]
+    except (KeyError, TypeError, ValueError, ConfigError, StructuralError) as exc:
+        raise FormatError(f"{path}: malformed header: {exc!r}") from exc
+    listed = [name for name, _, _ in manifest]
+    if listed != params.tensor_names():
         raise FormatError(f"{path}: manifest lists tensors {listed}, the "
-                          f"declared model needs {list(params.tensor_names())}")
-    expected = 0
-    for entry in manifest:
-        if entry["offset"] != expected:
-            raise FormatError(f"{path}: tensor {entry['name']} at offset "
-                              f"{entry['offset']}, expected {expected}")
-        expected += 8 * int(np.prod(entry["shape"], dtype=np.int64))
-
-    for entry in manifest:
-        name, shp, off = entry["name"], tuple(entry["shape"]), entry["offset"]
-        nbytes = 8 * int(np.prod(shp, dtype=np.int64))
-        blob = payload[off:off + nbytes]
+                          f"declared model needs {params.tensor_names()}")
+    offset = 0
+    for name, shape, at in manifest:
+        want = params.get_tensor(name).shape
+        if (at, shape) != (offset, want):
+            raise FormatError(f"{path}: tensor {name} at offset {at} with shape "
+                              f"{list(shape)}, expected {offset} and {list(want)}")
+        nbytes = 8 * int(np.prod(want))
+        blob = payload[offset:offset + nbytes]
         if len(blob) < nbytes:
             raise CorruptionError(f"{path}: payload truncated in tensor "
                                   f"{name} ({len(blob)} of {nbytes} bytes)")
-        arr = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(shp)
-        try:
-            params.set_tensor(name, arr)
-        except Exception as exc:
-            raise FormatError(f"{path}: manifest tensor {name} does not fit "
-                              f"the declared model: {exc}") from exc
-    return params, header["meta"]
+        arr = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(want)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"{path}: tensor {name} holds non-finite values")
+        params.set_tensor(name, arr)
+        offset += nbytes
+    if len(payload) > offset:
+        raise FormatError(f"{path}: {len(payload) - offset} payload bytes "
+                          f"after the last tensor")
+    return params, meta
 
 
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
 
-MODES = ("points2d", "glyphs16")
-
-_SECTION_KEYS = {
-    "run": {"mode", "seed"},
-    "schedule": {"t_train", "beta_start", "beta_end"},
-    "sampler": {"t_sample"},
-    "base": {"steps", "lr", "batch_size", "p_uncond", "seed", "hidden"},
-    "erase": {"concepts", "gamma1", "gamma2", "lambda", "n_iters", "lr",
-              "weight_decay", "loss_kind", "trainable", "snapshot_every",
-              "seed", "t_warmup", "warmup_style", "replacement_mode",
-              "replacement"},
-    "metrics": {"threshold", "eval_gamma", "n_samples", "consistency_seeds"},
-}
-
-_INSTRUCTION_KEYS = {"name", "g", "t_high", "t_low", "kappa"}
+_WORLDS = {"points2d": tw.default_points_vocab, "glyphs16": tw.default_glyph_vocab}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved experiment configuration."""
+    """Fully resolved experiment configuration; load_config builds it."""
 
-    mode: str = "points2d"
-    seed: int = 0
-    t_train: int = 100
-    beta_start: float = 1e-4
-    beta_end: float = 0.04
-    sampler_T: int = 35
-    base_steps: int = 8000
-    base_lr: float = 1e-3
-    base_batch: int = 64
-    base_p_uncond: float = 0.1
-    base_seed: int = 1
-    base_hidden: Optional[tuple] = None
-    erase: er.EraseConfig = field(default_factory=lambda: _default_erase())
-    threshold: float = 0.7
-    eval_gamma: float = 7.5
-    n_samples: int = 1000
-    consistency_seeds: tuple = tuple(range(16))
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"[run] mode: unknown mode {self.mode!r}")
-        if self.sampler_T != self.erase.sampler_T:
-            raise ConfigError("[sampler] t_sample: disagrees with the erase "
-                              "sampler length")
+    mode: str
+    seed: int
+    t_train: int
+    beta_start: float
+    beta_end: float
+    sampler_T: int
+    base_steps: int
+    base_lr: float
+    base_batch: int
+    base_p_uncond: float
+    base_seed: int
+    base_hidden: Optional[tuple]
+    erase: er.EraseConfig
+    threshold: float
+    eval_gamma: float
+    n_samples: int
+    consistency_seeds: tuple
 
     def vocab_and_spec(self):
-        if self.mode == "points2d":
-            return tw.default_points_vocab()
-        return tw.default_glyph_vocab()
+        return _WORLDS[self.mode]()
 
     def input_dim(self) -> int:
         return 2 if self.mode == "points2d" else 256
@@ -217,269 +198,207 @@ class RunConfig:
         return nnet.NetworkShape(input_dim=256, hidden=(1024,))
 
     def schedule(self):
-        from . import diffusion as df
         return df.make_linear_schedule(self.t_train, self.beta_start,
                                        self.beta_end)
 
     def sampler(self):
-        from . import diffusion as df
         return df.SamplerConfig.uniform(self.sampler_T, self.t_train)
 
     def snapshot_dict(self) -> dict:
-        ins = [{"concept_id": i.concept_id, "g": i.g_c, "t_high": i.t_high,
-                "t_low": i.t_low, "kappa": i.kappa}
-               for i in self.erase.instructions]
-        return {
-            "run": {"mode": self.mode, "seed": self.seed},
-            "schedule": {"t_train": self.t_train,
-                         "beta_start": self.beta_start,
-                         "beta_end": self.beta_end},
-            "sampler": {"t_sample": self.sampler_T},
-            "base": {"steps": self.base_steps, "lr": self.base_lr,
-                     "batch_size": self.base_batch,
-                     "p_uncond": self.base_p_uncond, "seed": self.base_seed,
-                     "hidden": list(self.base_hidden) if self.base_hidden else None},
-            "erase": {"erase_set": list(self.erase.erase_set),
-                      "instructions": ins,
-                      "replacement_mode": self.erase.replacement_mode,
-                      "replacement_id": self.erase.replacement_id,
-                      "gamma1": self.erase.gamma1, "gamma2": self.erase.gamma2,
-                      "lambda": self.erase.lam, "n_iters": self.erase.n_iters,
-                      "t_warmup": self.erase.warmup.t_warmup,
-                      "warmup_style": self.erase.warmup.style,
-                      "loss_kind": self.erase.loss_kind,
-                      "trainable": list(self.erase.trainable)
-                      if self.erase.trainable else None,
-                      "lr": self.erase.lr,
-                      "weight_decay": self.erase.weight_decay,
-                      "snapshot_every": self.erase.snapshot_every,
-                      "seed": self.erase.seed},
-            "metrics": {"threshold": self.threshold,
-                        "eval_gamma": self.eval_gamma,
-                        "n_samples": self.n_samples,
-                        "consistency_seeds": list(self.consistency_seeds)},
-        }
+        """Every resolved value under its section and key, for the manifest."""
+        snap = {}
+        for row in _ROWS:
+            snap.setdefault(row.section, {}).update(_snapshot([row], self))
+        snap["erase"]["instructions"] = [_snapshot(_INSTRUCTION_ROWS, ins)
+                                         for ins in self.erase.instructions]
+        return snap
 
 
-def _default_instructions(sampler_T: int) -> tuple:
-    t_high = int(0.35 * sampler_T)
-    return (gd.InstructionConcept(0, -7.5, t_high, sampler_T, 0.95),
-            gd.InstructionConcept(1, 6.5, t_high, sampler_T, 0.95))
+def _number(kind, noun: str):
+    def parse(raw, env=None):
+        try:
+            return kind(raw)
+        except ValueError as exc:
+            raise ConfigError(f"not {noun}: {raw!r}") from exc
+    return parse
 
 
-def _default_erase(sampler_T: int = 35) -> er.EraseConfig:
-    return er.EraseConfig(erase_set=(0,),
-                          instructions=_default_instructions(sampler_T),
-                          sampler_T=sampler_T,
-                          warmup=gd.WarmupRule(5, "literal"))
+def _listed(item):
+    return lambda raw, env: tuple(item(part, env) for part in raw.split(","))
 
 
-# Range rules checked as a value is parsed: (section, key) -> (rule, test).
-_AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
-_POSITIVE_FINITE = ("finite and > 0", lambda x: math.isfinite(x) and x > 0)
-_RANGE_CHECKS = {
-    ("base", "steps"): _AT_LEAST_ONE,
-    ("base", "batch_size"): _AT_LEAST_ONE,
-    ("base", "lr"): _POSITIVE_FINITE,
-    ("base", "p_uncond"): ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
-    ("erase", "lr"): _POSITIVE_FINITE,
-    ("erase", "weight_decay"): ("finite and >= 0",
-                                lambda x: math.isfinite(x) and x >= 0),
-}
+def _concept(raw, env) -> int:
+    return _WORLDS[env["mode"]]()[0].id_of(raw.strip())
 
 
-def _check_range(section: str, key: str, value):
-    rule = _RANGE_CHECKS.get((section, key))
-    if rule is not None and not rule[1](value):
-        raise ConfigError(f"[{section}] {key}: must be {rule[0]}, got {value}")
-    return value
+def _tensors(raw, env) -> Optional[tuple]:
+    return None if raw.strip() == "all" else tuple(n.strip() for n in raw.split(","))
 
 
-def _parse_int(section: str, key: str, raw: str) -> int:
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not an integer: {raw!r}") from exc
-    return _check_range(section, key, value)
-
-
-def _parse_float(section: str, key: str, raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key}: not a number: {raw!r}") from exc
-    return _check_range(section, key, value)
-
-
-def _parse_window_edge(section: str, key: str, raw: str, sampler_T: int) -> int:
-    """Literal sampler index when written as an integer; a fraction of the
-    sampler length (floor) when written with a decimal point."""
-    raw = raw.strip()
+def _window_edge(raw, env) -> int:
+    """A literal sampler index when written as an integer; a fraction of
+    the sampler length (floored) when written with a decimal point."""
+    sampler_T = env["sampler_T"]
     if "." in raw:
-        frac = _parse_float(section, key, raw)
+        frac = _float(raw)
         if not 0.0 < frac <= 1.0:
-            raise ConfigError(f"[{section}] {key}: fraction must lie in "
-                              f"(0, 1], got {raw}")
+            raise ConfigError(f"fraction must lie in (0, 1], got {raw}")
         return int(frac * sampler_T)
-    value = _parse_int(section, key, raw)
+    value = _int(raw)
     if not 1 <= value <= sampler_T:
-        raise ConfigError(f"[{section}] {key}: index {value} outside "
-                          f"1..{sampler_T}")
+        raise ConfigError(f"index {value} outside 1..{sampler_T}")
     return value
 
 
-def _resolve_concept(section: str, key: str, name: str,
-                     vocab: tw.ConceptVocab) -> int:
+_int, _float = _number(int, "an integer"), _number(float, "a number")
+_ints, _concepts = _listed(_int), _listed(_concept)
+
+# Range rules (text, test) for the values that no constructor checks.
+_AT_LEAST_ONE = (">= 1", lambda x: x >= 1)
+_NON_NEGATIVE = (">= 0", lambda x: x >= 0)
+_FINITE = ("finite", math.isfinite)
+_FINITE_POSITIVE = ("finite and > 0", lambda x: math.isfinite(x) and x > 0)
+_UNIT = ("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+
+_Row = namedtuple("_Row", "section key field parser default check")
+
+# The schema. `field` is the path from RunConfig, `parser(text, values so far)`
+# (None keeps the text), a string default is parsed like file text, and a row
+# without a rule is checked by the constructor that load_config builds from it.
+_ROWS = tuple(_Row(*row) for row in (
+    ("run", "mode", "mode", None, "points2d",
+     ("points2d or glyphs16", _WORLDS.__contains__)),
+    ("run", "seed", "seed", _int, 0, _NON_NEGATIVE),
+    ("schedule", "t_train", "t_train", _int, 100, None),
+    ("schedule", "beta_start", "beta_start", _float, 1e-4, None),
+    ("schedule", "beta_end", "beta_end", _float, 0.04, None),
+    ("sampler", "t_sample", "sampler_T", _int, 35, None),
+    ("base", "steps", "base_steps", _int, 8000, _AT_LEAST_ONE),
+    ("base", "lr", "base_lr", _float, 1e-3, _FINITE_POSITIVE),
+    ("base", "batch_size", "base_batch", _int, 64, _AT_LEAST_ONE),
+    ("base", "p_uncond", "base_p_uncond", _float, 0.1, _UNIT),
+    ("base", "seed", "base_seed", _int, 1, _NON_NEGATIVE),
+    ("base", "hidden", "base_hidden", _ints, None, None),
+    ("erase", "concepts", "erase.erase_set", _concepts, (0,), None),
+    ("erase", "gamma1", "erase.gamma1", _float, 7.5, _FINITE),
+    ("erase", "gamma2", "erase.gamma2", _float, 7.5, _FINITE),
+    ("erase", "lambda", "erase.lam", _float, 5.0, None),
+    ("erase", "n_iters", "erase.n_iters", _int, 200, None),
+    ("erase", "lr", "erase.lr", _float, 2e-3, _FINITE_POSITIVE),
+    ("erase", "weight_decay", "erase.weight_decay", _float, 0.0,
+     ("finite and >= 0", lambda x: math.isfinite(x) and x >= 0)),
+    ("erase", "loss_kind", "erase.loss_kind", None, "ours", None),
+    ("erase", "trainable", "erase.trainable", _tensors, None, None),
+    ("erase", "snapshot_every", "erase.snapshot_every", _int, 10, _AT_LEAST_ONE),
+    ("erase", "seed", "erase.seed", _int, 0, _NON_NEGATIVE),
+    ("erase", "t_warmup", "erase.warmup.t_warmup", _int, 5, None),
+    ("erase", "warmup_style", "erase.warmup.style", None, "literal", None),
+    ("erase", "replacement_mode", "erase.replacement_mode", None, "delta", None),
+    ("erase", "replacement", "erase.replacement_id", _concept, None, None),
+    ("metrics", "threshold", "threshold", _float, 0.7, _UNIT),
+    ("metrics", "eval_gamma", "eval_gamma", _float, 7.5, _FINITE),
+    ("metrics", "n_samples", "n_samples", _int, 1000, _AT_LEAST_ONE),
+    ("metrics", "consistency_seeds", "consistency_seeds", _ints,
+     tuple(range(16)), _NON_NEGATIVE),
+))
+
+# Each [instruction.*] section, by InstructionConcept field. With no such
+# section, concept 0 is pushed away (the default g), concept 1 pulled toward.
+_INSTRUCTION_ROWS = tuple(_Row("instruction", *row) for row in (
+    ("name", "concept_id", _concept, None, ("set", lambda x: x is not None)),
+    ("g", "g_c", _float, -7.5, None),
+    ("t_high", "t_high", _window_edge, "0.35", None),
+    ("t_low", "t_low", _window_edge, "1.0", None),
+    ("kappa", "kappa", _float, 0.95, None),
+))
+_DEFAULT_INSTRUCTIONS = (("default", {"name": 0}), ("default", {"name": 1, "g": 6.5}))
+
+
+def _snapshot(rows, obj) -> dict:
+    """Values by key; a key naming concepts holds the ids, under its field."""
+    snap = {}
+    for row in rows:
+        value = operator.attrgetter(row.field)(obj)
+        key = row.field.split(".")[-1] if row.parser in (_concept, _concepts) \
+            else row.key
+        snap[key] = list(value) if isinstance(value, tuple) else value
+    return snap
+
+
+def _value(section: str, row: _Row, raw, env: dict):
+    """Parse and range-check one value; errors are named [section] key."""
     try:
-        return vocab.id_of(name.strip())
+        value = row.parser(raw, env) if row.parser and isinstance(raw, str) else raw
+        items = value if isinstance(value, tuple) else (value,)
+        if row.check and not all(map(row.check[1], items)):
+            raise ConfigError(f"must be {row.check[0]}, got {value}")
     except ConfigError as exc:
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        raise ConfigError(f"[{section}] {row.key}: {exc}") from exc
+    return value
+
+
+def _built(keys: list, given: set, build, *args, **kwargs):
+    """Construct an object from config values. When its constructor rejects
+    them, the error names those of its keys that the file sets."""
+    try:
+        return build(*args, **kwargs)
+    except (ConfigError, StructuralError) as exc:
+        named = [key for key in keys if key in given] or keys
+        raise ConfigError(", ".join(f"[{s}] {k}" for s, k in named)
+                          + f": {exc}") from exc
+
+
+def _keys(*fields) -> list:
+    """The (section, key) of each row whose field starts with one of `fields`."""
+    return [(row.section, row.key) for row in _ROWS if row.field.startswith(fields)]
 
 
 def load_config(path) -> RunConfig:
-    """Parse and fully resolve a run configuration file.
+    """Parse and resolve a run configuration file against _ROWS.
 
-    Missing keys take defaults; unknown sections or keys are errors named
-    by their location. Instruction windows accept either literal sampler
-    indices or fractions of the sampler length (decimal point required).
+    Missing keys take the row defaults; unknown names, and values that a
+    range rule or a constructor rejects, are errors named by [section] key.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError:
-        raise
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    instruction_sections = []
+    given, instruction_sections, kw = set(), [], {"": {}}
     for section in parser.sections():
-        if section.startswith("instruction"):
-            unknown = set(parser[section]) - _INSTRUCTION_KEYS
-            if unknown:
-                raise ConfigError(f"[{section}] {sorted(unknown)[0]}: unknown key")
-            instruction_sections.append(section)
-        elif section in _SECTION_KEYS:
-            unknown = set(parser[section]) - _SECTION_KEYS[section]
-            if unknown:
-                raise ConfigError(f"[{section}] {sorted(unknown)[0]}: unknown key")
-        else:
+        rows = _INSTRUCTION_ROWS if section.startswith("instruction") \
+            else [row for row in _ROWS if row.section == section]
+        if not rows:
             raise ConfigError(f"[{section}]: unknown section")
+        unknown = sorted(set(parser[section]) - {row.key for row in rows})
+        if unknown:
+            raise ConfigError(f"[{section}] {unknown[0]}: unknown key")
+        given.update((section, key) for key in parser[section])
+        if rows is _INSTRUCTION_ROWS:
+            instruction_sections.append((section, parser[section]))
 
-    def get(section, key, default):
-        if parser.has_section(section) and key in parser[section]:
-            return parser[section][key]
-        return default
-
-    mode = get("run", "mode", "points2d")
-    if mode not in MODES:
-        raise ConfigError(f"[run] mode: unknown mode {mode!r}")
-    vocab, _ = (tw.default_points_vocab() if mode == "points2d"
-                else tw.default_glyph_vocab())
-
-    t_train = _parse_int("schedule", "t_train", get("schedule", "t_train", "100"))
-    sampler_T = _parse_int("sampler", "t_sample", get("sampler", "t_sample", "35"))
+    for row in _ROWS:   # field "x.y.z" goes to kw["x.y"]["z"]; kw[""] is RunConfig's
+        owner, _, name = row.field.rpartition(".")
+        raw = parser.get(row.section, row.key, fallback=row.default)
+        kw.setdefault(owner, {})[name] = _value(row.section, row, raw, kw[""])
+    run = kw[""]
+    _built(_keys("t_train", "beta_"), given, df.make_linear_schedule,
+           run["t_train"], run["beta_start"], run["beta_end"])
+    _built(_keys("sampler_T", "t_train"), given, df.SamplerConfig.uniform,
+           run["sampler_T"], run["t_train"])
 
     instructions = []
-    for section in instruction_sections:
-        sec = parser[section]
-        if "name" not in sec:
-            raise ConfigError(f"[{section}] name: required")
-        cid = _resolve_concept(section, "name", sec["name"], vocab)
-        instructions.append(gd.InstructionConcept(
-            concept_id=cid,
-            g_c=_parse_float(section, "g", sec.get("g", "-7.5")),
-            t_high=_parse_window_edge(section, "t_high",
-                                      sec.get("t_high", "0.35"), sampler_T),
-            t_low=_parse_window_edge(section, "t_low",
-                                     sec.get("t_low", "1.0"), sampler_T),
-            kappa=_parse_float(section, "kappa", sec.get("kappa", "0.95"))))
-    if not instruction_sections:
-        instructions = list(_default_instructions(sampler_T))
-
-    erase_names = get("erase", "concepts", None)
-    if erase_names is None:
-        erase_set = (0,)
-    else:
-        erase_set = tuple(_resolve_concept("erase", "concepts", n, vocab)
-                          for n in erase_names.split(","))
-
-    trainable_raw = get("erase", "trainable", "all").strip()
-    trainable = None if trainable_raw == "all" \
-        else tuple(t.strip() for t in trainable_raw.split(","))
-
-    replacement_raw = get("erase", "replacement", None)
-    replacement_id = None if replacement_raw is None \
-        else _resolve_concept("erase", "replacement", replacement_raw, vocab)
-
-    warmup = gd.WarmupRule(
-        t_warmup=_parse_int("erase", "t_warmup", get("erase", "t_warmup", "5")),
-        style=get("erase", "warmup_style", "literal"),
-        sampler_T=sampler_T if get("erase", "warmup_style", "literal") == "sega"
-        else None)
-
-    try:
-        erase = er.EraseConfig(
-            erase_set=erase_set,
-            instructions=tuple(instructions),
-            replacement_mode=get("erase", "replacement_mode", "delta"),
-            replacement_id=replacement_id,
-            gamma1=_parse_float("erase", "gamma1", get("erase", "gamma1", "7.5")),
-            gamma2=_parse_float("erase", "gamma2", get("erase", "gamma2", "7.5")),
-            lam=_parse_float("erase", "lambda", get("erase", "lambda", "5")),
-            n_iters=_parse_int("erase", "n_iters", get("erase", "n_iters", "200")),
-            sampler_T=sampler_T,
-            warmup=warmup,
-            loss_kind=get("erase", "loss_kind", "ours"),
-            trainable=trainable,
-            lr=_parse_float("erase", "lr", get("erase", "lr", "2e-3")),
-            weight_decay=_parse_float("erase", "weight_decay",
-                                      get("erase", "weight_decay", "0")),
-            snapshot_every=_parse_int("erase", "snapshot_every",
-                                      get("erase", "snapshot_every", "10")),
-            seed=_parse_int("erase", "seed", get("erase", "seed", "0")))
-        erase.validate_ids(vocab)
-    except ConfigError as exc:
-        if str(exc).startswith("["):
-            raise
-        raise ConfigError(f"[erase]: {exc}") from exc
-
-    hidden_raw = get("base", "hidden", None)
-    base_hidden = None if hidden_raw is None \
-        else tuple(_parse_int("base", "hidden", h) for h in hidden_raw.split(","))
-
-    seeds_raw = get("metrics", "consistency_seeds", None)
-    consistency_seeds = tuple(range(16)) if seeds_raw is None \
-        else tuple(_parse_int("metrics", "consistency_seeds", s)
-                   for s in seeds_raw.split(","))
-
-    try:
-        return RunConfig(
-            mode=mode,
-            seed=_parse_int("run", "seed", get("run", "seed", "0")),
-            t_train=t_train,
-            beta_start=_parse_float("schedule", "beta_start",
-                                    get("schedule", "beta_start", "1e-4")),
-            beta_end=_parse_float("schedule", "beta_end",
-                                  get("schedule", "beta_end", "0.04")),
-            sampler_T=sampler_T,
-            base_steps=_parse_int("base", "steps", get("base", "steps", "8000")),
-            base_lr=_parse_float("base", "lr", get("base", "lr", "1e-3")),
-            base_batch=_parse_int("base", "batch_size",
-                                  get("base", "batch_size", "64")),
-            base_p_uncond=_parse_float("base", "p_uncond",
-                                       get("base", "p_uncond", "0.1")),
-            base_seed=_parse_int("base", "seed", get("base", "seed", "1")),
-            base_hidden=base_hidden,
-            erase=erase,
-            threshold=_parse_float("metrics", "threshold",
-                                   get("metrics", "threshold", "0.7")),
-            eval_gamma=_parse_float("metrics", "eval_gamma",
-                                    get("metrics", "eval_gamma", "7.5")),
-            n_samples=_parse_int("metrics", "n_samples",
-                                 get("metrics", "n_samples", "1000")),
-            consistency_seeds=consistency_seeds)
-    except ConfigError as exc:
-        if str(exc).startswith("["):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+    for section, sec in instruction_sections or _DEFAULT_INSTRUCTIONS:
+        fields = {row.field: _value(section, row, sec.get(row.key, row.default),
+                                    run) for row in _INSTRUCTION_ROWS}
+        instructions.append(_built([(section, key) for key in sec if key != "name"],
+                                   given, gd.InstructionConcept, **fields))
+    warmup = _built(_keys("erase.warmup.", "sampler_T"), given, gd.WarmupRule,
+                    sampler_T=run["sampler_T"], **kw["erase.warmup"])
+    cfg = RunConfig(erase=_built(
+        _keys("erase."), given, er.EraseConfig, instructions=tuple(instructions),
+        sampler_T=run["sampler_T"], warmup=warmup, **kw["erase"]), **run)
+    _built(_keys("base_hidden"), given, cfg.network_shape)
+    return cfg

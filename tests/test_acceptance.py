@@ -37,18 +37,11 @@ def announce(capsys):
     return _announce
 
 
-def point_oracle(spec):
-    def classify(x):
-        label, posterior = tw.bayes_classify(spec, x)
-        return label, float(posterior[label])
-    return classify
-
-
 def guided_rate(model, spec, sched, sampler, concept, n=250, seed=1234,
                 gamma=7.5, threshold=0.7):
     X = df.sample_final_batch(model, sched, sampler, concept,
                               gd.cfg_guidance(model, gamma), n, seed)
-    return an.erasure_rate(X, concept, point_oracle(spec), threshold)
+    return an.erasure_rate(X, concept, tw.bayes_oracle(spec), threshold)
 
 
 def mean_consistency(base, model, sched, sampler):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from eraselab import cli
+from eraselab import cli, nnet, persistence
 from eraselab.analysis import MetricReport
 
 TINY_CONFIG = """\
@@ -170,20 +170,76 @@ class TestExitCodes:
         ("erase", "erase", "lr", "nan"),
         ("erase", "erase", "weight_decay", "-0.1"),
         ("erase", "erase", "weight_decay", "inf"),
+        ("gen-data", "erase", "lambda", "nan"),
+        ("gen-data", "erase", "gamma1", "inf"),
+        ("gen-data", "erase", "gamma2", "nan"),
+        ("gen-data", "metrics", "eval_gamma", "nan"),
+        ("gen-data", "metrics", "threshold", "5"),
+        ("gen-data", "metrics", "n_samples", "0"),
+        ("gen-data", "metrics", "consistency_seeds", "-1"),
+        ("gen-data", "erase", "snapshot_every", "-1"),
+        ("gen-data", "erase", "seed", "-1"),
+        ("gen-data", "erase", "t_warmup", "99"),
+        ("gen-data", "erase", "warmup_style", "foo"),
+        ("gen-data", "sampler", "t_sample", "1000"),
+        ("gen-data", "sampler", "t_sample", "0"),
+        ("gen-data", "schedule", "t_train", "0"),
+        ("gen-data", "schedule", "beta_end", "2"),
+        ("gen-data", "schedule", "beta_start", "0.5"),
+        ("gen-data", "base", "hidden", "0"),
+        ("gen-data", "run", "seed", "-5"),
+        ("gen-data", "base", "seed", "-1"),
+        ("gen-data", "instruction.a", "kappa", "nan"),
     ])
     def test_out_of_range_hyperparameter_is_config(self, pipeline, tmp_path,
                                                    capsys, command, section,
                                                    key, value):
         bad = tmp_path / "bad.ini"
-        bad.write_text(f"[{section}]\n{key} = {value}\n")
-        inputs = (["--data", str(pipeline["data"] / "dataset.csv")]
-                  if command == "train-base"
-                  else ["--base", str(pipeline["base"] / "base.ssrg")])
+        name = "name = c0\n" if section.startswith("instruction") else ""
+        bad.write_text(f"[{section}]\n{name}{key} = {value}\n")
+        inputs = {"gen-data": [],
+                  "train-base": ["--data", str(pipeline["data"] / "dataset.csv")],
+                  "erase": ["--base", str(pipeline["base"] / "base.ssrg")]}[command]
         code = cli.main([command, "--config", str(bad), *inputs,
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"[{section}] {key}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_negative_seed_flag_is_config(self, tmp_path, capsys):
+        empty = tmp_path / "empty.ini"
+        empty.write_text("")
+        code = cli.main(["gen-data", "--config", str(empty), "--seed", "-1",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--seed:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config,meta_edit,field", [
+        ("", {}, "mode"),
+        ("[run]\nmode = glyphs16\n", {"vocab": ["circle"]}, "vocab"),
+        ("[run]\nmode = glyphs16\n[schedule]\nbeta_end = 0.03\n", {},
+         "schedule"),
+    ])
+    def test_checkpoint_config_mismatch_is_config(self, tmp_path, capsys,
+                                                  config, meta_edit, field):
+        glyphs = tmp_path / "glyphs.ini"
+        glyphs.write_text("[run]\nmode = glyphs16\n")
+        glyph_cfg = persistence.load_config(glyphs)
+        vocab, _ = glyph_cfg.vocab_and_spec()
+        params = nnet.init_params(nnet.NetworkShape(input_dim=256, hidden=(8,)),
+                                  vocab.size, seed=0)
+        ckpt = tmp_path / "glyph.ssrg"
+        meta = dict(cli._checkpoint_meta(glyph_cfg, "base"), **meta_edit)
+        persistence.write_checkpoint(params, meta, ckpt)
+        run = tmp_path / "run.ini"
+        run.write_text(config)
+        code = cli.main(["sample", "--config", str(run), "--model", str(ckpt),
+                         "--concept", vocab.concepts[0].name if config else "c0",
+                         "--n", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"checkpoint {field} " in capsys.readouterr().err
+        assert not (tmp_path / "o" / "samples.csv").exists()
 
     def test_missing_config_file_is_io(self, tmp_path):
         code = cli.main(["gen-data", "--config", str(tmp_path / "none.ini"),

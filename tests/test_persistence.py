@@ -1,7 +1,9 @@
 """Checkpoint byte format and run-configuration parsing."""
 
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,15 +22,20 @@ def small_params(seed=3):
     return nnet.init_params(shape, n_concepts=3, seed=seed)
 
 
-def repack(src, dst, mutate_header=None, version=None):
-    # Rewrites a checkpoint with an edited header or version stamp so format
-    # validation can be exercised without hand-assembling whole files.
+def repack(src, dst, mutate_header=None, version=None, header=None,
+           mutate_payload=None):
+    # Rewrites a checkpoint with an edited or replaced header, version stamp
+    # or payload so format validation can be exercised without
+    # hand-assembling whole files.
     raw = src.read_bytes()
     magic, ver, hlen = struct.unpack_from("<4sHI", raw)
-    header = json.loads(raw[FIXED_LEN:FIXED_LEN + hlen])
     payload = raw[FIXED_LEN + hlen:]
+    if header is None:
+        header = json.loads(raw[FIXED_LEN:FIXED_LEN + hlen])
     if mutate_header is not None:
         mutate_header(header)
+    if mutate_payload is not None:
+        payload = mutate_payload(payload)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     dst.write_bytes(struct.pack("<4sHI", magic,
                                 ver if version is None else version,
@@ -118,6 +125,25 @@ class TestCheckpoint:
         repack(path, short, mutate_header=lambda h: h["tensors"].pop())
         with pytest.raises(FormatError, match="embed"):
             persistence.read_checkpoint(short)
+
+    @pytest.mark.parametrize("edit", [
+        {"mutate_header": lambda h: h.pop("model")},
+        {"mutate_header": lambda h: h.pop("tensors")},
+        {"mutate_header": lambda h: h.pop("meta")},
+        {"header": ["model", "tensors", "meta"]},
+        {"mutate_header": lambda h: h["model"].update(hidden="abc")},
+        {"mutate_header": lambda h: h["tensors"][0].update(shape="ab")},
+        {"mutate_payload": lambda p: p + bytes(8)},
+        {"mutate_payload": lambda p: struct.pack("<d", float("nan")) + p[8:]},
+    ], ids=["no-model", "no-tensors", "no-meta", "list-header",
+            "hidden-text", "shape-text", "trailing-bytes", "nan-weight"])
+    def test_malformed_checkpoint_is_format_error(self, tmp_path, edit):
+        path = tmp_path / "model.ssrg"
+        persistence.write_checkpoint(small_params(), {}, path)
+        bad = tmp_path / "bad.ssrg"
+        repack(path, bad, **edit)
+        with pytest.raises(FormatError, match="bad.ssrg"):
+            persistence.read_checkpoint(bad)
 
     def test_nonexistent_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -245,3 +271,111 @@ class TestLoadConfig:
         sampler = cfg.sampler()
         assert sched.T_train == 100
         assert sampler.T == 35 and sampler.tau[-1] == 100
+
+    def test_readme_example_config_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
+        cfg = persistence.load_config(write_config(tmp_path, example))
+        assert cfg.mode == "points2d" and cfg.base_hidden is None
+        assert [i.g_c for i in cfg.erase.instructions] == [-7.5, 6.5]
+
+
+EVERY_KEY_CONFIG = """\
+[run]
+mode = glyphs16
+seed = 3
+[schedule]
+t_train = 120
+beta_start = 2e-4
+beta_end = 0.03
+[sampler]
+t_sample = 30
+[base]
+steps = 500
+lr = 5e-4
+batch_size = 32
+p_uncond = 0.2
+seed = 4
+hidden = 64,32
+[erase]
+concepts = circle,square
+gamma1 = 6
+gamma2 = 5.5
+lambda = 2.5
+n_iters = 50
+lr = 1e-3
+weight_decay = 0.01
+loss_kind = sdd
+trainable = embed,w0
+snapshot_every = 5
+seed = 7
+t_warmup = 3
+warmup_style = sega
+replacement_mode = explicit
+replacement = triangle
+[metrics]
+threshold = 0.8
+eval_gamma = 6
+n_samples = 100
+consistency_seeds = 0,2,4
+[instruction.a]
+name = cross
+g = -5
+t_high = 4
+t_low = 0.9
+kappa = 0.9
+"""
+
+# The manifest's config block, pinned as the loader resolved it before the
+# config schema became one table.
+DEFAULT_SNAPSHOT = {
+    "run": {"mode": "points2d", "seed": 0},
+    "schedule": {"t_train": 100, "beta_start": 0.0001, "beta_end": 0.04},
+    "sampler": {"t_sample": 35},
+    "base": {"steps": 8000, "lr": 0.001, "batch_size": 64, "p_uncond": 0.1,
+             "seed": 1, "hidden": None},
+    "erase": {"erase_set": [0],
+              "instructions": [
+                  {"concept_id": 0, "g": -7.5, "t_high": 12, "t_low": 35,
+                   "kappa": 0.95},
+                  {"concept_id": 1, "g": 6.5, "t_high": 12, "t_low": 35,
+                   "kappa": 0.95}],
+              "replacement_mode": "delta", "replacement_id": None,
+              "gamma1": 7.5, "gamma2": 7.5, "lambda": 5.0, "n_iters": 200,
+              "t_warmup": 5, "warmup_style": "literal", "loss_kind": "ours",
+              "trainable": None, "lr": 0.002, "weight_decay": 0.0,
+              "snapshot_every": 10, "seed": 0},
+    "metrics": {"threshold": 0.7, "eval_gamma": 7.5, "n_samples": 1000,
+                "consistency_seeds": [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11,
+                                      12, 13, 14, 15]},
+}
+
+EVERY_KEY_SNAPSHOT = {
+    "run": {"mode": "glyphs16", "seed": 3},
+    "schedule": {"t_train": 120, "beta_start": 0.0002, "beta_end": 0.03},
+    "sampler": {"t_sample": 30},
+    "base": {"steps": 500, "lr": 0.0005, "batch_size": 32, "p_uncond": 0.2,
+             "seed": 4, "hidden": [64, 32]},
+    "erase": {"erase_set": [0, 1],
+              "instructions": [
+                  {"concept_id": 2, "g": -5.0, "t_high": 4, "t_low": 27,
+                   "kappa": 0.9}],
+              "replacement_mode": "explicit", "replacement_id": 3,
+              "gamma1": 6.0, "gamma2": 5.5, "lambda": 2.5, "n_iters": 50,
+              "t_warmup": 3, "warmup_style": "sega", "loss_kind": "sdd",
+              "trainable": ["embed", "w0"], "lr": 0.001,
+              "weight_decay": 0.01, "snapshot_every": 5, "seed": 7},
+    "metrics": {"threshold": 0.8, "eval_gamma": 6.0, "n_samples": 100,
+                "consistency_seeds": [0, 2, 4]},
+}
+
+
+@pytest.mark.parametrize("text,expected", [
+    ("", DEFAULT_SNAPSHOT),
+    (EVERY_KEY_CONFIG, EVERY_KEY_SNAPSHOT),
+], ids=["empty", "every-key"])
+def test_snapshot_dict_golden(tmp_path, text, expected):
+    snap = persistence.load_config(write_config(tmp_path, text)).snapshot_dict()
+    assert json.loads(json.dumps(snap)) == expected
+    assert all(type(snap["erase"][k]) is float
+               for k in ("gamma1", "gamma2", "lambda", "lr", "weight_decay"))
