@@ -102,16 +102,15 @@ class MetricReport:
 def erasure_rate(samples: np.ndarray, target: int,
                  oracle: Callable[[np.ndarray], tuple], threshold: float = 0.7) -> float:
     """Fraction of samples the oracle assigns to target with confidence
-    at or above the threshold."""
+    at or above the threshold. The oracle classifies the whole (n, d)
+    batch in one call and returns (labels, confidences), one per row."""
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] == 0:
         raise StructuralError("erasure_rate of an empty batch")
-    hits = 0
-    for row in samples:
-        label, conf = oracle(row)
-        if label == target and conf >= threshold:
-            hits += 1
-    return hits / samples.shape[0]
+    labels, confs = oracle(samples)
+    hits = np.count_nonzero((np.asarray(labels) == target)
+                            & (np.asarray(confs) >= threshold))
+    return int(hits) / samples.shape[0]
 
 
 def _gram(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec,
@@ -202,7 +201,8 @@ def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
     """Per-concept mean similarity of same-seed samples from two models.
 
     Each seed fixes the initial latent, so differences come only from the
-    checkpoints. Glyph-sized models (input 256) compare endpoints by SSIM
+    checkpoints. All (concept, seed) rows descend together, one batch per
+    model. Glyph-sized models (input 256) compare endpoints by SSIM
     on the 16x16 reshape; anything else by negative endpoint L2. Higher
     is always more similar.
     """
@@ -212,20 +212,23 @@ def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
         metric = "ssim" if model_a.shape.input_dim == 256 else "neg_l2"
     if metric not in ("ssim", "neg_l2"):
         raise ConfigError(f"unknown consistency metric {metric!r}")
-    guid_a = gd.cfg_guidance(model_a, gamma)
-    guid_b = gd.cfg_guidance(model_b, gamma)
-    out = {}
-    for c in concepts:
-        sims = []
-        for seed in seeds:
-            x_a = df.sample(model_a, sched, sampler, c, guid_a, seed=seed).final
-            x_b = df.sample(model_b, sched, sampler, c, guid_b, seed=seed).final
-            if metric == "ssim":
-                sims.append(ssim(x_a.reshape(16, 16), x_b.reshape(16, 16)))
-            else:
-                sims.append(-float(np.linalg.norm(x_a - x_b)))
-        out[int(c)] = float(np.mean(sims))
-    return out
+    concepts = [int(c) for c in concepts]
+    d = model_a.shape.input_dim
+    # one row per (concept, seed); each seed fixes its own draw of z_T
+    Z = np.array([np.random.default_rng(seed).standard_normal(d)
+                  for _ in concepts for seed in seeds]).reshape(-1, d)
+    sims = []
+    if len(Z):
+        c_rows = np.repeat(concepts, len(seeds))
+        x_a, x_b = (df.descend(Z, sampler, sched, c_rows,
+                               gd.cfg_guidance(model, gamma))[0]
+                    for model in (model_a, model_b))
+        for a, b in zip(x_a, x_b):
+            sims.append(ssim(a.reshape(16, 16), b.reshape(16, 16))
+                        if metric == "ssim" else -float(np.linalg.norm(a - b)))
+    n = len(seeds)
+    return {c: float(np.mean(sims[k * n:(k + 1) * n]))
+            for k, c in enumerate(concepts)}
 
 
 def loss_weights(t: int, sched: df.NoiseSchedule) -> tuple[float, float]:

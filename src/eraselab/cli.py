@@ -1,8 +1,9 @@
 """Command-line pipeline with reproducible run directories.
 
 Every command writes its artifacts under --out together with a
-manifest.json (command, resolved config snapshot, seeds, version). Exit
-codes: 0 ok, 1 config, 2 io, 3 numerical, 4 format.
+manifest.json (command, resolved config snapshot, seeds, version). A
+command reads and checks all of its inputs before it creates --out.
+Exit codes: 0 ok, 1 config, 2 io, 3 numerical, 4 format.
 """
 
 from __future__ import annotations
@@ -28,17 +29,18 @@ from .errors import (ConfigError, FormatError, NumericalError,
                      StructuralError)
 
 
+# Count flags and the least value each accepts.
+_COUNT_FLAGS = {"n": 1, "drift_n": 2, "timeline_n": 1}
+
+
 def _write_manifest(out_dir, command, cfg, seeds) -> None:
-    manifest = {
+    ps.write_json(os.path.join(out_dir, "manifest.json"), {
         "command": command,
         "version": f"eraselab-{__version__}",
         "created_utc": ps._utc_stamp(),
         "seeds": seeds,
         "config": cfg.snapshot_dict() if cfg is not None else None,
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def _prepare_out(args):
@@ -104,13 +106,13 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_base(args) -> int:
     cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
     data_seed = cfg.seed if args.seed is None else args.seed
     if args.data is not None:
         dataset = tw.dataset_from_csv(args.data, cfg.mode, vocab.size)
     else:
         dataset = _generate(cfg, args.n, data_seed)
+    out = _prepare_out(args)
     loss_log = []
     model = df.train_base(dataset, cfg.network_shape(), cfg.schedule(),
                           steps=cfg.base_steps, p_uncond=cfg.base_p_uncond,
@@ -129,9 +131,9 @@ def cmd_train_base(args) -> int:
 
 def cmd_erase(args) -> int:
     cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
     base, _ = _read_checkpoint(cfg, args.base)
+    out = _prepare_out(args)
     ecfg = cfg.erase if args.seed is None \
         else dataclasses.replace(cfg.erase, seed=args.seed)
     model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab)
@@ -156,10 +158,10 @@ def cmd_erase(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
     model, _ = _read_checkpoint(cfg, args.model)
     concept = vocab.id_of(args.concept)
+    out = _prepare_out(args)
     seed = cfg.seed if args.seed is None else args.seed
     gamma = cfg.eval_gamma if args.gamma is None else args.gamma
     X = _sample_batch(model, cfg, concept, args.n, seed, gamma)
@@ -174,25 +176,20 @@ def cmd_sample(args) -> int:
 
 def cmd_invert(args) -> int:
     cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
     model, _ = _read_checkpoint(cfg, args.model)
     dataset = tw.dataset_from_csv(args.data, cfg.mode, vocab.size)
+    out = _prepare_out(args)
     sched, sampler = cfg.schedule(), cfg.sampler()
-    guid = df.conditional_eps(model)
-    latents, recon_rows = [], []
-    for i in range(len(dataset.labels)):
-        x0 = dataset.samples[i]
-        c = int(dataset.labels[i])
-        z_T = df.ddim_invert(x0, model, sched, sampler, c)
-        recon, _, _ = df.descend(z_T[None, :], sampler, sched, c, guid, 0,
-                                 record=False)
-        denom = max(float(np.linalg.norm(x0)), 1e-300)
-        recon_rows.append((str(i), str(c),
-                           float(np.linalg.norm(recon[0] - x0)) / denom))
-        latents.append(z_T)
-    tw.dataset_to_csv(tw.Dataset(np.array(latents), dataset.labels,
-                                 mode=cfg.mode, n_concepts=vocab.size),
+    X, labels = dataset.samples, dataset.labels
+    latents = df.ddim_invert(X, model, sched, sampler, labels)
+    recon, _, _ = df.descend(latents, sampler, sched, labels,
+                             df.conditional_eps(model))
+    recon_rows = [(str(i), str(c), float(np.linalg.norm(r - x0))
+                   / max(float(np.linalg.norm(x0)), 1e-300))
+                  for i, (c, r, x0) in enumerate(zip(labels, recon, X))]
+    tw.dataset_to_csv(tw.Dataset(latents, labels, mode=cfg.mode,
+                                 n_concepts=vocab.size),
                       os.path.join(out, "inverted.csv"))
     rp.write_csv(os.path.join(out, "recon.csv"),
                  ("index", "label", "rel_l2"), recon_rows)
@@ -203,12 +200,11 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _timeline(cfg, ckpt_dir, concept, n, seed):
-    files = sorted(f for f in os.listdir(ckpt_dir) if f.endswith(".ssrg"))
+def _timeline(cfg, paths, concept, n, seed):
     iterations, rates = [], []
     oracle = _oracle(cfg)
-    for name in files:
-        snapshot, meta = _read_checkpoint(cfg, os.path.join(ckpt_dir, name))
+    for path in paths:
+        snapshot, meta = _read_checkpoint(cfg, path)
         X = _sample_batch(snapshot, cfg, concept, n, seed, cfg.eval_gamma)
         iterations.append(int(meta.get("iteration", len(iterations))))
         rates.append(an.erasure_rate(X, concept, oracle, cfg.threshold))
@@ -217,10 +213,18 @@ def _timeline(cfg, ckpt_dir, concept, n, seed):
 
 def cmd_eval(args) -> int:
     cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
     base, _ = _read_checkpoint(cfg, args.base)
     model, model_meta = _read_checkpoint(cfg, args.model)
+    ckpt_dir = args.checkpoints
+    if ckpt_dir is None:
+        sibling = os.path.join(os.path.dirname(os.path.abspath(args.model)),
+                               "checkpoints")
+        ckpt_dir = sibling if os.path.isdir(sibling) else None
+    snapshots = None if ckpt_dir is None else \
+        [os.path.join(ckpt_dir, f) for f in sorted(os.listdir(ckpt_dir))
+         if f.endswith(".ssrg")]
+    out = _prepare_out(args)
     method = args.method or model_meta.get("loss_kind", "ours")
     oracle = _oracle(cfg)
     sched, sampler = cfg.schedule(), cfg.sampler()
@@ -248,21 +252,14 @@ def cmd_eval(args) -> int:
                               seeds=cfg.consistency_seeds,
                               threshold=cfg.threshold)
 
-    ckpt_dir = args.checkpoints
-    if ckpt_dir is None:
-        sibling = os.path.join(os.path.dirname(os.path.abspath(args.model)),
-                               "checkpoints")
-        ckpt_dir = sibling if os.path.isdir(sibling) else None
     timeline = None
-    if ckpt_dir is not None:
-        timeline = _timeline(cfg, ckpt_dir, erase_set[0], args.timeline_n,
+    if snapshots is not None:
+        timeline = _timeline(cfg, snapshots, erase_set[0], args.timeline_n,
                              cfg.seed)
 
-    payload = {"method": method, "report": json.loads(metrics.to_json()),
-               "timeline": timeline}
-    with open(os.path.join(out, "metrics.json"), "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    ps.write_json(os.path.join(out, "metrics.json"),
+                  {"method": method, "report": json.loads(metrics.to_json()),
+                   "timeline": timeline})
     _write_manifest(out, "eval", cfg, {"eval": cfg.seed})
     worst = max(rates.values())
     print(f"method={method} max target rate={worst:.3f} over {n} samples; "
@@ -272,7 +269,6 @@ def cmd_eval(args) -> int:
 
 def cmd_sweep_lambda(args) -> int:
     cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
     vocab, _ = cfg.vocab_and_spec()
     base, _ = _read_checkpoint(cfg, args.base)
     try:
@@ -281,6 +277,7 @@ def cmd_sweep_lambda(args) -> int:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: need at least one lambda")
+    out = _prepare_out(args)
     sched, sampler = cfg.schedule(), cfg.sampler()
     oracle = _oracle(cfg)
     erase_set = cfg.erase.erase_set
@@ -467,6 +464,11 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+        for name, least in _COUNT_FLAGS.items():
+            value = getattr(args, name, None)
+            if value is not None and value < least:
+                raise ConfigError(f"--{name.replace('_', '-')}: must be >= "
+                                  f"{least}, got {value}")
         return args.handler(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

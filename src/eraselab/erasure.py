@@ -12,6 +12,11 @@ delta-shifted one (stop-gradient on the student's unconditional branch)
 and L_penalty anchors the student's unconditional prediction to the
 teacher's. esd/sdd baseline losses replace L_concept for comparison runs
 and ignore lambda.
+
+Nothing the teacher computes depends on the student, so erase_finetune
+computes the teacher's side of every iteration first: all rollouts as one
+batched descent, then the targets at every rollout state. The sequential
+loop keeps only the student's forwards, its backward and AdamW.
 """
 
 from __future__ import annotations
@@ -113,66 +118,128 @@ class EraseRunLog:
         self.iterations.append((iteration, t_index, loss))
 
 
-def concept_loss(student: nnet.Parameters, teacher: nnet.Parameters,
-                 z_t: np.ndarray, sampler_index: int, schedule_t: int, c: int,
-                 cfg: EraseConfig) -> tuple[float, nnet.GradientBuffer]:
-    """||gamma2*(eps_s(z,c) - sg(eps_s(z,null))) - target||^2.
+def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
+                    t_index, schedule_t, c) -> tuple[np.ndarray, np.ndarray]:
+    """(target, anchor): the frozen teacher's side of the losses at z_t.
 
-    target = gamma1 * teacher class direction (under c, plus delta, in
-    delta mode; under the replacement concept, no delta, in explicit mode).
-    Gradient flows only through the student's conditional evaluation: the
-    unconditional branch enters as a constant (stop-gradient) and the
-    teacher is frozen by construction.
+    Row r is evaluated at sampler index t_index[r], schedule timestep
+    schedule_t[r] and concept c[r]; scalars apply to every row, and a 1-D
+    z_t gives 1-D results. anchor = eps_teacher(z, null) is the penalty's
+    target. target is, for ours, gamma1 * the teacher's class direction
+    (under c plus delta in delta mode; under the replacement concept, no
+    delta, in explicit mode); for esd, eps_u - gamma1 * (eps_c - eps_u);
+    for sdd, eps_u.
+
+    eps_c and eps_u are evaluated row by row, in the arithmetic of the
+    student's own batch-1 forwards. A student equal to the teacher then
+    gets an exactly zero residual, as in a per-iteration loop, and AdamW,
+    which divides by the gradient's own scale, never sees rounding noise in
+    place of a zero gradient. delta is evaluated for all rows at once.
     """
-    z_t = np.asarray(z_t, dtype=np.float64)
+    Z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
+    ours = cfg.loss_kind == "ours"
+    teacher_c = cfg.replacement_id if ours \
+        and cfg.replacement_mode == "explicit" else c
+    t_rows = np.broadcast_to(schedule_t, (len(Z),))
+    c_rows = np.broadcast_to(teacher_c, (len(Z),))
+    e_u = np.array([nnet.forward(teacher, z, t, teacher.null_id)[0]
+                    for z, t in zip(Z, t_rows)])
+    e_c = np.array([nnet.forward(teacher, z, t, k)[0]
+                    for z, t, k in zip(Z, t_rows, c_rows)])
+    if ours:
+        target = cfg.gamma1 * (e_c - e_u)
+        if cfg.replacement_mode == "delta" and cfg.instructions:
+            target = target + gd.delta(cfg.instructions, Z, t_index, schedule_t,
+                                       teacher, cfg.warmup)
+    elif cfg.loss_kind == "esd":
+        target = e_u - cfg.gamma1 * (e_c - e_u)
+    else:
+        target = e_u
+    if np.asarray(z_t).ndim == 1:
+        return target[0], e_u[0]
+    return target, e_u
+
+
+def concept_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
+                 c: int, e_s_u: np.ndarray, target: np.ndarray,
+                 gamma2: float) -> tuple[float, nnet.GradientBuffer]:
+    """||gamma2*(eps_s(z,c) - sg(e_s_u)) - target||^2.
+
+    e_s_u is the student's unconditional prediction at (z_t, schedule_t)
+    and enters as a constant (stop-gradient); target comes from
+    teacher_targets. Gradient flows only through the student's conditional
+    evaluation.
+    """
     e_s_c, tape_c = nnet.forward(student, z_t, schedule_t, c)
-    e_s_u, _ = nnet.forward(student, z_t, schedule_t, student.null_id)
-
-    teacher_c = cfg.replacement_id if cfg.replacement_mode == "explicit" else c
-    e_t_c, _ = nnet.forward(teacher, z_t, schedule_t, teacher_c)
-    e_t_u, _ = nnet.forward(teacher, z_t, schedule_t, teacher.null_id)
-    target = cfg.gamma1 * (e_t_c - e_t_u)
-    if cfg.replacement_mode == "delta" and cfg.instructions:
-        target = target + gd.delta(cfg.instructions, z_t, sampler_index,
-                                   schedule_t, teacher, cfg.warmup)
-
-    resid = cfg.gamma2 * (e_s_c - e_s_u) - target
+    resid = gamma2 * (e_s_c - e_s_u) - target
     loss = float(resid @ resid)
-    grads = nnet.backward(tape_c, 2.0 * cfg.gamma2 * resid)
+    grads = nnet.backward(tape_c, 2.0 * gamma2 * resid)
     return loss, grads
 
 
-def penalty_loss(student: nnet.Parameters, teacher: nnet.Parameters,
-                 z_t: np.ndarray, schedule_t: int) -> tuple[float, nnet.GradientBuffer]:
-    """||eps_s(z, null) - eps_t(z, null)||^2 with full student gradient."""
-    z_t = np.asarray(z_t, dtype=np.float64)
-    e_s_u, tape_u = nnet.forward(student, z_t, schedule_t, student.null_id)
-    e_t_u, _ = nnet.forward(teacher, z_t, schedule_t, teacher.null_id)
-    resid = e_s_u - e_t_u
+def penalty_loss(tape_u: nnet.Tape,
+                 anchor: np.ndarray) -> tuple[float, nnet.GradientBuffer]:
+    """||eps_s(z, null) - anchor||^2 with full student gradient.
+
+    tape_u is the tape of the student's null-token forward at one state.
+    """
+    resid = tape_u.output[0] - anchor
     loss = float(resid @ resid)
     grads = nnet.backward(tape_u, 2.0 * resid)
     return loss, grads
 
 
-def baseline_loss(kind: str, student: nnet.Parameters, teacher: nnet.Parameters,
-                  z_t: np.ndarray, schedule_t: int, c: int,
-                  gamma: float) -> tuple[float, nnet.GradientBuffer]:
-    """esd: pull eps_s(z,c) to the teacher's negatively guided prediction;
-    sdd: pull it to the teacher's unconditional prediction."""
-    if kind not in ("esd", "sdd"):
-        raise ConfigError(f"unknown baseline kind {kind!r}")
-    z_t = np.asarray(z_t, dtype=np.float64)
+def baseline_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
+                  c: int, target: np.ndarray) -> tuple[float, nnet.GradientBuffer]:
+    """||eps_s(z, c) - target||^2 for the esd and sdd targets of
+    teacher_targets."""
     e_s_c, tape_c = nnet.forward(student, z_t, schedule_t, c)
-    e_t_u, _ = nnet.forward(teacher, z_t, schedule_t, teacher.null_id)
-    if kind == "esd":
-        e_t_c, _ = nnet.forward(teacher, z_t, schedule_t, c)
-        target = e_t_u - gamma * (e_t_c - e_t_u)
-    else:
-        target = e_t_u
     resid = e_s_c - target
     loss = float(resid @ resid)
     grads = nnet.backward(tape_c, 2.0 * resid)
     return loss, grads
+
+
+@dataclass(frozen=True)
+class TeacherPass:
+    """The teacher's side of every iteration; row k is iteration k + 1."""
+
+    t_index: np.ndarray     # (n_iters,) sampler index
+    concept: np.ndarray     # (n_iters,) concept id
+    schedule_t: np.ndarray  # (n_iters,) schedule timestep
+    z_t: np.ndarray         # (n_iters, d) rollout state at t_index
+    target: np.ndarray      # (n_iters, d) teacher_targets
+    anchor: np.ndarray      # (n_iters, d) eps_teacher(z_t, null)
+
+
+def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
+                  sched: df.NoiseSchedule,
+                  sampler: df.SamplerConfig) -> TeacherPass:
+    """Draw (t_index, c, z_T) for every iteration in the loop's RNG order,
+    roll all rows down in one descent, then take every row's targets.
+
+    The descent runs to the lowest t_index and records every state; row r
+    keeps the state at its own t_index (z_T when t_index is T).
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n, T = cfg.n_iters, cfg.sampler_T
+    t_index = np.empty(n, dtype=np.int64)
+    concept = np.empty(n, dtype=np.int64)
+    Z_T = np.empty((n, teacher.shape.input_dim))
+    for k in range(n):
+        t_index[k] = rng.integers(1, T + 1)
+        concept[k] = cfg.erase_set[rng.integers(0, len(cfg.erase_set))]
+        Z_T[k] = rng.standard_normal(teacher.shape.input_dim)
+    rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
+        and cfg.replacement_mode == "delta" else ()
+    guid = gd.rollout_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
+    _, states, _ = df.descend(Z_T, sampler, sched, concept, guid,
+                              stop_index=int(t_index.min()), record=True)
+    z_t = np.array([states[T - t][k] for k, t in enumerate(t_index)])
+    schedule_t = np.asarray(sampler.tau)[t_index - 1]
+    target, anchor = teacher_targets(teacher, cfg, z_t, t_index, schedule_t,
+                                     concept)
+    return TeacherPass(t_index, concept, schedule_t, z_t, target, anchor)
 
 
 def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
@@ -183,7 +250,8 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
     Per iteration: t ~ U{1..T} in sampler-index space, c ~ erase set, fresh
     x_T ~ N(0, I); the frozen teacher rolls down to x_t under guided
     prediction, the losses are evaluated at x_t, and the student takes one
-    AdamW step. Snapshots are taken every cfg.snapshot_every iterations.
+    AdamW step. The teacher's side of all iterations is computed up front
+    (_teacher_pass). Snapshots are taken every cfg.snapshot_every iterations.
     """
     cfg.validate_ids(vocab)
     if vocab.size != base.n_concepts:
@@ -193,45 +261,35 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
         raise ConfigError(f"warmup counts down from {cfg.warmup.sampler_T} "
                           f"but the sampler has {cfg.sampler_T} steps")
 
-    teacher = base.copy()
     student = base.copy()
     mask = cfg.mask_for(student)
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
                                       weight_decay=cfg.weight_decay)
     sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
-    rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
-        and cfg.replacement_mode == "delta" else ()
-    guid = gd.rollout_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
-    rng = np.random.default_rng(cfg.seed)
+    teacher = _teacher_pass(base, cfg, sched, sampler)
     log = EraseRunLog()
 
-    for it in range(1, cfg.n_iters + 1):
-        t_index = int(rng.integers(1, cfg.sampler_T + 1))
-        c = int(cfg.erase_set[rng.integers(0, len(cfg.erase_set))])
-        z_T = rng.standard_normal((1, base.shape.input_dim))
-        if t_index == cfg.sampler_T:
-            z_t = z_T[0]
-        else:
-            z_t = df.descend(z_T, sampler, sched, c, guid,
-                             stop_index=t_index)[0][0]
-        schedule_t = sampler.schedule_t(t_index)
-
+    for k in range(cfg.n_iters):
+        it, z_t = k + 1, teacher.z_t[k]
+        schedule_t, c = int(teacher.schedule_t[k]), int(teacher.concept[k])
         if cfg.loss_kind == "ours":
-            c_loss, grads = concept_loss(student, teacher, z_t, t_index,
-                                         schedule_t, c, cfg)
-            p_loss, p_grads = penalty_loss(student, teacher, z_t, schedule_t)
+            e_s_u, tape_u = nnet.forward(student, z_t, schedule_t,
+                                         student.null_id)
+            c_loss, grads = concept_loss(student, z_t, schedule_t, c, e_s_u,
+                                         teacher.target[k], cfg.gamma2)
+            p_loss, p_grads = penalty_loss(tape_u, teacher.anchor[k])
             grads.add(p_grads, scale=cfg.lam)
             breakdown = LossBreakdown(c_loss, p_loss, c_loss + cfg.lam * p_loss)
         else:
-            c_loss, grads = baseline_loss(cfg.loss_kind, student, teacher,
-                                          z_t, schedule_t, c, cfg.gamma1)
+            c_loss, grads = baseline_loss(student, z_t, schedule_t, c,
+                                          teacher.target[k])
             breakdown = LossBreakdown(c_loss, 0.0, c_loss)
 
         try:
             student = nnet.adamw_step(student, grads, mask, state)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
-        log.append(it, t_index, breakdown)
+        log.append(it, int(teacher.t_index[k]), breakdown)
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
             log.snapshots.append((it, student.copy()))
     return student, log

@@ -10,6 +10,10 @@ evaluated at the corresponding schedule timestep.
 The rollout composition is eps_hat = eps_uncond + gamma*(eps_cond -
 eps_uncond) + delta. Note the convention gap against cfg_compose:
 guided_eps(gamma) without instructions equals cfg_compose at gamma - 1.
+
+guided_eps and delta sit on _guided_terms, which evaluates every distinct
+concept of every row once, in one forward_batch over the stacked rows.
+Rows may carry their own concept, sampler index and schedule timestep.
 """
 
 from __future__ import annotations
@@ -43,8 +47,9 @@ class InstructionConcept:
         if not np.isfinite(self.g_c):
             raise ConfigError(f"g_c must be finite, got {self.g_c}")
 
-    def in_window(self, t: int) -> bool:
-        return self.t_high <= t <= self.t_low
+    def in_window(self, t):
+        """Whether sampler index t (an int or an array) lies in the window."""
+        return (self.t_high <= t) & (t <= self.t_low)
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,8 @@ class WarmupRule:
             raise ConfigError(f"t_warmup {self.t_warmup} exceeds sampler_T "
                               f"{self.sampler_T}")
 
-    def active(self, t: int) -> bool:
+    def active(self, t):
+        """Whether the rule lets delta act at sampler index t (int or array)."""
         if self.style == "literal":
             return t >= self.t_warmup
         return t <= self.sampler_T - self.t_warmup
@@ -119,8 +125,63 @@ def _mask_rows(abs_delta: np.ndarray, kappa: float) -> np.ndarray:
     return (abs_delta >= thresh).astype(np.float64)
 
 
+def _eps_columns(params: nnet.Parameters, Z: np.ndarray, t,
+                 columns: Sequence) -> list[np.ndarray]:
+    """eps(Z, t, c) for each column of concept ids, from one forward_batch.
+
+    A column is one id or one id per row; -1 marks a row the column does
+    not need, which stays 0. Each distinct (row, concept) pair is evaluated
+    once. t is a schedule timestep or one per row.
+    """
+    n = Z.shape[0]
+    ids = np.stack([np.broadcast_to(np.asarray(col, dtype=np.int64), (n,))
+                    for col in columns])
+    rows = np.broadcast_to(np.arange(n), ids.shape)
+    need = ids >= 0
+    keys, where = np.unique(ids[need] * n + rows[need], return_inverse=True)
+    t_rows = np.broadcast_to(np.asarray(t), (n,))[keys % n]
+    eps = nnet.forward_batch(params, Z[keys % n], t_rows, keys // n)[0]
+    out = np.zeros(ids.shape + (Z.shape[1],))
+    out[need] = eps[where]
+    return list(out)
+
+
+def _guided_terms(params: nnet.Parameters, Z: np.ndarray, sampler_index,
+                  schedule_t, c, instructions: Sequence[InstructionConcept],
+                  warmup: WarmupRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eps_uncond, eps_cond, delta) at states Z of shape (n, d).
+
+    One forward_batch evaluates, per row, the null token, c and the concept
+    of each instruction whose window and warmup rule are open at the row's
+    sampler index, each distinct concept once. c, sampler_index and
+    schedule_t may be scalars or per-row vectors.
+
+    delta = sum over open instructions of g_c * mask * (eps(z, c'') -
+    eps(z, null)), where mask keeps coordinates with |direction| at or
+    above the kappa percentile of the row.
+    """
+    n = Z.shape[0]
+    for ins in instructions:
+        if not 0 <= ins.concept_id < params.n_concepts:
+            raise ConfigError(f"instruction concept id {ins.concept_id} not in "
+                              f"0..{params.n_concepts - 1}")
+    index = np.broadcast_to(np.asarray(sampler_index), (n,))
+    gates = [ins.in_window(index) & warmup.active(index) for ins in instructions]
+    e_u, e_c, *e_ins = _eps_columns(
+        params, Z, schedule_t, [params.null_id, c] + [
+            np.where(gate, ins.concept_id, -1)
+            for ins, gate in zip(instructions, gates)])
+    out = np.zeros_like(Z)
+    for ins, gate, e_i in zip(instructions, gates, e_ins):
+        if gate.any():
+            direction = e_i[gate] - e_u[gate]
+            mask = _mask_rows(np.abs(direction), ins.kappa)
+            out[gate] += ins.g_c * mask * direction
+    return e_u, e_c, out
+
+
 def delta(instructions: Sequence[InstructionConcept], Z: np.ndarray,
-          sampler_index: int, schedule_t: int, params: nnet.Parameters,
+          sampler_index, schedule_t, params: nnet.Parameters,
           warmup: WarmupRule) -> np.ndarray:
     """Erasing signal for state(s) Z of shape (n, d) or (d,).
 
@@ -128,37 +189,28 @@ def delta(instructions: Sequence[InstructionConcept], Z: np.ndarray,
     where mask keeps coordinates with |direction| at or above the kappa
     percentile of the current state, and an instruction contributes only
     when the sampler index lies in its window and the warmup rule is
-    active. The network is evaluated at schedule_t.
+    active. The network is evaluated at schedule_t. sampler_index and
+    schedule_t may be one per row.
     """
     Z_arr = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    out = np.zeros_like(Z_arr)
-    for ins in instructions:
-        params_vocab_limit = params.n_concepts
-        if not 0 <= ins.concept_id < params_vocab_limit:
-            raise ConfigError(f"instruction concept id {ins.concept_id} not in "
-                              f"0..{params_vocab_limit - 1}")
-        if not ins.in_window(sampler_index) or not warmup.active(sampler_index):
-            continue
-        e_c = nnet.forward_batch(params, Z_arr, schedule_t, ins.concept_id)[0]
-        e_u = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)[0]
-        direction = e_c - e_u
-        mask = _mask_rows(np.abs(direction), ins.kappa)
-        out += ins.g_c * mask * direction
+    out = _guided_terms(params, Z_arr, sampler_index, schedule_t,
+                        params.null_id, instructions, warmup)[2]
     return out[0] if np.asarray(Z).ndim == 1 else out
 
 
 def guided_eps(params: nnet.Parameters, z: np.ndarray, sampler_index: int,
-               schedule_t: int, c: int, gamma: float,
+               schedule_t: int, c, gamma: float,
                instructions: Sequence[InstructionConcept],
                warmup: WarmupRule) -> np.ndarray:
-    """Rollout prediction eps_uncond + gamma*(eps_cond - eps_uncond) + delta."""
+    """Rollout prediction eps_uncond + gamma*(eps_cond - eps_uncond) + delta.
+
+    c may be one concept id per row."""
     Z_arr = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    e_u = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)[0]
-    e_c = nnet.forward_batch(params, Z_arr, schedule_t, c)[0]
+    e_u, e_c, signal = _guided_terms(params, Z_arr, sampler_index, schedule_t,
+                                     c, instructions, warmup)
     out = e_u + gamma * (e_c - e_u)
     if instructions:
-        out = out + delta(instructions, Z_arr, sampler_index, schedule_t,
-                          params, warmup)
+        out = out + signal
     return out[0] if np.asarray(z).ndim == 1 else out
 
 

@@ -20,6 +20,7 @@ unknown names, validation and snapshot_dict.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import json
 import math
 import operator
@@ -49,8 +50,33 @@ def _utc_stamp() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+@contextlib.contextmanager
+def _atomic_open(path, mode: str):
+    """Write through a temp file in path's directory; when the block ends
+    without error, fsync the file and move it over path, else delete it."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, payload) -> None:
+    """Indented, key-sorted JSON plus a newline, written atomically."""
+    with _atomic_open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_checkpoint(params: nnet.Parameters, meta: dict, path) -> None:
-    """Serialize parameters plus caller metadata; fsync before returning."""
+    """Serialize parameters plus caller metadata atomically: the file is
+    written and fsynced under a temp name, then moved over path."""
     manifest = []
     offset = 0
     blobs = []
@@ -74,13 +100,11 @@ def write_checkpoint(params: nnet.Parameters, meta: dict, path) -> None:
         "tensors": manifest,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(struct.pack(_FIXED, MAGIC, VERSION, len(header_bytes)))
         fh.write(header_bytes)
         for blob in blobs:
             fh.write(blob)
-        fh.flush()
-        os.fsync(fh.fileno())
 
 
 def _read_header(fh, path) -> dict:
@@ -112,46 +136,64 @@ def read_checkpoint_header(path) -> dict:
         return _read_header(fh, path)
 
 
+def _count(value, least: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return value
+
+
 def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
-    """Reconstruct Parameters bit-exactly; returns (params, caller meta)."""
+    """Reconstruct Parameters bit-exactly; returns (params, caller meta).
+
+    The tensor shapes follow from the declared model; the manifest must
+    list exactly those tensors at consecutive offsets, and the payload must
+    hold exactly their bytes, before anything is allocated.
+    """
     with open(path, "rb") as fh:
         header = _read_header(fh, path)
         payload = fh.read()
     try:
         model, meta = header["model"], dict(header["meta"])
-        params = nnet.init_params(nnet.NetworkShape(
-            input_dim=model["input_dim"], hidden=tuple(model["hidden"]),
-            time_embed_dim=model["time_embed_dim"],
-            concept_embed_dim=model["concept_embed_dim"]),
-            model["n_concepts"], seed=0)
+        shape = nnet.NetworkShape(
+            input_dim=_count(model["input_dim"]),
+            hidden=tuple(_count(h) for h in model["hidden"]),
+            time_embed_dim=_count(model["time_embed_dim"]),
+            concept_embed_dim=_count(model["concept_embed_dim"]))
+        n_concepts = _count(model["n_concepts"], least=0)
         manifest = [(entry["name"], tuple(entry["shape"]), entry["offset"])
                     for entry in header["tensors"]]
-    except (KeyError, TypeError, ValueError, ConfigError, StructuralError) as exc:
+    except (KeyError, TypeError, ValueError, StructuralError) as exc:
         raise FormatError(f"{path}: malformed header: {exc!r}") from exc
-    listed = [name for name, _, _ in manifest]
-    if listed != params.tensor_names():
+    expected = []
+    for i, (fan_in, fan_out) in enumerate(shape.layer_dims()):
+        expected += [(f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))]
+    expected.append(("embed", (n_concepts + 1, shape.concept_embed_dim)))
+    listed, names = [name for name, _, _ in manifest], [name for name, _ in expected]
+    if listed != names:
         raise FormatError(f"{path}: manifest lists tensors {listed}, the "
-                          f"declared model needs {params.tensor_names()}")
+                          f"declared model needs {names}")
     offset = 0
-    for name, shape, at in manifest:
-        want = params.get_tensor(name).shape
-        if (at, shape) != (offset, want):
+    for (name, shape_listed, at), (_, want) in zip(manifest, expected):
+        if (at, shape_listed) != (offset, want):
             raise FormatError(f"{path}: tensor {name} at offset {at} with shape "
-                              f"{list(shape)}, expected {offset} and {list(want)}")
-        nbytes = 8 * int(np.prod(want))
-        blob = payload[offset:offset + nbytes]
-        if len(blob) < nbytes:
-            raise CorruptionError(f"{path}: payload truncated in tensor "
-                                  f"{name} ({len(blob)} of {nbytes} bytes)")
-        arr = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(want)
-        if not np.isfinite(arr).all():
-            raise FormatError(f"{path}: tensor {name} holds non-finite values")
-        params.set_tensor(name, arr)
+                              f"{list(shape_listed)}, expected {offset} and {list(want)}")
+        nbytes = 8 * math.prod(want)
+        if len(payload) < offset + nbytes:
+            raise CorruptionError(f"{path}: payload truncated in tensor {name} "
+                                  f"({max(len(payload) - offset, 0)} of {nbytes} bytes)")
         offset += nbytes
     if len(payload) > offset:
         raise FormatError(f"{path}: {len(payload) - offset} payload bytes "
                           f"after the last tensor")
-    return params, meta
+    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    arrays, start = [], 0
+    for name, want in expected:
+        arrays.append(values[start:start + math.prod(want)].reshape(want))
+        if not np.isfinite(arrays[-1]).all():
+            raise FormatError(f"{path}: tensor {name} holds non-finite values")
+        start += arrays[-1].size
+    return nnet.Parameters(shape, n_concepts, arrays[0:-1:2], arrays[1:-1:2],
+                           arrays[-1]), meta
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ template-correlation classifier for glyphs.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -299,64 +300,91 @@ def mixture_log_density_grad(spec: PointMixtureSpec, x: np.ndarray,
     return -(resp[:, None] * diff).sum(axis=0) / var
 
 
-def bayes_classify(spec: PointMixtureSpec, x: np.ndarray) -> tuple[int, np.ndarray]:
-    """Posterior over components at x; argmax id, ties broken by lowest id."""
-    x = np.asarray(x, dtype=np.float64)
+def bayes_classify(spec: PointMixtureSpec, x: np.ndarray) -> tuple:
+    """Posterior over components at each row of x; argmax ids, ties broken
+    by lowest id. x of shape (n, 2) gives (labels (n,), posteriors (n, K));
+    a single point (2,) gives (label, posterior)."""
+    X = np.asarray(x, dtype=np.float64)
     means, var = _noised_params(spec, None)
-    diff = x[None, :] - means
+    diff = np.atleast_2d(X)[:, None, :] - means        # (n, K, 2)
     log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
-    log_comp = log_w - (diff ** 2).sum(axis=1) / (2.0 * var)
-    posterior = np.exp(log_comp - logsumexp(log_comp))
-    posterior /= posterior.sum()
-    return int(np.argmax(posterior)), posterior
+    log_comp = log_w - (diff ** 2).sum(axis=2) / (2.0 * var)
+    posterior = np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))
+    posterior /= posterior.sum(axis=1, keepdims=True)
+    labels = np.argmax(posterior, axis=1)
+    if X.ndim == 1:
+        return int(labels[0]), posterior[0]
+    return labels, posterior
 
 
 TEMPLATE_SEARCH_RADIUS = 2
 
 
-def template_classify(spec: GlyphSpec, image: np.ndarray) -> tuple[int, float]:
+@functools.lru_cache(maxsize=8)
+def _template_bank(spec: GlyphSpec) -> np.ndarray:
+    """Centered unit-norm canonical templates under every cyclic shift
+    within +-TEMPLATE_SEARCH_RADIUS pixels, one row each, in (concept,
+    sy, sx) order."""
+    res, r = spec.resolution, TEMPLATE_SEARCH_RADIUS
+    rows = []
+    for cid in range(spec.n_concepts):
+        tmpl = canonical_template(spec, cid).reshape(res, res)
+        for sy in range(-r, r + 1):
+            for sx in range(-r, r + 1):
+                shifted = np.roll(np.roll(tmpl, sy, axis=0), sx, axis=1).reshape(-1)
+                centered = shifted - shifted.mean()
+                rows.append(centered / np.linalg.norm(centered))
+    bank = np.array(rows)
+    bank.flags.writeable = False
+    return bank
+
+
+def template_classify(spec: GlyphSpec, image: np.ndarray) -> tuple:
     """Best-matching concept by centered normalized cross-correlation.
 
     The correlation is alignment-searched: per template, the maximum over
     integer displacements within +-TEMPLATE_SEARCH_RADIUS pixels (cyclic),
-    so position jitter does not defeat recognition. Confidence rescales the
-    winning NCC from [-1,1] to [0,1]; degenerate (constant) images get
-    confidence 0 so evaluation loops stay total.
+    so position jitter does not defeat recognition; ties go to the first
+    in (concept, sy, sx) order. Confidence rescales the winning NCC from
+    [-1,1] to [0,1]; degenerate (constant) images get label 0 and
+    confidence 0 so evaluation loops stay total. A batch (n, 256) is
+    classified with one matmul and gives (labels (n,), confidences (n,));
+    one flattened image gives (label, confidence).
     """
-    image = np.asarray(image, dtype=np.float64).reshape(-1)
-    if image.shape[0] != spec.resolution ** 2:
-        raise StructuralError(f"expected a flattened {spec.resolution}x{spec.resolution} "
-                              f"image, got length {image.shape[0]}")
-    centered = image - image.mean()
-    norm = np.linalg.norm(centered)
-    if norm == 0.0:
-        return 0, 0.0
-    img2 = centered.reshape(spec.resolution, spec.resolution)
-    r = TEMPLATE_SEARCH_RADIUS
-    best_id, best_ncc = 0, -np.inf
-    for cid in range(spec.n_concepts):
-        tmpl = canonical_template(spec, cid).reshape(spec.resolution, spec.resolution)
-        for sy in range(-r, r + 1):
-            for sx in range(-r, r + 1):
-                shifted = np.roll(np.roll(tmpl, sy, axis=0), sx, axis=1)
-                t_centered = shifted - shifted.mean()
-                t_norm = np.linalg.norm(t_centered)
-                ncc = float((img2 * t_centered).sum() / (norm * t_norm))
-                if ncc > best_ncc:
-                    best_id, best_ncc = cid, ncc
-    return best_id, (best_ncc + 1.0) / 2.0
+    images = np.asarray(image, dtype=np.float64)
+    dim = spec.resolution ** 2
+    if images.ndim not in (1, 2) or images.shape[-1] != dim:
+        raise StructuralError(f"expected flattened {spec.resolution}x{spec.resolution} "
+                              f"images, got shape {images.shape}")
+    centered = np.atleast_2d(images)
+    centered = centered - centered.mean(axis=1, keepdims=True)
+    norm = np.linalg.norm(centered, axis=1)
+    ncc = centered @ _template_bank(spec).T
+    best = np.argmax(ncc, axis=1)
+    flat = norm == 0.0
+    best[flat] = 0
+    conf = (ncc[np.arange(len(best)), best] / np.where(flat, 1.0, norm) + 1.0) / 2.0
+    conf[flat] = 0.0
+    labels = best // (2 * TEMPLATE_SEARCH_RADIUS + 1) ** 2
+    if images.ndim == 1:
+        return int(labels[0]), float(conf[0])
+    return labels, conf
 
 
-def bayes_oracle(spec: PointMixtureSpec) -> Callable[[np.ndarray], tuple[int, float]]:
-    """Classifier closure returning (label, max-posterior confidence)."""
-    def classify(x: np.ndarray) -> tuple[int, float]:
-        label, posterior = bayes_classify(spec, x)
-        return label, float(posterior[label])
+def bayes_oracle(spec: PointMixtureSpec) -> Callable[[np.ndarray], tuple]:
+    """Classifier closure returning (label, max-posterior confidence), per
+    row for a batch."""
+    def classify(x: np.ndarray) -> tuple:
+        labels, posterior = bayes_classify(spec, np.atleast_2d(x))
+        conf = posterior[np.arange(len(labels)), labels]
+        if np.asarray(x).ndim == 1:
+            return int(labels[0]), float(conf[0])
+        return labels, conf
     return classify
 
 
-def template_oracle(spec: GlyphSpec) -> Callable[[np.ndarray], tuple[int, float]]:
-    def classify(image: np.ndarray) -> tuple[int, float]:
+def template_oracle(spec: GlyphSpec) -> Callable[[np.ndarray], tuple]:
+    def classify(image: np.ndarray) -> tuple:
         return template_classify(spec, image)
     return classify
 
@@ -395,10 +423,12 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
 def dataset_from_csv(path, mode: str, n_concepts: int) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if not header or header[0] != "label":
             raise ConfigError(f"{path}: expected dataset header starting with 'label'")
         rows = list(reader)
+    if not rows:
+        raise ConfigError(f"{path}: dataset has no rows")
     labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
     samples = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
     return Dataset(samples, labels, mode=mode, n_concepts=n_concepts)

@@ -193,9 +193,11 @@ def test_criterion_05_stop_gradient_soundness(announce):
         t_index = int(rng.integers(1, 11))
         schedule_t = 2 * t_index
         c = int(rng.integers(0, 3))
-        _, grads = er.concept_loss(student, teacher, z, t_index, schedule_t,
-                                   c, cfg)
         e_u_frozen, _ = nnet.forward(student, z, schedule_t, student.null_id)
+        teacher_target, _ = er.teacher_targets(teacher, cfg, z, t_index,
+                                               schedule_t, c)
+        _, grads = er.concept_loss(student, z, schedule_t, c, e_u_frozen,
+                                   teacher_target, cfg.gamma2)
         e_t_c, _ = nnet.forward(teacher, z, schedule_t, c)
         e_t_u, _ = nnet.forward(teacher, z, schedule_t, teacher.null_id)
         target = cfg.gamma1 * (e_t_c - e_t_u) + gd.delta(
@@ -231,17 +233,24 @@ def test_criterion_06_penalty_anchor_and_decomposition(announce):
                               concept_embed_dim=4)
     teacher = nnet.init_params(shape, 3, seed=21)
     rng = np.random.default_rng(22)
-    anchored = all(er.penalty_loss(teacher, teacher,
-                                   rng.standard_normal(2),
-                                   int(rng.integers(1, 21)))[0] == 0.0
-                   for _ in range(8))
-
     cfg = er.EraseConfig(erase_set=(0,), sampler_T=10,
                          instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),))
+
+    def penalty(student, z, schedule_t):
+        _, anchor = er.teacher_targets(teacher, cfg, z, 1, schedule_t, 0)
+        _, tape_u = nnet.forward(student, z, schedule_t, student.null_id)
+        return er.penalty_loss(tape_u, anchor)
+
+    anchored = all(penalty(teacher, rng.standard_normal(2),
+                           int(rng.integers(1, 21)))[0] == 0.0
+                   for _ in range(8))
+
     student = nnet.init_params(shape, 3, seed=23)
     z = rng.standard_normal(2)
-    _, g_c = er.concept_loss(student, teacher, z, 4, 8, 0, cfg)
-    _, g_p = er.penalty_loss(student, teacher, z, 8)
+    target, _ = er.teacher_targets(teacher, cfg, z, 4, 8, 0)
+    e_s_u, _ = nnet.forward(student, z, 8, student.null_id)
+    _, g_c = er.concept_loss(student, z, 8, 0, e_s_u, target, cfg.gamma2)
+    _, g_p = penalty(student, z, 8)
     decomposed = True
     for lam in (0.0, 1.0, 5.0):
         combined = nnet.GradientBuffer.zeros(student)

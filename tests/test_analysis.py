@@ -5,6 +5,7 @@ import pytest
 
 from eraselab import analysis as an
 from eraselab import diffusion as df
+from eraselab import guidance as gd
 from eraselab import nnet
 from eraselab import toyworld as tw
 from eraselab.errors import ConfigError, StructuralError
@@ -24,7 +25,7 @@ class TestErasureRate:
         assert an.erasure_rate(batch, 2, oracle, threshold=0.7) == 1.0
 
     def test_no_target_hits_rate_zero(self):
-        oracle = lambda x: (1, 1.0)
+        oracle = lambda X: (np.ones(len(X), dtype=int), np.ones(len(X)))
         batch = np.zeros((4, 2))
         assert an.erasure_rate(batch, 0, oracle) == 0.0
 
@@ -32,7 +33,7 @@ class TestErasureRate:
         rng = np.random.default_rng(0)
         confs = rng.uniform(0, 1, size=50)
         batch = confs[:, None]
-        oracle = lambda x: (0, float(x[0]))
+        oracle = lambda X: (np.zeros(len(X), dtype=int), X[:, 0])
         rates = [an.erasure_rate(batch, 0, oracle, threshold=th)
                  for th in np.linspace(0, 1, 21)]
         assert all(a >= b for a, b in zip(rates, rates[1:]))
@@ -40,7 +41,8 @@ class TestErasureRate:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(StructuralError):
-            an.erasure_rate(np.zeros((0, 2)), 0, lambda x: (0, 1.0))
+            an.erasure_rate(np.zeros((0, 2)), 0,
+                            lambda X: (np.zeros(len(X), dtype=int), np.ones(len(X))))
 
 
 def mmd2_loops(X, Y, k):
@@ -213,6 +215,41 @@ class TestSeedConsistency:
         with pytest.raises(ConfigError):
             an.seed_consistency(tiny_model(), tiny_model(), sched, sampler,
                                 (0,), (0,), metric="cosine")
+
+
+def per_seed_consistency(model_a, model_b, sched, sampler, concepts, seeds,
+                         gamma=7.5):
+    """seed_consistency with one batch-1 descent per (model, concept, seed),
+    as before batching."""
+    metric = "ssim" if model_a.shape.input_dim == 256 else "neg_l2"
+    guid_a = gd.cfg_guidance(model_a, gamma)
+    guid_b = gd.cfg_guidance(model_b, gamma)
+    out = {}
+    for c in concepts:
+        sims = []
+        for seed in seeds:
+            x_a = df.sample(model_a, sched, sampler, c, guid_a, seed=seed).final
+            x_b = df.sample(model_b, sched, sampler, c, guid_b, seed=seed).final
+            if metric == "ssim":
+                sims.append(an.ssim(x_a.reshape(16, 16), x_b.reshape(16, 16)))
+            else:
+                sims.append(-float(np.linalg.norm(x_a - x_b)))
+        out[int(c)] = float(np.mean(sims))
+    return out
+
+
+class TestSeedConsistencyMatchesPerSeed:
+    @pytest.mark.parametrize("input_dim", [2, 256])
+    def test_batched_matches_per_seed_loop(self, input_dim):
+        sched = df.make_linear_schedule(20, 1e-4, 0.02)
+        sampler = df.SamplerConfig.uniform(5, 20)
+        a = tiny_model(input_dim=input_dim, seed=1)
+        b = tiny_model(input_dim=input_dim, seed=2)
+        got = an.seed_consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9))
+        want = per_seed_consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9))
+        assert list(got) == list(want)
+        for c in want:
+            assert abs(got[c] - want[c]) <= 1e-9 * max(abs(want[c]), 1.0)
 
 
 class TestLossWeights:

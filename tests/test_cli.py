@@ -3,9 +3,12 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from eraselab import cli, nnet, persistence
+from eraselab import diffusion as df
+from eraselab import toyworld as tw
 from eraselab.analysis import MetricReport
 
 TINY_CONFIG = """\
@@ -281,3 +284,83 @@ class TestExitCodes:
                          "--values", "0,banana",
                          "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["erase", "sample", "invert", "eval",
+                                         "sweep-lambda"])
+    def test_junk_checkpoint_leaves_no_out_dir(self, pipeline, tmp_path,
+                                               command):
+        junk = tmp_path / "junk.ssrg"
+        junk.write_bytes(b"JUNKJUNKJUNKJUNK")
+        inputs = {"erase": ["--base", junk],
+                  "sample": ["--model", junk, "--concept", "c0"],
+                  "invert": ["--model", junk,
+                             "--data", pipeline["data"] / "dataset.csv"],
+                  "eval": ["--base", junk, "--model", junk],
+                  "sweep-lambda": ["--base", junk]}[command]
+        code = cli.main([command, "--config", str(pipeline["config"]),
+                         *map(str, inputs), "--out", str(tmp_path / "o")])
+        assert code == 4
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command,args,named", [
+        ("gen-data", ["--n", "0"], "--n:"),
+        ("train-base", ["--n", "0"], "--n:"),
+        ("sample", ["--model", "BASE", "--concept", "c0", "--n", "0"], "--n:"),
+        ("eval", ["--base", "BASE", "--model", "ERASED", "--n", "0"], "--n:"),
+        ("eval", ["--base", "BASE", "--model", "ERASED", "--drift-n", "1"],
+         "--drift-n:"),
+        ("eval", ["--base", "BASE", "--model", "ERASED", "--timeline-n", "0"],
+         "--timeline-n:"),
+        ("sweep-lambda", ["--base", "BASE", "--n", "0"], "--n:"),
+        ("invert", ["--model", "BASE", "--data", "EMPTY"], "empty.csv:"),
+        ("invert", ["--model", "BASE", "--data", "HEADER"], "no rows"),
+    ], ids=["gen-data-n", "train-base-n", "sample-n", "eval-n", "eval-drift-n",
+            "eval-timeline-n", "sweep-n", "invert-empty-csv",
+            "invert-header-only-csv"])
+    def test_bad_count_or_empty_data_is_config(self, pipeline, tmp_path, capsys,
+                                               command, args, named):
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "header.csv").write_text("label,x0,x1\n")
+        paths = {"BASE": pipeline["base"] / "base.ssrg",
+                 "ERASED": pipeline["erased"] / "erased.ssrg",
+                 "EMPTY": tmp_path / "empty.csv",
+                 "HEADER": tmp_path / "header.csv"}
+        code = cli.main([command, "--config", str(pipeline["config"]),
+                         *(str(paths.get(a, a)) for a in args),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestInvertMatchesPerSample:
+    def test_batched_invert_matches_per_sample_loop(self, pipeline, tmp_path):
+        base = pipeline["base"] / "base.ssrg"
+        data = tmp_path / "data.csv"
+        cfg = persistence.load_config(pipeline["config"])
+        vocab, _ = cfg.vocab_and_spec()
+        full = tw.dataset_from_csv(pipeline["data"] / "dataset.csv", cfg.mode,
+                                   vocab.size)
+        picked = np.arange(0, len(full.labels), 13)
+        tw.dataset_to_csv(tw.Dataset(full.samples[picked], full.labels[picked],
+                                     cfg.mode, vocab.size), data)
+        assert cli.main(["invert", "--config", str(pipeline["config"]),
+                         "--model", str(base), "--data", str(data),
+                         "--out", str(tmp_path / "i")]) == 0
+        latents = tw.dataset_from_csv(tmp_path / "i" / "inverted.csv",
+                                      cfg.mode, vocab.size)
+        recon = read_rows(tmp_path / "i" / "recon.csv")
+
+        # the per-sample loop the command ran before batching
+        model, _ = persistence.read_checkpoint(base)
+        sched, sampler = cfg.schedule(), cfg.sampler()
+        guid = df.conditional_eps(model)
+        for i in range(len(picked)):
+            x0, c = full.samples[picked[i]], int(full.labels[picked[i]])
+            z_T = df.ddim_invert(x0, model, sched, sampler, c)
+            out, _, _ = df.descend(z_T[None, :], sampler, sched, c, guid, 0)
+            rel = float(np.linalg.norm(out[0] - x0)) / float(np.linalg.norm(x0))
+            assert latents.labels[i] == c and recon[i]["label"] == str(c)
+            assert np.abs(latents.samples[i] - z_T).max() \
+                <= 1e-9 * np.abs(z_T).max()
+            assert abs(float(recon[i]["rel_l2"]) - rel) <= 5e-6 * rel

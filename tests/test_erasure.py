@@ -34,6 +34,27 @@ def window_instructions(kappa=0.5):
             gd.InstructionConcept(1, 6.5, 1, 10, kappa))
 
 
+# The loss functions take the teacher's targets; these wrappers give them
+# the former (student, teacher, state) signatures.
+def concept_loss(student, teacher, z, t_index, schedule_t, c, cfg):
+    target, _ = er.teacher_targets(teacher, cfg, z, t_index, schedule_t, c)
+    e_s_u, _ = nnet.forward(student, z, schedule_t, student.null_id)
+    return er.concept_loss(student, z, schedule_t, c, e_s_u, target,
+                           cfg.gamma2)
+
+
+def penalty_loss(student, teacher, z, schedule_t):
+    _, anchor = er.teacher_targets(teacher, run_config(), z, 1, schedule_t, 0)
+    _, tape_u = nnet.forward(student, z, schedule_t, student.null_id)
+    return er.penalty_loss(tape_u, anchor)
+
+
+def baseline_loss(kind, student, teacher, z, schedule_t, c, gamma):
+    cfg = run_config(loss_kind=kind, gamma1=gamma)
+    target, _ = er.teacher_targets(teacher, cfg, z, 1, schedule_t, c)
+    return er.baseline_loss(student, z, schedule_t, c, target)
+
+
 class TestEraseConfig:
     def test_empty_erase_set_rejected(self):
         with pytest.raises(ConfigError):
@@ -95,7 +116,7 @@ class TestConceptLoss:
         cfg = run_config()
         for _ in range(5):
             z = rng.standard_normal(2)
-            loss, grads = er.concept_loss(params, params, z, 3, 6, 0, cfg)
+            loss, grads = concept_loss(params, params, z, 3, 6, 0, cfg)
             assert loss == 0.0
             for name in params.tensor_names():
                 np.testing.assert_array_equal(grads.get_tensor(name),
@@ -109,7 +130,7 @@ class TestConceptLoss:
             z = rng.standard_normal(2)
             sig = gd.delta(cfg.instructions, z, 7, 14, params, cfg.warmup)
             assert sig @ sig > 0
-            loss, _ = er.concept_loss(params, params, z, 7, 14, 0, cfg)
+            loss, _ = concept_loss(params, params, z, 7, 14, 0, cfg)
             assert loss == sig @ sig
 
     def test_explicit_replacement_closed_form(self):
@@ -120,7 +141,7 @@ class TestConceptLoss:
         e_c, _ = nnet.forward(params, z, 6, 0)
         e_r, _ = nnet.forward(params, z, 6, 2)
         expected = 3.0 * (e_c - e_r)
-        loss, _ = er.concept_loss(params, params, z, 3, 6, 0, cfg)
+        loss, _ = concept_loss(params, params, z, 3, 6, 0, cfg)
         np.testing.assert_allclose(loss, expected @ expected, rtol=1e-12)
 
     def test_gradient_matches_frozen_branch_oracle(self):
@@ -138,7 +159,7 @@ class TestConceptLoss:
             t_index = int(rng.integers(1, 11))
             schedule_t = 2 * t_index
             c = int(rng.integers(0, 3))
-            loss, grads = er.concept_loss(student, teacher, z, t_index,
+            loss, grads = concept_loss(student, teacher, z, t_index,
                                           schedule_t, c, cfg)
 
             e_u_frozen, _ = nnet.forward(student, z, schedule_t,
@@ -178,7 +199,7 @@ class TestConceptLoss:
         student = nnet.init_params(teacher.shape, 3, seed=12)
         cfg = run_config()
         z = np.array([0.2, 0.9])
-        loss, grads = er.concept_loss(student, teacher, z, 3, 6, 1, cfg)
+        loss, grads = concept_loss(student, teacher, z, 3, 6, 1, cfg)
         assert loss > 0
         np.testing.assert_array_equal(grads.get_tensor("embed")[student.null_id],
                                       np.zeros(4))
@@ -212,7 +233,7 @@ class TestPenaltyLoss:
         for _ in range(8):
             z = rng.standard_normal(2)
             t = int(rng.integers(1, 21))
-            loss, _ = er.penalty_loss(params, params, z, t)
+            loss, _ = penalty_loss(params, params, z, t)
             assert loss == 0.0
 
     def test_perturbation_raises_loss_with_matching_gradient_sign(self):
@@ -222,7 +243,7 @@ class TestPenaltyLoss:
         v[2] += 1e-3
         student.set_tensor("b0", v)
         z = np.array([0.5, -0.7])
-        loss, grads = er.penalty_loss(student, teacher, z, 9)
+        loss, grads = penalty_loss(student, teacher, z, 9)
         assert loss > 0
         h = 1e-6
         plus = student.copy()
@@ -233,8 +254,8 @@ class TestPenaltyLoss:
         vm = minus.get_tensor("b0").copy()
         vm[2] -= h
         minus.set_tensor("b0", vm)
-        fd = (er.penalty_loss(plus, teacher, z, 9)[0]
-              - er.penalty_loss(minus, teacher, z, 9)[0]) / (2 * h)
+        fd = (penalty_loss(plus, teacher, z, 9)[0]
+              - penalty_loss(minus, teacher, z, 9)[0]) / (2 * h)
         got = grads.get_tensor("b0")[2]
         assert np.sign(got) == np.sign(fd)
         np.testing.assert_allclose(got, fd, rtol=1e-6)
@@ -242,7 +263,7 @@ class TestPenaltyLoss:
     def test_only_null_embedding_row_receives_gradient(self):
         teacher, _ = tiny_setup(seed=7)
         student = nnet.init_params(teacher.shape, 3, seed=8)
-        _, grads = er.penalty_loss(student, teacher, np.array([1.0, 0.3]), 5)
+        _, grads = penalty_loss(student, teacher, np.array([1.0, 0.3]), 5)
         g = grads.get_tensor("embed")
         np.testing.assert_array_equal(g[:3], np.zeros((3, 4)))
         assert np.abs(g[3]).max() > 0
@@ -254,27 +275,27 @@ class TestBaselineLoss:
         rng = np.random.default_rng(5)
         for _ in range(5):
             z = rng.standard_normal(2)
-            loss, _ = er.baseline_loss("esd", params, params, z, 4, 1, 0.0)
+            loss, _ = baseline_loss("esd", params, params, z, 4, 1, 0.0)
             direction = gd.class_direction(params, z, 4, 1)
             np.testing.assert_allclose(loss, direction @ direction, rtol=1e-14)
 
     def test_sdd_equals_class_direction_norm(self):
         params, _ = tiny_setup()
         z = np.array([-0.3, 0.8])
-        loss, _ = er.baseline_loss("sdd", params, params, z, 4, 2, 0.0)
+        loss, _ = baseline_loss("sdd", params, params, z, 4, 2, 0.0)
         direction = gd.class_direction(params, z, 4, 2)
         np.testing.assert_allclose(loss, direction @ direction, rtol=1e-14)
 
     def test_unknown_kind_rejected(self):
         params, _ = tiny_setup()
         with pytest.raises(ConfigError):
-            er.baseline_loss("ablate", params, params, np.zeros(2), 4, 0, 1.0)
+            baseline_loss("ablate", params, params, np.zeros(2), 4, 0, 1.0)
 
     def test_gradient_matches_fixed_target_oracle(self):
         teacher, _ = tiny_setup(seed=9)
         student = nnet.init_params(teacher.shape, 3, seed=10)
         z = np.array([0.6, -0.2])
-        loss, grads = er.baseline_loss("esd", student, teacher, z, 8, 0, 2.0)
+        loss, grads = baseline_loss("esd", student, teacher, z, 8, 0, 2.0)
         e_t_c, _ = nnet.forward(teacher, z, 8, 0)
         e_t_u, _ = nnet.forward(teacher, z, 8, teacher.null_id)
         target = e_t_u - 2.0 * (e_t_c - e_t_u)
@@ -306,10 +327,10 @@ class TestGradientDecomposition:
         student = nnet.init_params(teacher.shape, 3, seed=14)
         cfg = run_config(instructions=window_instructions())
         z = np.array([0.1, -0.4])
-        _, c_grads = er.concept_loss(student, teacher, z, 6, 12, 0, cfg)
-        _, p_grads = er.penalty_loss(student, teacher, z, 12)
+        _, c_grads = concept_loss(student, teacher, z, 6, 12, 0, cfg)
+        _, p_grads = penalty_loss(student, teacher, z, 12)
         for lam in (0.0, 1.0, 5.0):
-            _, combined = er.concept_loss(student, teacher, z, 6, 12, 0, cfg)
+            _, combined = concept_loss(student, teacher, z, 6, 12, 0, cfg)
             combined.add(p_grads, scale=lam)
             for name in student.tensor_names():
                 expected = c_grads.get_tensor(name) + lam * p_grads.get_tensor(name)
@@ -399,3 +420,157 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         with pytest.raises(ConfigError):
             er.erase_finetune(base, run_config(), sched, small_vocab(5))
+
+
+# -- the sequential erase loop, kept as the oracle of the teacher pass -------
+
+def sequential_targets(teacher, cfg, z, t_index, schedule_t, c):
+    """(target, anchor) at one state as the per-iteration loop computed
+    them before the teacher pass: batch-1 teacher forwards."""
+    e_t_u, _ = nnet.forward(teacher, z, schedule_t, teacher.null_id)
+    if cfg.loss_kind == "sdd":
+        return e_t_u, e_t_u
+    explicit = cfg.loss_kind == "ours" and cfg.replacement_mode == "explicit"
+    e_t_c, _ = nnet.forward(teacher, z, schedule_t,
+                            cfg.replacement_id if explicit else c)
+    if cfg.loss_kind == "esd":
+        return e_t_u - cfg.gamma1 * (e_t_c - e_t_u), e_t_u
+    target = cfg.gamma1 * (e_t_c - e_t_u)
+    if cfg.replacement_mode == "delta" and cfg.instructions:
+        target = target + sequential_delta(cfg.instructions, z, t_index,
+                                           schedule_t, teacher, cfg.warmup)
+    return target, e_t_u
+
+
+def sequential_delta(instructions, Z, sampler_index, schedule_t, params, warmup):
+    """delta with two forwards per open instruction, as before fusion."""
+    Z_arr = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+    out = np.zeros_like(Z_arr)
+    for ins in instructions:
+        if not ins.in_window(sampler_index) or not warmup.active(sampler_index):
+            continue
+        e_c = nnet.forward_batch(params, Z_arr, schedule_t, ins.concept_id)[0]
+        e_u = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)[0]
+        direction = e_c - e_u
+        mask = gd._mask_rows(np.abs(direction), ins.kappa)
+        out += ins.g_c * mask * direction
+    return out[0] if np.asarray(Z).ndim == 1 else out
+
+
+def sequential_guidance(params, gamma, instructions, warmup):
+    def guid(Z, sampler_index, schedule_t, c):
+        e_u = nnet.forward_batch(params, Z, schedule_t, params.null_id)[0]
+        e_c = nnet.forward_batch(params, Z, schedule_t, c)[0]
+        out = e_u + gamma * (e_c - e_u)
+        if instructions:
+            out = out + sequential_delta(instructions, Z, sampler_index,
+                                         schedule_t, params, warmup)
+        return out
+    return guid
+
+
+def sequential_erase(base, cfg, sched):
+    """The erase loop before the teacher pass: one batch-1 teacher rollout
+    and one teacher evaluation per iteration. Returns the student, the loss
+    rows and each iteration's (t_index, c, z_t, target, anchor)."""
+    teacher, student = base.copy(), base.copy()
+    mask = cfg.mask_for(student)
+    state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
+                                      weight_decay=cfg.weight_decay)
+    sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
+    ours = cfg.loss_kind == "ours"
+    rollout_ins = cfg.instructions if ours \
+        and cfg.replacement_mode == "delta" else ()
+    guid = sequential_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
+    rng = np.random.default_rng(cfg.seed)
+    losses, rows = [], []
+    for _ in range(cfg.n_iters):
+        t_index = int(rng.integers(1, cfg.sampler_T + 1))
+        c = int(cfg.erase_set[rng.integers(0, len(cfg.erase_set))])
+        z_T = rng.standard_normal((1, base.shape.input_dim))
+        if t_index == cfg.sampler_T:
+            z_t = z_T[0]
+        else:
+            z_t = df.descend(z_T, sampler, sched, c, guid,
+                             stop_index=t_index)[0][0]
+        schedule_t = sampler.schedule_t(t_index)
+        target, anchor = sequential_targets(teacher, cfg, z_t, t_index,
+                                            schedule_t, c)
+        rows.append((t_index, c, z_t, target, anchor))
+
+        e_s_c, tape_c = nnet.forward(student, z_t, schedule_t, c)
+        if ours:
+            e_s_u, _ = nnet.forward(student, z_t, schedule_t, student.null_id)
+            resid = cfg.gamma2 * (e_s_c - e_s_u) - target
+            c_loss = float(resid @ resid)
+            grads = nnet.backward(tape_c, 2.0 * cfg.gamma2 * resid)
+            e_s_u, tape_u = nnet.forward(student, z_t, schedule_t,
+                                         student.null_id)
+            p_resid = e_s_u - anchor
+            p_loss = float(p_resid @ p_resid)
+            grads.add(nnet.backward(tape_u, 2.0 * p_resid), scale=cfg.lam)
+        else:
+            resid = e_s_c - target
+            c_loss, p_loss = float(resid @ resid), 0.0
+            grads = nnet.backward(tape_c, 2.0 * resid)
+        student = nnet.adamw_step(student, grads, mask, state)
+        losses.append((c_loss, p_loss))
+    return student, losses, rows
+
+
+def assert_rel_close(got, want, rtol=1e-9):
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    scale = max(float(np.abs(want).max(initial=0.0)), 1e-300)
+    assert float(np.abs(got - want).max(initial=0.0)) <= rtol * scale
+
+
+def oracle_setup():
+    """A 16-dim net, so the percentile masks keep a strict subset."""
+    shape = nnet.NetworkShape(input_dim=16, hidden=(12, 12), time_embed_dim=4,
+                              concept_embed_dim=4)
+    return nnet.init_params(shape, 3, seed=21), \
+        df.make_linear_schedule(20, 1e-4, 0.02)
+
+
+SLOW_PATH_CASES = {
+    "ours-delta": dict(instructions=window_instructions(0.75), lam=2.0),
+    "ours-explicit": dict(replacement_mode="explicit", replacement_id=2,
+                          instructions=window_instructions(0.75)),
+    "esd": dict(loss_kind="esd"),
+    "sdd": dict(loss_kind="sdd"),
+    "sega-warmup": dict(instructions=(gd.InstructionConcept(0, -7.5, 3, 10, 0.75),
+                                      gd.InstructionConcept(1, 6.5, 1, 8, 0.5)),
+                        warmup=gd.WarmupRule(4, "sega", sampler_T=10)),
+    "two-concepts": dict(erase_set=(0, 2), instructions=window_instructions(0.75)),
+}
+
+
+class TestTeacherPassOracle:
+    @pytest.mark.parametrize("case", sorted(SLOW_PATH_CASES))
+    def test_teacher_pass_matches_sequential_loop(self, case):
+        base, sched = oracle_setup()
+        cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
+        sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
+        _, _, rows = sequential_erase(base, cfg, sched)
+        batched = er._teacher_pass(base, cfg, sched, sampler)
+        assert len(set(batched.t_index.tolist())) > 1
+        for k, (t_index, c, z_t, target, anchor) in enumerate(rows):
+            assert (batched.t_index[k], batched.concept[k]) == (t_index, c)
+            assert batched.schedule_t[k] == sampler.schedule_t(t_index)
+            assert_rel_close(batched.z_t[k], z_t)
+            assert_rel_close(batched.target[k], target)
+            assert_rel_close(batched.anchor[k], anchor)
+
+    @pytest.mark.parametrize("case", sorted(SLOW_PATH_CASES))
+    def test_erase_matches_sequential_loop(self, case):
+        base, sched = oracle_setup()
+        cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
+        want, losses, _ = sequential_erase(base, cfg, sched)
+        got, log = er.erase_finetune(base, cfg, sched, small_vocab())
+        # the penalty at iteration 1 was exactly 0 and is now of order
+        # 1e-33, so the losses are compared as one vector per kind
+        got_losses = [(b.concept, b.penalty) for _, _, b in log.iterations]
+        assert_rel_close(np.array(got_losses)[:, 0], np.array(losses)[:, 0])
+        assert_rel_close(np.array(got_losses)[:, 1], np.array(losses)[:, 1])
+        for name in base.tensor_names():
+            assert_rel_close(got.get_tensor(name), want.get_tensor(name))

@@ -145,6 +145,67 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="bad.ssrg"):
             persistence.read_checkpoint(bad)
 
+    def test_reader_does_not_draw_a_model(self, tmp_path, monkeypatch):
+        params = small_params()
+        path = tmp_path / "model.ssrg"
+        persistence.write_checkpoint(params, {}, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("read_checkpoint called init_params")
+
+        monkeypatch.setattr(nnet, "init_params", no_draw)
+        loaded, _ = persistence.read_checkpoint(path)
+        for name in params.tensor_names():
+            assert_array_equal(loaded.get_tensor(name), params.get_tensor(name))
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ssrg"
+        persistence.write_checkpoint(small_params(seed=3), {"v": 1}, path)
+        before = path.read_bytes()
+
+        class FailingPayload:
+            # passes the fixed header and the JSON header, fails on the payload
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+        monkeypatch.setattr(persistence, "open",
+                            lambda *a, **k: FailingPayload(open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            persistence.write_checkpoint(small_params(seed=4), {"v": 2}, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ssrg"]
+
+    def test_failed_json_write_keeps_earlier_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "metrics.json"
+        persistence.write_json(path, {"a": 1})
+        def partial_dump(obj, fh, **kwargs):
+            fh.write('{"a": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(persistence.json, "dump", partial_dump)
+        with pytest.raises(OSError, match="disk full"):
+            persistence.write_json(path, {"a": 2})
+        monkeypatch.undo()
+        assert json.loads(path.read_text()) == {"a": 1}
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
     def test_nonexistent_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             persistence.read_checkpoint(tmp_path / "missing.ssrg")

@@ -227,3 +227,91 @@ class TestDatasetCsv:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ConfigError):
             tw.dataset_from_csv(path, mode="points2d", n_concepts=2)
+
+    def test_empty_and_header_only_files_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        for text in ("", "label,x0,x1\n"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                tw.dataset_from_csv(path, mode="points2d", n_concepts=2)
+
+
+# -- the per-row oracles, kept as the oracle of the batched classifiers ------
+
+def per_row_bayes(spec, x):
+    """bayes_classify for one point, as before vectorization."""
+    x = np.asarray(x, dtype=np.float64)
+    means, var = tw._noised_params(spec, None)
+    diff = x[None, :] - means
+    log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
+    log_comp = log_w - (diff ** 2).sum(axis=1) / (2.0 * var)
+    posterior = np.exp(log_comp - logsumexp(log_comp))
+    posterior /= posterior.sum()
+    return int(np.argmax(posterior)), posterior
+
+
+def per_row_template(spec, image):
+    """template_classify for one image: 125 rolled templates per call."""
+    image = np.asarray(image, dtype=np.float64).reshape(-1)
+    centered = image - image.mean()
+    norm = np.linalg.norm(centered)
+    if norm == 0.0:
+        return 0, 0.0
+    img2 = centered.reshape(spec.resolution, spec.resolution)
+    r = tw.TEMPLATE_SEARCH_RADIUS
+    best_id, best_ncc = 0, -np.inf
+    for cid in range(spec.n_concepts):
+        tmpl = tw.canonical_template(spec, cid).reshape(spec.resolution,
+                                                        spec.resolution)
+        for sy in range(-r, r + 1):
+            for sx in range(-r, r + 1):
+                shifted = np.roll(np.roll(tmpl, sy, axis=0), sx, axis=1)
+                t_centered = shifted - shifted.mean()
+                t_norm = np.linalg.norm(t_centered)
+                ncc = float((img2 * t_centered).sum() / (norm * t_norm))
+                if ncc > best_ncc:
+                    best_id, best_ncc = cid, ncc
+    return best_id, (best_ncc + 1.0) / 2.0
+
+
+class TestBatchedOraclesMatchPerRow:
+    def glyph_batch(self):
+        _, spec = tw.default_glyph_vocab()
+        canon = [tw.canonical_template(spec, cid) for cid in range(spec.n_concepts)]
+        jittered = tw.gen_glyphs(spec, 12, seed=5).samples
+        noisy = jittered[::4] + 0.4 * np.random.default_rng(6).standard_normal(
+            (len(jittered[::4]), 256))
+        return spec, np.vstack([canon, jittered, noisy, np.full((1, 256), 0.25)])
+
+    def test_template_batch_matches_per_row(self):
+        spec, X = self.glyph_batch()
+        labels, confs = tw.template_classify(spec, X)
+        for x, label, conf in zip(X, labels, confs):
+            want_label, want_conf = per_row_template(spec, x)
+            assert label == want_label
+            assert abs(conf - want_conf) <= 1e-9
+        assert confs[-1] == 0.0 and labels[-1] == 0
+
+    def test_template_single_image_returns_scalars(self):
+        spec, X = self.glyph_batch()
+        label, conf = tw.template_classify(spec, X[7])
+        want_label, want_conf = per_row_template(spec, X[7])
+        assert label == want_label and abs(conf - want_conf) <= 1e-9
+        assert isinstance(label, int) and isinstance(conf, float)
+        assert tw.template_oracle(spec)(X[-1]) == (0, 0.0)
+
+    def test_bayes_batch_matches_per_row(self):
+        _, spec = tw.default_points_vocab()
+        X = np.vstack([tw.gen_points2d(spec, 20, seed=7).samples,
+                       np.random.default_rng(8).uniform(-2, 2, (40, 2)),
+                       np.zeros((1, 2))])
+        labels, posteriors = tw.bayes_classify(spec, X)
+        oracle_labels, oracle_confs = tw.bayes_oracle(spec)(X)
+        for x, label, post, o_label, o_conf in zip(X, labels, posteriors,
+                                                   oracle_labels, oracle_confs):
+            want_label, want_post = per_row_bayes(spec, x)
+            assert label == o_label == want_label
+            np.testing.assert_allclose(post, want_post, rtol=0, atol=1e-9)
+            assert abs(o_conf - want_post[want_label]) <= 1e-9
+        label, conf = tw.bayes_oracle(spec)(X[0])
+        assert isinstance(label, int) and isinstance(conf, float)
