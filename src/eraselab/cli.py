@@ -1,7 +1,7 @@
 """Command-line pipeline with reproducible run directories.
 
-Every command writes its artifacts under --out together with a
-manifest.json (command, resolved config snapshot, seeds, version). A
+Every command but inspect writes its artifacts under --out together with
+a manifest.json (command, resolved config snapshot, seeds, version). A
 command reads and checks all of its inputs before it creates --out.
 Exit codes: 0 ok, 1 config, 2 io, 3 numerical, 4 format.
 """
@@ -69,14 +69,20 @@ def _generate(cfg, n_per_concept, seed):
     return tw.gen_glyphs(spec, n_per_concept, seed=seed)
 
 
-def _read_checkpoint(cfg, path):
-    """Read a checkpoint whose mode, vocab and schedule match the config."""
-    params, meta = ps.read_checkpoint(path)
+def _check_meta(cfg, path, meta) -> None:
+    """ConfigError unless the checkpoint's mode, vocab and schedule are the
+    config's."""
     expected = _checkpoint_meta(cfg, None)
     for key in ("mode", "vocab", "schedule"):
         if meta.get(key) != expected[key]:
             raise ConfigError(f"{path}: checkpoint {key} {meta.get(key)!r} "
                               f"does not match the config's {expected[key]!r}")
+
+
+def _read_checkpoint(cfg, path):
+    """Read a checkpoint whose mode, vocab and schedule match the config."""
+    params, meta = ps.read_checkpoint(path)
+    _check_meta(cfg, path, meta)
     return params, meta
 
 
@@ -224,6 +230,8 @@ def cmd_eval(args) -> int:
     snapshots = None if ckpt_dir is None else \
         [os.path.join(ckpt_dir, f) for f in sorted(os.listdir(ckpt_dir))
          if f.endswith(".ssrg")]
+    for path in snapshots or ():
+        _check_meta(cfg, path, ps.read_checkpoint_header(path)["meta"])
     out = _prepare_out(args)
     method = args.method or model_meta.get("loss_kind", "ours")
     oracle = _oracle(cfg)
@@ -378,11 +386,18 @@ def cmd_verify_theory(args) -> int:
 
 
 def cmd_report(args) -> int:
+    records = [rp.load_run(run_dir) for run_dir in args.runs]
     out = _prepare_out(args)
-    written = rp.emit_report(args.runs, out)
+    written = rp.emit_report(records, out)
     _write_manifest(out, "report", None, {})
     for path in written:
         print(f"wrote {path}")
+    return 0
+
+
+def cmd_inspect(args) -> int:
+    header = ps.read_checkpoint_header(args.checkpoint)
+    print(json.dumps(header, indent=2, sort_keys=True))
     return 0
 
 
@@ -455,6 +470,11 @@ def build_parser() -> argparse.ArgumentParser:
             config_required=False)
     p.add_argument("--runs", nargs="+", required=True,
                    help="run directories containing metrics.json")
+
+    p = sub.add_parser("inspect", help="print a checkpoint's header (model, "
+                       "meta, tensor manifest, created_utc) as JSON")
+    p.add_argument("checkpoint", help="checkpoint file")
+    p.set_defaults(handler=cmd_inspect, seed=None)
 
     return parser
 

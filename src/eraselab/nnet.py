@@ -277,14 +277,16 @@ def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
     for i in reversed(range(n_layers)):
         d_weights[i] = delta.T @ tape.inputs[i]
         d_biases[i] = delta.sum(axis=0)
-        delta = delta @ params.weights[i]
         if i > 0:
+            delta = delta @ params.weights[i]
             np.multiply(delta, _silu_grad(tape.pre_acts[i - 1],
                                           tape.sigmoids[i - 1]), out=delta)
 
-    d_embed = np.zeros_like(params.concept_embed)
+    # Of layer 0's input gradient only the concept-embedding columns have a
+    # parameter behind them, so only those columns of W0 enter the product.
     embed_slice = slice(params.shape.input_dim + params.shape.time_embed_dim, None)
-    np.add.at(d_embed, tape.c_ids, delta[:, embed_slice])
+    d_embed = np.zeros_like(params.concept_embed)
+    np.add.at(d_embed, tape.c_ids, delta @ params.weights[0][:, embed_slice])
     return GradientBuffer(d_weights, d_biases, d_embed)
 
 
@@ -336,7 +338,9 @@ def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p - lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
 
-    Raises on non-finite gradients before touching params or state.
+    At wd == 0 the wd*p term is not formed; adding a zero leaves every
+    finite result as it was. Raises on non-finite gradients before
+    touching params or state.
     """
     for name in params.tensor_names():
         g = grads.get_tensor(name)
@@ -374,8 +378,9 @@ def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
             np.add(b, state.eps, out=b)
             np.divide(m, bc1, out=a)
             np.divide(a, b, out=a)
-            np.multiply(p, state.weight_decay, out=b)
-            np.add(a, b, out=a)
+            if state.weight_decay != 0.0:
+                np.multiply(p, state.weight_decay, out=b)
+                np.add(a, b, out=a)
             np.multiply(a, state.lr, out=a)
             np.subtract(p, a, out=flat_new[lo:hi])
         out.set_tensor(name, new)

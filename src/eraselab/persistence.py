@@ -51,12 +51,12 @@ def _utc_stamp() -> str:
 
 
 @contextlib.contextmanager
-def _atomic_open(path, mode: str):
+def _atomic_open(path, mode: str, newline=None):
     """Write through a temp file in path's directory; when the block ends
     without error, fsync the file and move it over path, else delete it."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
             fh.flush()
             os.fsync(fh.fileno())
@@ -131,9 +131,10 @@ def _read_header(fh, path) -> dict:
 
 
 def read_checkpoint_header(path) -> dict:
-    """Parse magic, version, and the JSON header; payload untouched."""
+    """Parse magic, version and the JSON header, and check the header as
+    read_checkpoint does; the payload is not read."""
     with open(path, "rb") as fh:
-        return _read_header(fh, path)
+        return _checked_header(fh, path)[0]
 
 
 def _count(value, least: int = 1) -> int:
@@ -142,18 +143,14 @@ def _count(value, least: int = 1) -> int:
     return value
 
 
-def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
-    """Reconstruct Parameters bit-exactly; returns (params, caller meta).
-
-    The tensor shapes follow from the declared model; the manifest must
-    list exactly those tensors at consecutive offsets, and the payload must
-    hold exactly their bytes, before anything is allocated.
-    """
-    with open(path, "rb") as fh:
-        header = _read_header(fh, path)
-        payload = fh.read()
+def _checked_header(fh, path):
+    """The header, the NetworkShape and concept count it declares, and the
+    (name, shape) of each tensor that model has. The manifest must list
+    exactly those tensors at consecutive offsets."""
+    header = _read_header(fh, path)
     try:
-        model, meta = header["model"], dict(header["meta"])
+        model = header["model"]
+        header["meta"] = dict(header["meta"])
         shape = nnet.NetworkShape(
             input_dim=_count(model["input_dim"]),
             hidden=tuple(_count(h) for h in model["hidden"]),
@@ -177,6 +174,22 @@ def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
         if (at, shape_listed) != (offset, want):
             raise FormatError(f"{path}: tensor {name} at offset {at} with shape "
                               f"{list(shape_listed)}, expected {offset} and {list(want)}")
+        offset += 8 * math.prod(want)
+    return header, shape, n_concepts, expected
+
+
+def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
+    """Reconstruct Parameters bit-exactly; returns (params, caller meta).
+
+    The tensor shapes follow from the declared model; the manifest must
+    list exactly those tensors at consecutive offsets, and the payload must
+    hold exactly their bytes, before anything is allocated.
+    """
+    with open(path, "rb") as fh:
+        header, shape, n_concepts, expected = _checked_header(fh, path)
+        payload = fh.read()
+    offset = 0
+    for name, want in expected:
         nbytes = 8 * math.prod(want)
         if len(payload) < offset + nbytes:
             raise CorruptionError(f"{path}: payload truncated in tensor {name} "
@@ -193,7 +206,7 @@ def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
             raise FormatError(f"{path}: tensor {name} holds non-finite values")
         start += arrays[-1].size
     return nnet.Parameters(shape, n_concepts, arrays[0:-1:2], arrays[1:-1:2],
-                           arrays[-1]), meta
+                           arrays[-1]), header["meta"]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +242,7 @@ class RunConfig:
         return _WORLDS[self.mode]()
 
     def input_dim(self) -> int:
-        return 2 if self.mode == "points2d" else 256
+        return tw.MODE_DIMS[self.mode]
 
     def network_shape(self) -> nnet.NetworkShape:
         if self.base_hidden is not None:

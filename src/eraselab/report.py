@@ -18,6 +18,7 @@ from typing import Optional
 
 from .analysis import MetricReport
 from .errors import ConfigError
+from .persistence import _atomic_open
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -30,7 +31,8 @@ def fmt6(value) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
+    """Header plus rows, numbers at 6 significant digits, written atomically."""
+    with _atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -124,7 +126,7 @@ def svg_line_plot(series, title, xlabel, ylabel, path,
                f'transform="rotate(-90 16 {top + plot_h / 2:.1f})">'
                f'{ylabel}</text>')
     out.append("</svg>")
-    with open(path, "w") as fh:
+    with _atomic_open(path, "w") as fh:
         fh.write("\n".join(out) + "\n")
 
 
@@ -135,36 +137,46 @@ class RunRecord:
     name: str
     method: str
     report: MetricReport
-    timeline: Optional[dict]
+    timeline: Optional[Series]
     loss_rows: list
     sweep_rows: list
 
 
+def _read_pairs(run_dir, name, x, y, x_type=float) -> list:
+    """(x, y) per row of the run's CSV `name`; [] when the run has none."""
+    path = os.path.join(run_dir, name)
+    if not os.path.exists(path):
+        return []
+    try:
+        with open(path, newline="") as fh:
+            return [(x_type(r[x]), float(r[y])) for r in csv.DictReader(fh)]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"run {run_dir}: unreadable {name}: {exc!r}") from exc
+
+
 def load_run(run_dir) -> RunRecord:
+    """Read one run directory; a missing or unreadable metrics.json, or an
+    unreadable loss.csv or sweep.csv, is a ConfigError naming the run."""
     metrics_path = os.path.join(run_dir, "metrics.json")
     if not os.path.exists(metrics_path):
         raise ConfigError(f"run {run_dir}: missing metrics.json")
-    with open(metrics_path) as fh:
-        raw = json.load(fh)
-    for key in ("method", "report"):
-        if key not in raw:
-            raise ConfigError(f"run {run_dir}: metrics.json missing {key!r}")
-    record = RunRecord(name=os.path.basename(os.path.normpath(run_dir)),
-                       method=raw["method"],
-                       report=MetricReport.from_json(json.dumps(raw["report"])),
-                       timeline=raw.get("timeline"),
-                       loss_rows=[], sweep_rows=[])
-    loss_path = os.path.join(run_dir, "loss.csv")
-    if os.path.exists(loss_path):
-        with open(loss_path, newline="") as fh:
-            record.loss_rows = [(int(r["iteration"]), float(r["total"]))
-                                for r in csv.DictReader(fh)]
-    sweep_path = os.path.join(run_dir, "sweep.csv")
-    if os.path.exists(sweep_path):
-        with open(sweep_path, newline="") as fh:
-            record.sweep_rows = [(float(r["lambda"]), float(r["consistency"]))
-                                 for r in csv.DictReader(fh)]
-    return record
+    try:
+        with open(metrics_path) as fh:
+            raw = json.load(fh)
+        method, timeline = raw["method"], raw.get("timeline")
+        report = MetricReport.from_json(json.dumps(raw["report"]))
+        timeline = Series(method, tuple(map(float, timeline["iterations"])),
+                          tuple(map(float, timeline["rates"]))) \
+            if timeline else None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"run {run_dir}: unreadable metrics.json: "
+                          f"{exc!r}") from exc
+    return RunRecord(name=os.path.basename(os.path.normpath(run_dir)),
+                     method=method, report=report, timeline=timeline,
+                     loss_rows=_read_pairs(run_dir, "loss.csv", "iteration",
+                                           "total", int),
+                     sweep_rows=_read_pairs(run_dir, "sweep.csv", "lambda",
+                                            "consistency"))
 
 
 def _mean(values):
@@ -172,10 +184,10 @@ def _mean(values):
     return sum(values) / len(values) if values else None
 
 
-def emit_report(run_dirs, out_dir) -> list:
-    """Comparison CSV plus the three line plots; returns written paths."""
-    records = sorted((load_run(d) for d in run_dirs),
-                     key=lambda r: (r.method, r.name))
+def emit_report(records, out_dir) -> list:
+    """Comparison CSV plus the three line plots of the loaded runs; returns
+    the written paths."""
+    records = sorted(records, key=lambda r: (r.method, r.name))
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -195,9 +207,7 @@ def emit_report(run_dirs, out_dir) -> list:
     written.append(loss_plot)
 
     erasure_plot = os.path.join(out_dir, "erasure_vs_iteration.svg")
-    svg_line_plot([Series(r.method, tuple(r.timeline["iterations"]),
-                          tuple(r.timeline["rates"]))
-                   for r in records if r.timeline],
+    svg_line_plot([r.timeline for r in records if r.timeline],
                   "Target erasure rate per iteration", "iteration",
                   "erasure rate", erasure_plot)
     written.append(erasure_plot)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -21,6 +22,9 @@ from .errors import ConfigError, StructuralError
 
 GLYPH_RESOLUTION = 16
 GLYPH_DIM = GLYPH_RESOLUTION * GLYPH_RESOLUTION
+
+# Sample width of each data world.
+MODE_DIMS = {"points2d": 2, "glyphs16": GLYPH_DIM}
 
 KNOWN_SHAPES = ("circle", "square", "cross", "triangle", "stripes")
 
@@ -413,7 +417,10 @@ def bayes_rate_quadrature(spec: PointMixtureSpec, extent: float = 2.5,
 # ---------------------------------------------------------------------------
 
 def dataset_to_csv(dataset: Dataset, path) -> None:
-    with open(path, "w", newline="") as fh:
+    """Write the dataset atomically, each value as the repr of its double."""
+    from .persistence import _atomic_open  # persistence imports this module
+
+    with _atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"x{i}" for i in range(dataset.dim)])
         for label, row in zip(dataset.labels, dataset.samples):
@@ -421,14 +428,38 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
 
 
 def dataset_from_csv(path, mode: str, n_concepts: int) -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "label":
+    """Read a dataset CSV of `mode`'s width in one parse.
+
+    A missing header, no data rows, a ragged row, a non-numeric or
+    non-finite cell, a wrong width or a label that is not a concept id in
+    0..n_concepts-1 is a ConfigError naming the file.
+    """
+    width = 1 + MODE_DIMS[mode]
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if header[0] != "label":
             raise ConfigError(f"{path}: expected dataset header starting with 'label'")
-        rows = list(reader)
-    if not rows:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: below
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a table of numbers: {exc}") from exc
+    if table.shape[0] == 0:
         raise ConfigError(f"{path}: dataset has no rows")
-    labels = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    samples = np.array([[float(v) for v in r[1:]] for r in rows], dtype=np.float64)
-    return Dataset(samples, labels, mode=mode, n_concepts=n_concepts)
+    for what, got in (("header has", len(header)), ("rows have", table.shape[1])):
+        if got != width:
+            raise ConfigError(f"{path}: {what} {got} columns, {mode} data "
+                              f"has {width} (a label and {width - 1} values)")
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0]
+        raise ConfigError(f"{path}: non-finite value in data row {row + 1}, "
+                          f"column {col + 1}")
+    labels = table[:, 0]
+    bad = (labels != np.floor(labels)) | (labels < 0) | (labels >= n_concepts)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ConfigError(f"{path}: label {labels[row]:g} in data row {row + 1} "
+                          f"is not a concept id in 0..{n_concepts - 1}")
+    return Dataset(np.ascontiguousarray(table[:, 1:]), labels.astype(np.int64),
+                   mode=mode, n_concepts=n_concepts)

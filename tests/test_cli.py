@@ -278,6 +278,78 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 1
 
+    @pytest.mark.parametrize("edit", [
+        None,
+        lambda good: "{not json",
+        lambda good: json.dumps({"method": "x"}),
+        lambda good: json.dumps(dict(good, report={})),
+        lambda good: json.dumps(dict(good, timeline={"iterations": [4, 8]})),
+        lambda good: json.dumps(dict(good, timeline={"iterations": [4, 8],
+                                                     "rates": [0.5]})),
+    ], ids=["no-metrics", "junk-json", "no-report", "empty-report",
+            "timeline-without-rates", "timeline-lengths-differ"])
+    def test_bad_report_run_leaves_no_out_dir(self, pipeline, tmp_path, capsys,
+                                              edit):
+        bad = tmp_path / "bad_run"
+        bad.mkdir()
+        if edit is not None:
+            good = json.loads((pipeline["eval"] / "metrics.json").read_text())
+            (bad / "metrics.json").write_text(edit(good))
+        code = cli.main(["report", "--runs", str(pipeline["eval"]), str(bad),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"run {bad}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("snapshot,code", [("junk", 4), ("glyph-mode", 1)])
+    def test_bad_timeline_snapshot_fails_before_sampling(
+            self, pipeline, tmp_path, monkeypatch, capsys, snapshot, code):
+        snapshots = tmp_path / "checkpoints"
+        snapshots.mkdir()
+        for path in (pipeline["erased"] / "checkpoints").iterdir():
+            (snapshots / path.name).write_bytes(path.read_bytes())
+        bad = snapshots / "iter_9999.ssrg"
+        if snapshot == "junk":
+            bad.write_bytes(b"JUNKJUNKJUNKJUNK")
+        else:
+            params, meta = persistence.read_checkpoint(snapshots / "iter_0004.ssrg")
+            persistence.write_checkpoint(params, dict(meta, mode="glyphs16"), bad)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("eval sampled before checking its snapshots")
+
+        monkeypatch.setattr(cli, "_sample_batch", no_sampling)
+        monkeypatch.setattr(cli.an, "seed_consistency", no_sampling)
+        assert cli.main(["eval", "--config", str(pipeline["config"]),
+                         "--base", str(pipeline["base"] / "base.ssrg"),
+                         "--model", str(pipeline["erased"] / "erased.ssrg"),
+                         "--checkpoints", str(snapshots),
+                         "--out", str(tmp_path / "o")]) == code
+        assert "iter_9999.ssrg" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train-base", "invert"])
+    @pytest.mark.parametrize("text", [
+        "label,x0,x1\n0,0.5,1.5\n1,0.5\n",
+        "label,x0,x1\n0,0.5,1.5\n1,0.5,abc\n",
+        "label,x0,x1\n0,0.5,1.5\n1.5,0.5,1.5\n",
+        "label,x0,x1\n0,0.5,1.5\n1,nan,1.5\n",
+        "label,x0,x1,x2\n0,0.5,1.5,2.5\n",
+    ], ids=["ragged-row", "non-numeric", "non-integer-label", "non-finite",
+            "wrong-width"])
+    def test_bad_dataset_csv_is_config(self, pipeline, tmp_path, capsys,
+                                       command, text):
+        data = tmp_path / "bad.csv"
+        data.write_text(text)
+        inputs = {"train-base": [],
+                  "invert": ["--model", str(pipeline["base"] / "base.ssrg")]}
+        code = cli.main([command, "--config", str(pipeline["config"]),
+                         *inputs[command], "--data", str(data),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{data}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_sweep_values_is_config(self, pipeline, tmp_path):
         code = cli.main(["sweep-lambda", "--config", str(pipeline["config"]),
                          "--base", str(pipeline["base"] / "base.ssrg"),
@@ -364,3 +436,27 @@ class TestInvertMatchesPerSample:
             assert np.abs(latents.samples[i] - z_T).max() \
                 <= 1e-9 * np.abs(z_T).max()
             assert abs(float(recon[i]["rel_l2"]) - rel) <= 5e-6 * rel
+
+
+class TestInspect:
+    def test_prints_the_header_as_json(self, pipeline, capsys):
+        path = pipeline["base"] / "base.ssrg"
+        assert cli.main(["inspect", str(path)]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert set(shown) == {"created_utc", "meta", "model", "tensors"}
+        assert shown == persistence.read_checkpoint_header(path)
+        assert shown["meta"]["kind"] == "base"
+        assert [t["name"] for t in shown["tensors"]][-1] == "embed"
+
+    @pytest.mark.parametrize("edit", ["junk", "no-model"])
+    def test_malformed_checkpoint_is_format(self, pipeline, tmp_path, capsys,
+                                            edit):
+        bad = tmp_path / "bad.ssrg"
+        raw = (pipeline["base"] / "base.ssrg").read_bytes()
+        if edit == "junk":
+            bad.write_bytes(b"JUNKJUNKJUNKJUNK")
+        else:
+            bad.write_bytes(raw.replace(b'"model"', b'"MODEL"', 1))
+        assert cli.main(["inspect", str(bad)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad.ssrg" in captured.err

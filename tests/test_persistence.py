@@ -1,5 +1,6 @@
 """Checkpoint byte format and run-configuration parsing."""
 
+import csv
 import json
 import re
 import struct
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from eraselab import nnet, persistence
+from eraselab import nnet, persistence, report
+from eraselab import toyworld as tw
 from eraselab.errors import (ConfigError, CorruptionError, FormatError,
                              UnsupportedVersionError)
 
@@ -205,6 +207,48 @@ class TestCheckpoint:
         monkeypatch.undo()
         assert json.loads(path.read_text()) == {"a": 1}
         assert [p.name for p in tmp_path.iterdir()] == ["metrics.json"]
+
+    @pytest.mark.parametrize("writer", ["write_csv", "dataset_to_csv"])
+    def test_failed_csv_write_keeps_earlier_file(self, tmp_path, monkeypatch,
+                                                 writer):
+        path = tmp_path / "table.csv"
+        ds = tw.Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1],
+                        mode="points2d", n_concepts=2)
+
+        def write(fail):
+            if writer == "dataset_to_csv":
+                tw.dataset_to_csv(ds, path)
+                return
+
+            def rows():
+                yield ("a", 1.0)
+                if fail:
+                    raise OSError("disk full")
+                yield ("b", 2.0)
+
+            report.write_csv(path, ("name", "value"), rows())
+
+        write(fail=False)
+        before = path.read_bytes()
+        if writer == "dataset_to_csv":
+            real = csv.writer
+
+            class FailingWriter:
+                def __init__(self, fh):
+                    self.inner, self.rows = real(fh), 0
+
+                def writerow(self, row):
+                    if self.rows == 2:
+                        raise OSError("disk full")
+                    self.rows += 1
+                    self.inner.writerow(row)
+
+            monkeypatch.setattr(csv, "writer", FailingWriter)
+        with pytest.raises(OSError, match="disk full"):
+            write(fail=True)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
 
     def test_nonexistent_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

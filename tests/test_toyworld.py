@@ -222,6 +222,21 @@ class TestDatasetCsv:
         np.testing.assert_array_equal(back.labels, ds.labels)
         np.testing.assert_allclose(back.samples, ds.samples, rtol=0, atol=0)
 
+    @pytest.mark.parametrize("mode", ["points2d", "glyphs16"])
+    def test_round_trip_default_worlds(self, tmp_path, mode):
+        if mode == "points2d":
+            vocab, spec = tw.default_points_vocab()
+            ds = tw.gen_points2d(spec, 25, seed=8)
+        else:
+            vocab, spec = tw.default_glyph_vocab()
+            ds = tw.gen_glyphs(spec, 12, seed=8)
+        path = tmp_path / "data.csv"
+        tw.dataset_to_csv(ds, path)
+        back = tw.dataset_from_csv(path, mode=mode, n_concepts=vocab.size)
+        assert np.array_equal(back.samples, ds.samples)
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.samples.flags.c_contiguous
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
