@@ -4,7 +4,8 @@ Metrics: oracle-based erasure rate, unbiased kernel MMD^2 as the
 distribution-drift measure, windowed SSIM for glyph similarity, and
 same-seed cross-checkpoint consistency. Verifiers: the timestep loss
 weights w/w', the isotropic-Gaussian KL closed form, and the chain that
-rewrites a guided reverse-transition KL as a weighted score distance.
+rewrites a guided reverse-transition KL as a weighted score distance;
+theory_checks runs them all as one seeded suite.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ class MetricReport:
         for cid, rate in self.erasure_rates.items():
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"rate for concept {cid} outside [0,1]: {rate}")
-
-    def concept_ids(self) -> list:
-        ids = set(self.erasure_rates) | set(self.drift) | set(self.consistency)
-        return sorted(ids)
-
-    def rows(self) -> list:
-        """(concept, erasure_rate, drift, consistency) with None for gaps."""
-        return [(cid, self.erasure_rates.get(cid), self.drift.get(cid),
-                 self.consistency.get(cid)) for cid in self.concept_ids()]
 
     def to_json(self) -> str:
         payload = {
@@ -197,7 +189,7 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray, window: int = 7) -> float:
 def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
                      sched: df.NoiseSchedule, sampler: df.SamplerConfig,
                      concepts: Sequence[int], seeds: Sequence[int],
-                     gamma: float = 7.5, metric: Optional[str] = None) -> dict:
+                     gamma: float = 7.5) -> dict:
     """Per-concept mean similarity of same-seed samples from two models.
 
     Each seed fixes the initial latent, so differences come only from the
@@ -208,10 +200,7 @@ def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
     """
     if model_a.shape != model_b.shape or model_a.n_concepts != model_b.n_concepts:
         raise ConfigError("models disagree on shape or concept count")
-    if metric is None:
-        metric = "ssim" if model_a.shape.input_dim == 256 else "neg_l2"
-    if metric not in ("ssim", "neg_l2"):
-        raise ConfigError(f"unknown consistency metric {metric!r}")
+    glyphs = model_a.shape.input_dim == 256
     concepts = [int(c) for c in concepts]
     d = model_a.shape.input_dim
     # one row per (concept, seed); each seed fixes its own draw of z_T
@@ -225,7 +214,7 @@ def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
                     for model in (model_a, model_b))
         for a, b in zip(x_a, x_b):
             sims.append(ssim(a.reshape(16, 16), b.reshape(16, 16))
-                        if metric == "ssim" else -float(np.linalg.norm(a - b)))
+                        if glyphs else -float(np.linalg.norm(a - b)))
     n = len(seeds)
     return {c: float(np.mean(sims[k * n:(k + 1) * n]))
             for k, c in enumerate(concepts)}
@@ -324,11 +313,70 @@ def kl_chain_check(teacher: nnet.Parameters, student: nnet.Parameters,
     return KlChainReport(worst_gap, worst_decomp, len(probes))
 
 
-def triangle_bound_holds(residual_u: np.ndarray, residual_c: np.ndarray,
-                         tol: float = 1e-12) -> bool:
-    """||u + c|| <= ||u|| + ||c|| up to rounding slack."""
+def triangle_bound_holds(residual_u: np.ndarray, residual_c: np.ndarray) -> bool:
+    """||u + c|| <= ||u|| + ||c|| up to a rounding slack of 1e-12."""
     residual_u = np.asarray(residual_u, dtype=np.float64)
     residual_c = np.asarray(residual_c, dtype=np.float64)
     lhs = float(np.linalg.norm(residual_u + residual_c))
     rhs = float(np.linalg.norm(residual_u)) + float(np.linalg.norm(residual_c))
-    return lhs <= rhs + tol
+    return lhs <= rhs + 1e-12
+
+
+def theory_checks(sched: df.NoiseSchedule, shape: nnet.NetworkShape,
+                  n_concepts: int, seed: int, gamma1: float,
+                  gamma2: float) -> list:
+    """(name, value, tolerance, passed) per analytic identity check.
+
+    Every random draw comes from one generator seeded with seed: a 3-D
+    Monte Carlo KL estimate, a perturbed student of a seed-initialised
+    network for 16 KL-chain probes, and 1000 triangle-bound pairs.
+    """
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    gaps = np.diff(sched.alpha_bar)
+    checks.append(("alpha_bar_strictly_decreasing", float(gaps.max()), 0.0,
+                   bool(np.all(gaps < 0.0))))
+
+    worst = 0.0
+    for t in range(2, sched.T_train + 1):
+        w, w_prime = loss_weights(t, sched)
+        a_t = float(sched.alpha[t - 1])
+        implied = w_prime * (1.0 - a_t) ** 2 / a_t
+        worst = max(worst, abs(w - implied) / abs(w))
+    checks.append(("loss_weight_identity_rel_err", worst, 1e-12,
+                   worst <= 1e-12))
+
+    d = 3
+    mu1 = rng.standard_normal(d)
+    mu2 = rng.standard_normal(d)
+    sigma2 = 0.7
+    closed = kl_guided_gaussians(mu1, mu2, sigma2)
+    draws = mu1 + np.sqrt(sigma2) * rng.standard_normal((1_000_000, d))
+    log_ratio = ((draws - mu2) ** 2 - (draws - mu1) ** 2).sum(axis=1) / (2 * sigma2)
+    mc = float(log_ratio.mean())
+    rel = abs(mc - closed) / closed
+    checks.append(("kl_monte_carlo_rel_err", rel, 2e-2, rel <= 2e-2))
+
+    teacher = nnet.init_params(shape, n_concepts, seed=seed)
+    student = teacher.copy()
+    for name in student.tensor_names():
+        arr = student.get_tensor(name)
+        student.set_tensor(name, arr + 1e-3 * rng.standard_normal(arr.shape))
+    probes = [(rng.standard_normal(shape.input_dim),
+               int(rng.integers(2, sched.T_train + 1)),
+               int(rng.integers(0, n_concepts)),
+               int(rng.integers(0, n_concepts)))
+              for _ in range(16)]
+    chain = kl_chain_check(teacher, student, sched, probes,
+                           gamma1=gamma1, gamma2=gamma2)
+    checks.append(("kl_chain_two_path_rel", chain.max_rel_discrepancy, 1e-10,
+                   chain.max_rel_discrepancy <= 1e-10))
+    checks.append(("kl_chain_decomposition", chain.max_decomposition_err,
+                   1e-12, chain.max_decomposition_err <= 1e-12))
+
+    held = all(triangle_bound_holds(rng.standard_normal(4),
+                                    rng.standard_normal(4))
+               for _ in range(1000))
+    checks.append(("triangle_bound_fraction", 1.0 if held else 0.0, 1.0, held))
+    return checks

@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 config, 2 io, 3 numerical, 4 format.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -21,7 +22,6 @@ from . import analysis as an
 from . import diffusion as df
 from . import erasure as er
 from . import guidance as gd
-from . import nnet
 from . import persistence as ps
 from . import report as rp
 from . import toyworld as tw
@@ -29,13 +29,28 @@ from .errors import (ConfigError, FormatError, NumericalError,
                      StructuralError)
 
 
-# Count flags and the least value each accepts.
-_COUNT_FLAGS = {"n": 1, "drift_n": 2, "timeline_n": 1}
+# Integer flags and the least value each accepts.
+_FLAG_MINIMUMS = {"seed": 0, "n": 1, "drift_n": 2, "timeline_n": 1}
 
 
-def _write_manifest(out_dir, command, cfg, seeds) -> None:
-    ps.write_json(os.path.join(out_dir, "manifest.json"), {
-        "command": command,
+def _load(args, *checkpoint_flags):
+    """The prologue's reads: (config, vocab, [(params, meta) for each
+    checkpoint flag]), every checkpoint checked against the config."""
+    cfg = ps.load_config(args.config)
+    vocab, _ = cfg.vocab_and_spec()
+    return cfg, vocab, [_read_checkpoint(cfg, getattr(args, flag))
+                        for flag in checkpoint_flags]
+
+
+@contextlib.contextmanager
+def _out_dir(args, cfg, seeds):
+    """The prologue's writes: create --out, which a command enters only
+    once every input is read, and write manifest.json (command, config
+    snapshot, seeds, version) after the command's artifacts."""
+    os.makedirs(args.out, exist_ok=True)
+    yield args.out
+    ps.write_json(os.path.join(args.out, "manifest.json"), {
+        "command": args.command,
         "version": f"eraselab-{__version__}",
         "created_utc": ps._utc_stamp(),
         "seeds": seeds,
@@ -43,30 +58,22 @@ def _write_manifest(out_dir, command, cfg, seeds) -> None:
     })
 
 
-def _prepare_out(args):
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _checkpoint_meta(cfg, kind, extra=None) -> dict:
     vocab, _ = cfg.vocab_and_spec()
-    meta = {
+    return {
         "kind": kind,
         "mode": cfg.mode,
         "schedule": {"t_train": cfg.t_train, "beta_start": cfg.beta_start,
                      "beta_end": cfg.beta_end},
         "vocab": [c.name for c in vocab.concepts],
+        **(extra or {}),
     }
-    if extra:
-        meta.update(extra)
-    return meta
 
 
 def _generate(cfg, n_per_concept, seed):
     _, spec = cfg.vocab_and_spec()
-    if cfg.mode == "points2d":
-        return tw.gen_points2d(spec, n_per_concept, seed=seed)
-    return tw.gen_glyphs(spec, n_per_concept, seed=seed)
+    gen = tw.gen_points2d if cfg.mode == "points2d" else tw.gen_glyphs
+    return gen(spec, n_per_concept, seed=seed)
 
 
 def _check_meta(cfg, path, meta) -> None:
@@ -88,9 +95,8 @@ def _read_checkpoint(cfg, path):
 
 def _oracle(cfg):
     _, spec = cfg.vocab_and_spec()
-    if cfg.mode == "points2d":
-        return tw.bayes_oracle(spec)
-    return tw.template_oracle(spec)
+    oracle = tw.bayes_oracle if cfg.mode == "points2d" else tw.template_oracle
+    return oracle(spec)
 
 
 def _sample_batch(model, cfg, concept, n, seed, gamma):
@@ -100,106 +106,94 @@ def _sample_batch(model, cfg, concept, n, seed, gamma):
 
 
 def cmd_gen_data(args) -> int:
-    cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
+    cfg, _, _ = _load(args)
     seed = cfg.seed if args.seed is None else args.seed
     dataset = _generate(cfg, args.n, seed)
-    tw.dataset_to_csv(dataset, os.path.join(out, "dataset.csv"))
-    _write_manifest(out, "gen-data", cfg, {"dataset": seed})
+    with _out_dir(args, cfg, {"dataset": seed}) as out:
+        tw.dataset_to_csv(dataset, os.path.join(out, "dataset.csv"))
     print(f"wrote {len(dataset.labels)} samples to {out}/dataset.csv")
     return 0
 
 
 def cmd_train_base(args) -> int:
-    cfg = ps.load_config(args.config)
-    vocab, _ = cfg.vocab_and_spec()
+    cfg, vocab, _ = _load(args)
     data_seed = cfg.seed if args.seed is None else args.seed
     if args.data is not None:
         dataset = tw.dataset_from_csv(args.data, cfg.mode, vocab.size)
     else:
         dataset = _generate(cfg, args.n, data_seed)
-    out = _prepare_out(args)
-    loss_log = []
-    model = df.train_base(dataset, cfg.network_shape(), cfg.schedule(),
-                          steps=cfg.base_steps, p_uncond=cfg.base_p_uncond,
-                          seed=cfg.base_seed, lr=cfg.base_lr,
-                          batch_size=cfg.base_batch, loss_log=loss_log)
-    meta = _checkpoint_meta(cfg, "base", {"steps": cfg.base_steps,
-                                          "seed": cfg.base_seed})
-    ps.write_checkpoint(model, meta, os.path.join(out, "base.ssrg"))
-    rp.write_csv(os.path.join(out, "train_loss.csv"), ("step", "loss"),
-                 [(str(step), loss) for step, loss in loss_log])
-    _write_manifest(out, "train-base", cfg,
-                    {"dataset": data_seed, "train": cfg.base_seed})
+    with _out_dir(args, cfg, {"dataset": data_seed,
+                              "train": cfg.base_seed}) as out:
+        loss_log = []
+        model = df.train_base(dataset, cfg.network_shape(), cfg.schedule(),
+                              steps=cfg.base_steps, p_uncond=cfg.base_p_uncond,
+                              seed=cfg.base_seed, lr=cfg.base_lr,
+                              batch_size=cfg.base_batch, loss_log=loss_log)
+        meta = _checkpoint_meta(cfg, "base", {"steps": cfg.base_steps,
+                                              "seed": cfg.base_seed})
+        ps.write_checkpoint(model, meta, os.path.join(out, "base.ssrg"))
+        rp.write_csv(os.path.join(out, "train_loss.csv"), ("step", "loss"),
+                     [(str(step), loss) for step, loss in loss_log])
     print(f"wrote {out}/base.ssrg after {cfg.base_steps} steps")
     return 0
 
 
 def cmd_erase(args) -> int:
-    cfg = ps.load_config(args.config)
-    vocab, _ = cfg.vocab_and_spec()
-    base, _ = _read_checkpoint(cfg, args.base)
-    out = _prepare_out(args)
+    cfg, vocab, [(base, _)] = _load(args, "base")
     ecfg = cfg.erase if args.seed is None \
         else dataclasses.replace(cfg.erase, seed=args.seed)
-    model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab)
-    meta = _checkpoint_meta(cfg, "erased", {
-        "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed,
-        "base": os.fspath(args.base)})
-    ps.write_checkpoint(model, meta, os.path.join(out, "erased.ssrg"))
-    ckpt_dir = os.path.join(out, "checkpoints")
-    os.makedirs(ckpt_dir, exist_ok=True)
-    for iteration, snapshot in log.snapshots:
-        ps.write_checkpoint(snapshot, dict(meta, iteration=iteration),
-                            os.path.join(ckpt_dir, f"iter_{iteration:04d}.ssrg"))
-    rp.write_csv(os.path.join(out, "loss.csv"),
-                 ("iteration", "t_index", "concept", "penalty", "total"),
-                 [(str(it), str(t), loss.concept, loss.penalty, loss.total)
-                  for it, t, loss in log.iterations])
-    _write_manifest(out, "erase", cfg, {"erase": ecfg.seed})
+    with _out_dir(args, cfg, {"erase": ecfg.seed}) as out:
+        model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab)
+        meta = _checkpoint_meta(cfg, "erased", {
+            "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed,
+            "base": os.fspath(args.base)})
+        ps.write_checkpoint(model, meta, os.path.join(out, "erased.ssrg"))
+        ckpt_dir = os.path.join(out, "checkpoints")
+        os.makedirs(ckpt_dir, exist_ok=True)
+        for iteration, snapshot in log.snapshots:
+            ps.write_checkpoint(snapshot, dict(meta, iteration=iteration),
+                                os.path.join(ckpt_dir, f"iter_{iteration:04d}.ssrg"))
+        rp.write_csv(os.path.join(out, "loss.csv"),
+                     ("iteration", "t_index", "concept", "penalty", "total"),
+                     [(str(it), str(t), loss.concept, loss.penalty, loss.total)
+                      for it, t, loss in log.iterations])
     print(f"wrote {out}/erased.ssrg, {len(log.snapshots)} checkpoints, "
           f"loss.csv ({ecfg.n_iters} iterations)")
     return 0
 
 
 def cmd_sample(args) -> int:
-    cfg = ps.load_config(args.config)
-    vocab, _ = cfg.vocab_and_spec()
-    model, _ = _read_checkpoint(cfg, args.model)
+    cfg, vocab, [(model, _)] = _load(args, "model")
     concept = vocab.id_of(args.concept)
-    out = _prepare_out(args)
     seed = cfg.seed if args.seed is None else args.seed
     gamma = cfg.eval_gamma if args.gamma is None else args.gamma
-    X = _sample_batch(model, cfg, concept, args.n, seed, gamma)
-    dataset = tw.Dataset(X, np.full(args.n, concept), mode=cfg.mode,
-                         n_concepts=vocab.size)
-    tw.dataset_to_csv(dataset, os.path.join(out, "samples.csv"))
-    _write_manifest(out, "sample", cfg, {"sample": seed})
+    with _out_dir(args, cfg, {"sample": seed}) as out:
+        X = _sample_batch(model, cfg, concept, args.n, seed, gamma)
+        dataset = tw.Dataset(X, np.full(args.n, concept), mode=cfg.mode,
+                             n_concepts=vocab.size)
+        tw.dataset_to_csv(dataset, os.path.join(out, "samples.csv"))
     print(f"wrote {args.n} samples of {args.concept!r} "
           f"(gamma={gamma:g}) to {out}/samples.csv")
     return 0
 
 
 def cmd_invert(args) -> int:
-    cfg = ps.load_config(args.config)
-    vocab, _ = cfg.vocab_and_spec()
-    model, _ = _read_checkpoint(cfg, args.model)
+    cfg, vocab, [(model, _)] = _load(args, "model")
     dataset = tw.dataset_from_csv(args.data, cfg.mode, vocab.size)
-    out = _prepare_out(args)
-    sched, sampler = cfg.schedule(), cfg.sampler()
-    X, labels = dataset.samples, dataset.labels
-    latents = df.ddim_invert(X, model, sched, sampler, labels)
-    recon, _, _ = df.descend(latents, sampler, sched, labels,
-                             df.conditional_eps(model))
-    recon_rows = [(str(i), str(c), float(np.linalg.norm(r - x0))
-                   / max(float(np.linalg.norm(x0)), 1e-300))
-                  for i, (c, r, x0) in enumerate(zip(labels, recon, X))]
-    tw.dataset_to_csv(tw.Dataset(latents, labels, mode=cfg.mode,
-                                 n_concepts=vocab.size),
-                      os.path.join(out, "inverted.csv"))
-    rp.write_csv(os.path.join(out, "recon.csv"),
-                 ("index", "label", "rel_l2"), recon_rows)
-    _write_manifest(out, "invert", cfg, {})
+    with _out_dir(args, cfg, {}) as out:
+        sched, sampler = cfg.schedule(), cfg.sampler()
+        X, labels = dataset.samples, dataset.labels
+        latents = df.ddim_invert(X, model, sched, sampler, labels)
+        recon, _, _ = df.descend(latents, sampler, sched, labels,
+                                 df.conditional_eps(model))
+        recon_rows = [(str(i), str(c), float(np.linalg.norm(r - x0))
+                       / max(float(np.linalg.norm(x0)), 1e-300))
+                      for i, (c, r, x0) in enumerate(zip(labels, recon, X))]
+        tw.dataset_to_csv(tw.Dataset(latents, labels, mode=cfg.mode,
+                                     n_concepts=vocab.size),
+                          os.path.join(out, "inverted.csv"))
+        rp.write_csv(os.path.join(out, "recon.csv"),
+                     ("index", "label", "rel_l2"), recon_rows)
     mean_err = float(np.mean([r[2] for r in recon_rows]))
     print(f"inverted {len(recon_rows)} samples, "
           f"mean reconstruction rel L2 {mean_err:.4g}")
@@ -218,10 +212,7 @@ def _timeline(cfg, paths, concept, n, seed):
 
 
 def cmd_eval(args) -> int:
-    cfg = ps.load_config(args.config)
-    vocab, _ = cfg.vocab_and_spec()
-    base, _ = _read_checkpoint(cfg, args.base)
-    model, model_meta = _read_checkpoint(cfg, args.model)
+    cfg, vocab, [(base, _), (model, model_meta)] = _load(args, "base", "model")
     ckpt_dir = args.checkpoints
     if ckpt_dir is None:
         sibling = os.path.join(os.path.dirname(os.path.abspath(args.model)),
@@ -232,43 +223,44 @@ def cmd_eval(args) -> int:
          if f.endswith(".ssrg")]
     for path in snapshots or ():
         _check_meta(cfg, path, ps.read_checkpoint_header(path)["meta"])
-    out = _prepare_out(args)
-    method = args.method or model_meta.get("loss_kind", "ours")
-    oracle = _oracle(cfg)
-    sched, sampler = cfg.schedule(), cfg.sampler()
-    n = cfg.n_samples if args.n is None else args.n
-    erase_set = cfg.erase.erase_set
-    non_targets = tuple(c for c in range(vocab.size) if c not in erase_set)
+    with _out_dir(args, cfg, {"eval": cfg.seed}) as out:
+        method = args.method or model_meta.get("loss_kind", "ours")
+        oracle = _oracle(cfg)
+        sched, sampler = cfg.schedule(), cfg.sampler()
+        n = cfg.n_samples if args.n is None else args.n
+        erase_set = cfg.erase.erase_set
+        non_targets = tuple(c for c in range(vocab.size) if c not in erase_set)
 
-    rates = {}
-    for c in erase_set:
-        X = _sample_batch(model, cfg, c, n, cfg.seed, cfg.eval_gamma)
-        rates[c] = an.erasure_rate(X, c, oracle, cfg.threshold)
-    kernel = an.KernelSpec()
-    drift = {}
-    for c in non_targets:
-        Xb = _sample_batch(base, cfg, c, args.drift_n, cfg.seed + c, cfg.eval_gamma)
-        Xm = _sample_batch(model, cfg, c, args.drift_n, cfg.seed + c + 10_000,
-                           cfg.eval_gamma)
-        drift[c] = an.mmd2(Xb, Xm, kernel)
-    consistency = an.seed_consistency(base, model, sched, sampler,
-                                      concepts=non_targets,
-                                      seeds=cfg.consistency_seeds,
-                                      gamma=cfg.eval_gamma)
-    metrics = an.MetricReport(erasure_rates=rates, drift=drift,
-                              consistency=consistency, sample_count=n,
-                              seeds=cfg.consistency_seeds,
-                              threshold=cfg.threshold)
+        rates = {}
+        for c in erase_set:
+            X = _sample_batch(model, cfg, c, n, cfg.seed, cfg.eval_gamma)
+            rates[c] = an.erasure_rate(X, c, oracle, cfg.threshold)
+        kernel = an.KernelSpec()
+        drift = {}
+        for c in non_targets:
+            Xb = _sample_batch(base, cfg, c, args.drift_n, cfg.seed + c,
+                               cfg.eval_gamma)
+            Xm = _sample_batch(model, cfg, c, args.drift_n,
+                               cfg.seed + c + 10_000, cfg.eval_gamma)
+            drift[c] = an.mmd2(Xb, Xm, kernel)
+        consistency = an.seed_consistency(base, model, sched, sampler,
+                                          concepts=non_targets,
+                                          seeds=cfg.consistency_seeds,
+                                          gamma=cfg.eval_gamma)
+        metrics = an.MetricReport(erasure_rates=rates, drift=drift,
+                                  consistency=consistency, sample_count=n,
+                                  seeds=cfg.consistency_seeds,
+                                  threshold=cfg.threshold)
 
-    timeline = None
-    if snapshots is not None:
-        timeline = _timeline(cfg, snapshots, erase_set[0], args.timeline_n,
-                             cfg.seed)
+        timeline = None
+        if snapshots is not None:
+            timeline = _timeline(cfg, snapshots, erase_set[0],
+                                 args.timeline_n, cfg.seed)
 
-    ps.write_json(os.path.join(out, "metrics.json"),
-                  {"method": method, "report": json.loads(metrics.to_json()),
-                   "timeline": timeline})
-    _write_manifest(out, "eval", cfg, {"eval": cfg.seed})
+        ps.write_json(os.path.join(out, "metrics.json"),
+                      {"method": method,
+                       "report": json.loads(metrics.to_json()),
+                       "timeline": timeline})
     worst = max(rates.values())
     print(f"method={method} max target rate={worst:.3f} over {n} samples; "
           f"metrics.json written to {out}")
@@ -276,106 +268,50 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
-    cfg = ps.load_config(args.config)
-    vocab, _ = cfg.vocab_and_spec()
-    base, _ = _read_checkpoint(cfg, args.base)
+    cfg, vocab, [(base, _)] = _load(args, "base")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: need at least one lambda")
-    out = _prepare_out(args)
-    sched, sampler = cfg.schedule(), cfg.sampler()
-    oracle = _oracle(cfg)
-    erase_set = cfg.erase.erase_set
-    non_targets = tuple(c for c in range(vocab.size) if c not in erase_set)
-    rows = []
-    for lam in values:
-        ecfg = dataclasses.replace(cfg.erase, lam=lam)
-        model, _ = er.erase_finetune(base, ecfg, sched, vocab)
-        ps.write_checkpoint(model,
-                            _checkpoint_meta(cfg, "erased",
-                                             {"loss_kind": ecfg.loss_kind,
-                                              "lambda": lam,
-                                              "seed": ecfg.seed}),
-                            os.path.join(out, f"lambda_{lam:g}.ssrg"))
-        X = _sample_batch(model, cfg, erase_set[0], args.n, cfg.seed,
-                          cfg.eval_gamma)
-        rate = an.erasure_rate(X, erase_set[0], oracle, cfg.threshold)
-        cons = an.seed_consistency(base, model, sched, sampler,
-                                   concepts=non_targets,
-                                   seeds=cfg.consistency_seeds,
-                                   gamma=cfg.eval_gamma)
-        rows.append((lam, rate, float(np.mean(list(cons.values())))))
-        print(f"lambda={lam:g}: erasure rate={rate:.3f} "
-              f"consistency={rows[-1][2]:.4f}")
-    rp.write_csv(os.path.join(out, "sweep.csv"),
-                 ("lambda", "erasure_rate", "consistency"), rows)
-    _write_manifest(out, "sweep-lambda", cfg, {"erase": cfg.erase.seed})
+    with _out_dir(args, cfg, {"erase": cfg.erase.seed}) as out:
+        sched, sampler = cfg.schedule(), cfg.sampler()
+        oracle = _oracle(cfg)
+        erase_set = cfg.erase.erase_set
+        non_targets = tuple(c for c in range(vocab.size) if c not in erase_set)
+        rows = []
+        for lam in values:
+            ecfg = dataclasses.replace(cfg.erase, lam=lam)
+            model, _ = er.erase_finetune(base, ecfg, sched, vocab)
+            meta = _checkpoint_meta(cfg, "erased", {
+                "loss_kind": ecfg.loss_kind, "lambda": lam, "seed": ecfg.seed})
+            ps.write_checkpoint(model, meta, os.path.join(out, f"lambda_{lam:g}.ssrg"))
+            X = _sample_batch(model, cfg, erase_set[0], args.n, cfg.seed,
+                              cfg.eval_gamma)
+            rate = an.erasure_rate(X, erase_set[0], oracle, cfg.threshold)
+            cons = an.seed_consistency(base, model, sched, sampler,
+                                       concepts=non_targets,
+                                       seeds=cfg.consistency_seeds,
+                                       gamma=cfg.eval_gamma)
+            rows.append((lam, rate, float(np.mean(list(cons.values())))))
+            print(f"lambda={lam:g}: erasure rate={rate:.3f} "
+                  f"consistency={rows[-1][2]:.4f}")
+        rp.write_csv(os.path.join(out, "sweep.csv"),
+                     ("lambda", "erasure_rate", "consistency"), rows)
     return 0
 
 
 def cmd_verify_theory(args) -> int:
-    cfg = ps.load_config(args.config)
-    out = _prepare_out(args)
-    sched = cfg.schedule()
-    rng = np.random.default_rng(cfg.seed)
-    checks = []
-
-    gaps = np.diff(sched.alpha_bar)
-    checks.append(("alpha_bar_strictly_decreasing", float(gaps.max()), 0.0,
-                   bool(np.all(gaps < 0.0))))
-
-    worst = 0.0
-    for t in range(2, sched.T_train + 1):
-        w, w_prime = an.loss_weights(t, sched)
-        a_t = float(sched.alpha[t - 1])
-        implied = w_prime * (1.0 - a_t) ** 2 / a_t
-        worst = max(worst, abs(w - implied) / abs(w))
-    checks.append(("loss_weight_identity_rel_err", worst, 1e-12,
-                   worst <= 1e-12))
-
-    d = 3
-    mu1 = rng.standard_normal(d)
-    mu2 = rng.standard_normal(d)
-    sigma2 = 0.7
-    closed = an.kl_guided_gaussians(mu1, mu2, sigma2)
-    draws = mu1 + np.sqrt(sigma2) * rng.standard_normal((1_000_000, d))
-    log_ratio = ((draws - mu2) ** 2 - (draws - mu1) ** 2).sum(axis=1) / (2 * sigma2)
-    mc = float(log_ratio.mean())
-    rel = abs(mc - closed) / closed
-    checks.append(("kl_monte_carlo_rel_err", rel, 2e-2, rel <= 2e-2))
-
-    vocab, _ = cfg.vocab_and_spec()
-    teacher = nnet.init_params(cfg.network_shape(), vocab.size, seed=cfg.seed)
-    student = teacher.copy()
-    for name in student.tensor_names():
-        arr = student.get_tensor(name)
-        student.set_tensor(name, arr + 1e-3 * rng.standard_normal(arr.shape))
-    probes = [(rng.standard_normal(cfg.input_dim()),
-               int(rng.integers(2, sched.T_train + 1)),
-               int(rng.integers(0, vocab.size)),
-               int(rng.integers(0, vocab.size)))
-              for _ in range(16)]
-    chain = an.kl_chain_check(teacher, student, sched, probes,
-                              gamma1=cfg.erase.gamma1,
-                              gamma2=cfg.erase.gamma2)
-    checks.append(("kl_chain_two_path_rel", chain.max_rel_discrepancy, 1e-10,
-                   chain.max_rel_discrepancy <= 1e-10))
-    checks.append(("kl_chain_decomposition", chain.max_decomposition_err,
-                   1e-12, chain.max_decomposition_err <= 1e-12))
-
-    held = all(an.triangle_bound_holds(rng.standard_normal(4),
-                                       rng.standard_normal(4))
-               for _ in range(1000))
-    checks.append(("triangle_bound_fraction", 1.0 if held else 0.0, 1.0, held))
-
-    rp.write_csv(os.path.join(out, "theory.csv"),
-                 ("check", "value", "tolerance", "status"),
-                 [(name, value, tol, "pass" if ok else "fail")
-                  for name, value, tol, ok in checks])
-    _write_manifest(out, "verify-theory", cfg, {"probe": cfg.seed})
+    cfg, vocab, _ = _load(args)
+    with _out_dir(args, cfg, {"probe": cfg.seed}) as out:
+        checks = an.theory_checks(cfg.schedule(), cfg.network_shape(),
+                                  vocab.size, cfg.seed, cfg.erase.gamma1,
+                                  cfg.erase.gamma2)
+        rp.write_csv(os.path.join(out, "theory.csv"),
+                     ("check", "value", "tolerance", "status"),
+                     [(name, value, tol, "pass" if ok else "fail")
+                      for name, value, tol, ok in checks])
     for name, value, tol, ok in checks:
         print(f"{'pass' if ok else 'FAIL'} {name}: {value:.3e} "
               f"(tolerance {tol:g})")
@@ -387,9 +323,8 @@ def cmd_verify_theory(args) -> int:
 
 def cmd_report(args) -> int:
     records = [rp.load_run(run_dir) for run_dir in args.runs]
-    out = _prepare_out(args)
-    written = rp.emit_report(records, out)
-    _write_manifest(out, "report", None, {})
+    with _out_dir(args, None, {}) as out:
+        written = rp.emit_report(records, out)
     for path in written:
         print(f"wrote {path}")
     return 0
@@ -408,13 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "the damage.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, config_required=True):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=config_required,
-                       help="run configuration file")
+        p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.set_defaults(handler=handler)
         return p
 
@@ -466,15 +398,20 @@ def build_parser() -> argparse.ArgumentParser:
     add("verify-theory", cmd_verify_theory,
         "run the analytic identity checks; nonzero exit on failure")
 
-    p = add("report", cmd_report, "aggregate run directories into CSV + SVG",
-            config_required=False)
+    p = sub.add_parser("report", help="aggregate run directories into CSV + SVG")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--runs", nargs="+", required=True,
                    help="run directories containing metrics.json")
+    p.set_defaults(handler=cmd_report)
+
+    for name in ("gen-data", "train-base", "erase", "sample"):
+        sub.choices[name].add_argument("--seed", type=int, default=None,
+                                       help="override the config seed")
 
     p = sub.add_parser("inspect", help="print a checkpoint's header (model, "
                        "meta, tensor manifest, created_utc) as JSON")
     p.add_argument("checkpoint", help="checkpoint file")
-    p.set_defaults(handler=cmd_inspect, seed=None)
+    p.set_defaults(handler=cmd_inspect)
 
     return parser
 
@@ -482,9 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
-        for name, least in _COUNT_FLAGS.items():
+        for name, least in _FLAG_MINIMUMS.items():
             value = getattr(args, name, None)
             if value is not None and value < least:
                 raise ConfigError(f"--{name.replace('_', '-')}: must be >= "
@@ -498,6 +433,9 @@ def main(argv=None) -> int:
         return 4
     except (ConfigError, StructuralError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"config error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ with Z of shape (n, d); plain conditional prediction is the gamma=0 case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,11 +75,8 @@ class SamplerConfig:
 
     T: int
     tau: tuple[int, ...]
-    eta: float = 0.0
 
     def __post_init__(self):
-        if self.eta != 0.0:
-            raise ConfigError("only eta=0 (deterministic DDIM) is supported")
         if len(self.tau) != self.T:
             raise ConfigError(f"tau length {len(self.tau)} != T {self.T}")
         if any(b <= a for a, b in zip(self.tau, self.tau[1:])):
@@ -104,49 +101,14 @@ class SamplerConfig:
         return 0 if sampler_index == 0 else self.tau[sampler_index - 1]
 
 
-@dataclass
-class Trajectory:
-    """DDIM descent record, ordered from z_T down to the stop state.
-
-    states[k] is the state at sampler_indices[k]; eps_hats[k] is the
-    prediction used to leave states[k].
-    """
-
-    states: np.ndarray
-    eps_hats: np.ndarray
-    sampler_indices: tuple[int, ...]
-    seed: int
-
-    def __post_init__(self):
-        if self.states.shape[0] != len(self.sampler_indices):
-            raise ConfigError("one state per recorded sampler index required")
-        if self.eps_hats.shape[0] != self.states.shape[0] - 1:
-            raise ConfigError("one eps record per transition required")
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.states[-1]
-
-
 GuidanceFn = Callable[[np.ndarray, int, int, int], np.ndarray]
 
 
 def conditional_eps(params: nnet.Parameters) -> GuidanceFn:
     """Plain eps_theta(z, c, t) closure (no guidance)."""
     def guid(Z, sampler_index, schedule_t, c):
-        out = nnet.forward_batch(params, Z, schedule_t, c)[0]
-        return out
+        return nnet.forward_batch(params, Z, schedule_t, c)[0]
     return guid
-
-
-def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray,
-                    sched: NoiseSchedule) -> np.ndarray:
-    """z_t = sqrt(alpha_bar_t) x0 + sqrt(1 - alpha_bar_t) eps."""
-    sched._check_t(t)
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
-    a = sched.alpha_bar_at(t)
-    return np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
 
 
 def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, from_t: int, to_t: int,
@@ -186,35 +148,15 @@ def descend(Z: np.ndarray, sampler: SamplerConfig, sched: NoiseSchedule,
     return Z, states, eps_list
 
 
-def sample(params: nnet.Parameters, sched: NoiseSchedule, sampler: SamplerConfig,
-           c: int, guid: Optional[GuidanceFn], seed: int,
-           stop_index: int = 0) -> Trajectory:
-    """Seeded z_T ~ N(0, I), then DDIM descent to stop_index (default: x0)."""
-    if not 0 <= stop_index < sampler.T:
-        raise ConfigError(f"stop_index {stop_index} outside [0, {sampler.T})")
-    if guid is None:
-        guid = conditional_eps(params)
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((1, params.shape.input_dim))
-    _, states, eps_list = descend(Z, sampler, sched, c, guid, stop_index, record=True)
-    return Trajectory(states=np.array([s[0] for s in states]),
-                      eps_hats=np.array([e[0] for e in eps_list])
-                      if eps_list else np.zeros((0, params.shape.input_dim)),
-                      sampler_indices=tuple(range(sampler.T, stop_index - 1, -1)),
-                      seed=seed)
-
-
 def sample_final_batch(params: nnet.Parameters, sched: NoiseSchedule,
                        sampler: SamplerConfig, c: int, guid: Optional[GuidanceFn],
-                       n: int, seed: int, stop_index: int = 0) -> np.ndarray:
-    """n independent trajectories at once; returns only the final states."""
-    if not 0 <= stop_index < sampler.T:
-        raise ConfigError(f"stop_index {stop_index} outside [0, {sampler.T})")
+                       n: int, seed: int) -> np.ndarray:
+    """n seeded z_T ~ N(0, I) descended together; returns the final states."""
     if guid is None:
         guid = conditional_eps(params)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, params.shape.input_dim))
-    Z, _, _ = descend(Z, sampler, sched, c, guid, stop_index, record=False)
+    Z, _, _ = descend(Z, sampler, sched, c, guid)
     return Z
 
 
@@ -222,8 +164,8 @@ def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
                 sampler: SamplerConfig, c: int) -> np.ndarray:
     """Run the deterministic DDIM map upward from clean data to z_T.
 
-    Each ascent step evaluates eps at the target timestep, so replaying
-    sample() from the result approximately reconstructs x0.
+    Each ascent step evaluates eps at the target timestep, so descending
+    from the result approximately reconstructs x0.
     """
     Z = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     single = np.asarray(x0).ndim == 1
@@ -240,18 +182,16 @@ def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
 
 def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
                steps: int, p_uncond: float, seed: int, lr: float = 1e-3,
-               batch_size: int = 64, lr_decay: str = "cosine",
+               batch_size: int = 64,
                loss_log: Optional[list] = None) -> nnet.Parameters:
     """Minibatch eps-matching with CFG label dropout.
 
     Each step draws rows, per-row t ~ U{1..T_train} and eps ~ N(0, I),
     replaces labels by the null token with probability p_uncond, and takes
     one AdamW step on mean_i ||eps_i - eps_theta(z_t_i, c_i, t_i)||^2.
-    lr decays to zero on a cosine by default; the final calibration of the
-    eps field (and with it DDIM inversion quality) depends on it.
+    lr decays to zero on a cosine; the final calibration of the eps field
+    (and with it DDIM inversion quality) depends on it.
     """
-    if lr_decay not in ("cosine", "none"):
-        raise ConfigError(f"unknown lr_decay {lr_decay!r}")
     if len(dataset.labels) == 0:
         raise ConfigError("dataset is empty")
     if steps < 1:
@@ -269,8 +209,7 @@ def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
     n = len(dataset.labels)
 
     for step in range(steps):
-        if lr_decay == "cosine":
-            state.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / steps))
+        state.lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / steps))
         rows = rng.integers(0, n, size=batch_size)
         x0 = dataset.samples[rows]
         c = dataset.labels[rows].copy()
@@ -290,19 +229,3 @@ def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
         if loss_log is not None and (step % 50 == 0 or step == steps - 1):
             loss_log.append((step, loss))
     return params
-
-
-def validation_eps_loss(params: nnet.Parameters, dataset: Dataset,
-                        sched: NoiseSchedule, seed: int,
-                        n_rows: int = 256) -> float:
-    """Mean eps-matching loss on a fixed seeded probe batch."""
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, len(dataset.labels), size=n_rows)
-    x0 = dataset.samples[rows]
-    c = dataset.labels[rows]
-    t = rng.integers(1, sched.T_train + 1, size=n_rows)
-    eps = rng.standard_normal(x0.shape)
-    a = sched.alpha_bar[t - 1][:, None]
-    z_t = np.sqrt(a) * x0 + np.sqrt(1.0 - a) * eps
-    eps_hat = nnet.forward_batch(params, z_t, t, c)[0]
-    return float(((eps_hat - eps) ** 2).sum() / n_rows)

@@ -45,7 +45,6 @@ class EraseConfig:
     gamma1: float = 7.5
     gamma2: float = 7.5
     lam: float = 5.0
-    slack: float = 0.0
     n_iters: int = 200
     sampler_T: int = 35
     warmup: gd.WarmupRule = field(default_factory=gd.WarmupRule)
@@ -67,8 +66,6 @@ class EraseConfig:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.slack != 0.0:
-            raise ConfigError("slack is fixed at 0")
         if self.n_iters < 1:
             raise ConfigError(f"n_iters must be >= 1, got {self.n_iters}")
         if self.sampler_T < 1:
@@ -113,9 +110,6 @@ class LossBreakdown:
 class EraseRunLog:
     iterations: list = field(default_factory=list)   # (iter, t_index, LossBreakdown)
     snapshots: list = field(default_factory=list)    # (iter, Parameters)
-
-    def append(self, iteration: int, t_index: int, loss: LossBreakdown) -> None:
-        self.iterations.append((iteration, t_index, loss))
 
 
 def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
@@ -289,7 +283,7 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
             student = nnet.adamw_step(student, grads, mask, state)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
-        log.append(it, int(teacher.t_index[k]), breakdown)
+        log.iterations.append((it, int(teacher.t_index[k]), breakdown))
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
             log.snapshots.append((it, student.copy()))
     return student, log

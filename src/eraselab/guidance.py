@@ -94,28 +94,9 @@ def cfg_compose(eps_uncond: np.ndarray, eps_cond: np.ndarray,
     return (1.0 + gamma) * eps_cond - gamma * eps_uncond
 
 
-def class_direction(params: nnet.Parameters, z: np.ndarray, t: int,
-                    c: int) -> np.ndarray:
-    """eps(z, c) - eps(z, null): the scaled class-posterior gradient."""
-    e_c = nnet.forward_batch(params, np.atleast_2d(z), t, c)[0]
-    e_u = nnet.forward_batch(params, np.atleast_2d(z), t, params.null_id)[0]
-    out = e_c - e_u
-    return out[0] if np.asarray(z).ndim == 1 else out
-
-
 def _nearest_rank(kappa: float, n: int) -> int:
     """Nearest-rank index of the kappa percentile among n sorted values."""
     return int(np.clip(np.ceil(kappa * n) - 1, 0, n - 1))
-
-
-def percentile_threshold(values: np.ndarray, kappa: float) -> float:
-    """Nearest-rank percentile: ascending sort, element ceil(kappa*n) - 1."""
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
-    if values.size == 0:
-        raise StructuralError("percentile of an empty vector")
-    if not 0.0 <= kappa <= 1.0:
-        raise ConfigError(f"kappa must lie in [0, 1], got {kappa}")
-    return float(np.sort(values)[_nearest_rank(kappa, values.size)])
 
 
 def _mask_rows(abs_delta: np.ndarray, kappa: float) -> np.ndarray:

@@ -97,11 +97,6 @@ class Parameters:
                           [b.copy() for b in self.biases],
                           self.concept_embed.copy())
 
-    def assert_finite(self) -> None:
-        for name in self.tensor_names():
-            if not np.all(np.isfinite(self.get_tensor(name))):
-                raise NumericalError(f"non-finite values in parameter tensor {name}")
-
     @property
     def null_id(self) -> int:
         return self.n_concepts
@@ -119,13 +114,6 @@ def init_params(shape: NetworkShape, n_concepts: int, seed: int) -> Parameters:
     return Parameters(shape, n_concepts, weights, biases, embed)
 
 
-def zero_like_params(params: Parameters) -> Parameters:
-    return Parameters(params.shape, params.n_concepts,
-                      [np.zeros_like(w) for w in params.weights],
-                      [np.zeros_like(b) for b in params.biases],
-                      np.zeros_like(params.concept_embed))
-
-
 @dataclass(frozen=True)
 class TrainMask:
     """Which parameter tensors receive optimizer updates."""
@@ -135,10 +123,6 @@ class TrainMask:
     @staticmethod
     def all_tensors(params: Parameters) -> "TrainMask":
         return TrainMask(frozenset(params.tensor_names()))
-
-    @staticmethod
-    def none() -> "TrainMask":
-        return TrainMask(frozenset())
 
     @staticmethod
     def only(names: Sequence[str]) -> "TrainMask":
@@ -156,12 +140,6 @@ class GradientBuffer:
     d_biases: list[np.ndarray]
     d_embed: np.ndarray
 
-    @staticmethod
-    def zeros(params: Parameters) -> "GradientBuffer":
-        return GradientBuffer([np.zeros_like(w) for w in params.weights],
-                              [np.zeros_like(b) for b in params.biases],
-                              np.zeros_like(params.concept_embed))
-
     def get_tensor(self, name: str) -> np.ndarray:
         if name == "embed":
             return self.d_embed
@@ -173,17 +151,6 @@ class GradientBuffer:
             self.d_weights[i] += scale * other.d_weights[i]
             self.d_biases[i] += scale * other.d_biases[i]
         self.d_embed += scale * other.d_embed
-
-    def scale(self, factor: float) -> None:
-        for i in range(len(self.d_weights)):
-            self.d_weights[i] *= factor
-            self.d_biases[i] *= factor
-        self.d_embed *= factor
-
-    def assert_finite(self) -> None:
-        arrays = [*self.d_weights, *self.d_biases, self.d_embed]
-        if any(not np.all(np.isfinite(a)) for a in arrays):
-            raise NumericalError("non-finite gradient")
 
 
 def time_features(t, dim: int) -> np.ndarray:

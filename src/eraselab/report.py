@@ -58,10 +58,10 @@ def _bounds(values):
     return lo, hi
 
 
-def svg_line_plot(series, title, xlabel, ylabel, path,
-                  width=640, height=400) -> None:
-    """One polyline per series with axis ticks and a legend; the byte output
-    depends only on the inputs."""
+def svg_line_plot(series, title, xlabel, ylabel, path) -> None:
+    """One 640x400 polyline per series with axis ticks and a legend; the
+    byte output depends only on the inputs."""
+    width, height = 640, 400
     left, right, top, bottom = 64, 20, 36, 48
     plot_w, plot_h = width - left - right, height - top - bottom
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
@@ -188,7 +188,6 @@ def emit_report(records, out_dir) -> list:
     """Comparison CSV plus the three line plots of the loaded runs; returns
     the written paths."""
     records = sorted(records, key=lambda r: (r.method, r.name))
-    os.makedirs(out_dir, exist_ok=True)
     written = []
 
     table = os.path.join(out_dir, "report.csv")

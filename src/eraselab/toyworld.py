@@ -2,9 +2,8 @@
 
 Two data worlds are supported: 2-D isotropic Gaussian mixtures (one
 component per concept) and 16x16 grayscale glyphs (one shape per concept).
-Both come with closed-form or brute-force oracles: the exact mixture score
-(optionally under forward-diffusion noising), the Bayes classifier, and a
-template-correlation classifier for glyphs.
+Each comes with an oracle classifier: the exact Bayes classifier for the
+mixture and a template-correlation classifier for glyphs.
 """
 
 from __future__ import annotations
@@ -67,11 +66,6 @@ class ConceptVocab:
         raise ConfigError(f"unknown concept name {name!r}; "
                           f"known: {[c.name for c in self.concepts]}")
 
-    def name_of(self, concept_id: int) -> str:
-        if concept_id == self.null_id:
-            return "<null>"
-        return self.concepts[concept_id].name
-
     def validate_id(self, concept_id: int, allow_null: bool = False) -> None:
         limit = self.size + (1 if allow_null else 0)
         if not 0 <= concept_id < limit:
@@ -125,14 +119,12 @@ class GlyphSpec:
     jitter_scale: float = 0.10
     intensity_low: float = 0.75
     intensity_high: float = 1.0
-    resolution: int = GLYPH_RESOLUTION
+    resolution = GLYPH_RESOLUTION    # fixed; not a field
 
     def __post_init__(self):
         for kind in self.shape_kinds:
             if kind not in KNOWN_SHAPES:
                 raise ConfigError(f"unknown shape kind {kind!r}; known: {KNOWN_SHAPES}")
-        if self.resolution != GLYPH_RESOLUTION:
-            raise ConfigError(f"glyph resolution is fixed at {GLYPH_RESOLUTION}")
         if not 0.0 <= self.intensity_low <= self.intensity_high <= 1.0:
             raise ConfigError("intensity range must satisfy 0 <= low <= high <= 1")
         if self.jitter_pos < 0 or self.jitter_scale < 0:
@@ -164,27 +156,20 @@ class Dataset:
     def dim(self) -> int:
         return self.samples.shape[1]
 
-    def of_concept(self, concept_id: int) -> np.ndarray:
-        return self.samples[self.labels == concept_id]
 
-
-def default_points_vocab(n_concepts: int = 8, radius: float = 1.0,
-                         sigma: float = 0.15) -> tuple[ConceptVocab, PointMixtureSpec]:
-    """Equal-weight concepts with means on a circle; well-separated so that
-    erasure-rate changes are attributable to fine-tuning, not oracle confusion."""
-    if n_concepts < 1:
-        raise ConfigError("need at least one concept")
+def default_points_vocab() -> tuple[ConceptVocab, PointMixtureSpec]:
+    """Eight equal-weight concepts, sigma 0.15, means on the unit circle: well
+    separated, so erasure-rate changes come from fine-tuning, not the oracle."""
+    n_concepts = 8
     vocab = ConceptVocab.from_names([f"c{i}" for i in range(n_concepts)])
     angles = 2.0 * np.pi * np.arange(n_concepts) / n_concepts
-    means = tuple((radius * float(np.cos(a)), radius * float(np.sin(a))) for a in angles)
+    means = tuple((float(np.cos(a)), float(np.sin(a))) for a in angles)
     weights = tuple([1.0 / n_concepts] * n_concepts)
-    return vocab, PointMixtureSpec(means=means, sigma=sigma, weights=weights)
+    return vocab, PointMixtureSpec(means=means, sigma=0.15, weights=weights)
 
 
-def default_glyph_vocab(shapes: Sequence[str] = KNOWN_SHAPES,
-                        **kwargs) -> tuple[ConceptVocab, GlyphSpec]:
-    vocab = ConceptVocab.from_names(list(shapes))
-    return vocab, GlyphSpec(shape_kinds=tuple(shapes), **kwargs)
+def default_glyph_vocab() -> tuple[ConceptVocab, GlyphSpec]:
+    return ConceptVocab.from_names(KNOWN_SHAPES), GlyphSpec(shape_kinds=KNOWN_SHAPES)
 
 
 # ---------------------------------------------------------------------------
@@ -274,42 +259,12 @@ def gen_glyphs(spec: GlyphSpec, n_per_concept: int, seed: int) -> Dataset:
 # Oracles
 # ---------------------------------------------------------------------------
 
-def _noised_params(spec: PointMixtureSpec, alpha_bar: float | None):
-    """Component means/variance of the mixture after forward diffusion.
-
-    Convolving each component with the diffusion Gaussian at level a=alpha_bar
-    gives means sqrt(a)*mu and isotropic variance a*sigma^2 + (1-a).
-    """
-    means = spec.mean_array()
-    if alpha_bar is None:
-        return means, spec.sigma ** 2
-    if not 0.0 < alpha_bar <= 1.0:
-        raise ConfigError(f"alpha_bar must lie in (0, 1], got {alpha_bar}")
-    return np.sqrt(alpha_bar) * means, alpha_bar * spec.sigma ** 2 + (1.0 - alpha_bar)
-
-
-def mixture_log_density_grad(spec: PointMixtureSpec, x: np.ndarray,
-                             alpha_bar: float | None = None) -> np.ndarray:
-    """Exact score of the (optionally noised) mixture at x.
-
-    grad log p(x) = sum_k r_k(x) * (mu_k - x) / var with posterior
-    responsibilities r_k computed in log space.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    means, var = _noised_params(spec, alpha_bar)
-    diff = x[None, :] - means                      # (K, 2)
-    log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
-    log_comp = log_w - (diff ** 2).sum(axis=1) / (2.0 * var)
-    resp = np.exp(log_comp - logsumexp(log_comp))
-    return -(resp[:, None] * diff).sum(axis=0) / var
-
-
 def bayes_classify(spec: PointMixtureSpec, x: np.ndarray) -> tuple:
     """Posterior over components at each row of x; argmax ids, ties broken
     by lowest id. x of shape (n, 2) gives (labels (n,), posteriors (n, K));
     a single point (2,) gives (label, posterior)."""
     X = np.asarray(x, dtype=np.float64)
-    means, var = _noised_params(spec, None)
+    means, var = spec.mean_array(), spec.sigma ** 2
     diff = np.atleast_2d(X)[:, None, :] - means        # (n, K, 2)
     log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
     log_comp = log_w - (diff ** 2).sum(axis=2) / (2.0 * var)
@@ -393,25 +348,6 @@ def template_oracle(spec: GlyphSpec) -> Callable[[np.ndarray], tuple]:
     return classify
 
 
-def bayes_rate_quadrature(spec: PointMixtureSpec, extent: float = 2.5,
-                          n_grid: int = 501) -> float:
-    """Bayes accuracy of the mixture by 2-D Riemann quadrature (independent
-    of bayes_classify's code path)."""
-    means, var = _noised_params(spec, None)
-    lo = means.min() - extent
-    hi = means.max() + extent
-    axis = np.linspace(lo, hi, n_grid)
-    h = axis[1] - axis[0]
-    xs, ys = np.meshgrid(axis, axis)
-    grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    weights = np.asarray(spec.weights)
-    dens = np.empty((spec.n_components, grid.shape[0]))
-    for k in range(spec.n_components):
-        d2 = ((grid - means[k]) ** 2).sum(axis=1)
-        dens[k] = weights[k] * np.exp(-d2 / (2 * var)) / (2 * np.pi * var)
-    return float(dens.max(axis=0).sum() * h * h)
-
-
 # ---------------------------------------------------------------------------
 # CSV persistence for datasets (header: label,x0..x{d-1})
 # ---------------------------------------------------------------------------
@@ -425,6 +361,23 @@ def dataset_to_csv(dataset: Dataset, path) -> None:
         writer.writerow(["label"] + [f"x{i}" for i in range(dataset.dim)])
         for label, row in zip(dataset.labels, dataset.samples):
             writer.writerow([int(label)] + [repr(float(v)) for v in row])
+
+
+def _first_bad_row(path):
+    """The first ragged row or non-numeric cell of a CSV that np.loadtxt
+    rejected, in the loader's wording; None if this scan finds neither."""
+    with open(path) as fh:
+        rows = [line.rstrip("\r\n").split(",") for line in fh if line.strip()][1:]
+    for n, cells in enumerate(rows, 1):
+        if len(cells) != len(rows[0]):
+            return (f"data row {n} has {len(cells)} columns, data row 1 has "
+                    f"{len(rows[0])}")
+        for col, cell in enumerate(cells, 1):
+            try:
+                float(cell)
+            except ValueError:
+                return f"data row {n}, column {col}: not a number: {cell!r}"
+    return None
 
 
 def dataset_from_csv(path, mode: str, n_concepts: int) -> Dataset:
@@ -444,7 +397,7 @@ def dataset_from_csv(path, mode: str, n_concepts: int) -> Dataset:
                 warnings.simplefilter("ignore", UserWarning)  # no rows: below
                 table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
         except ValueError as exc:
-            raise ConfigError(f"{path}: not a table of numbers: {exc}") from exc
+            raise ConfigError(f"{path}: {_first_bad_row(path) or exc}") from exc
     if table.shape[0] == 0:
         raise ConfigError(f"{path}: dataset has no rows")
     for what, got in (("header has", len(header)), ("rows have", table.shape[1])):

