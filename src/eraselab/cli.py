@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -46,9 +47,19 @@ def _load(args, *checkpoint_flags):
 def _out_dir(args, cfg, seeds):
     """The prologue's writes: create --out, which a command enters only
     once every input is read, and write manifest.json (command, config
-    snapshot, seeds, version) after the command's artifacts."""
+    snapshot, seeds, version) after the command's artifacts. If the body
+    raises, the directories this call created for --out are removed again;
+    what existed before is left as it was."""
+    created, path = None, os.path.abspath(args.out)
+    while not os.path.exists(path):
+        created, path = path, os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
-    yield args.out
+    try:
+        yield args.out
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     ps.write_json(os.path.join(args.out, "manifest.json"), {
         "command": args.command,
         "version": f"eraselab-{__version__}",

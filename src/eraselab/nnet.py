@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import NumericalError, StructuralError
 
@@ -173,12 +172,12 @@ class Tape:
     c_ids: np.ndarray
     inputs: list[np.ndarray]       # input to each linear layer, (n, fan_in)
     pre_acts: list[np.ndarray]     # pre-activation of each hidden layer
-    sigmoids: list[np.ndarray]     # expit(pre_act) of each hidden layer
+    sigmoids: list[np.ndarray]     # sigmoid(pre_act) of each hidden layer
     output: np.ndarray             # (n, input_dim)
 
 
 def _silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """s * (1 + x * (1 - s)) with s = expit(x), in one scratch array."""
+    """s * (1 + x * (1 - s)) with s = sigmoid(x), in one scratch array."""
     out = 1.0 - s
     np.multiply(x, out, out=out)
     np.add(out, 1.0, out=out)
@@ -202,17 +201,23 @@ def forward_batch(params: Parameters, Z: np.ndarray, t, c) -> tuple[np.ndarray, 
     inputs, pre_acts, sigmoids = [], [], []
     h = x
     n_layers = len(params.weights)
-    for i in range(n_layers):
-        inputs.append(h)
-        pre = h @ params.weights[i].T
-        np.add(pre, params.biases[i], out=pre)
-        if i < n_layers - 1:
-            s = expit(pre)
-            pre_acts.append(pre)
-            sigmoids.append(s)
-            h = pre * s
-        else:
-            h = pre
+    # The sigmoid 1 / (1 + exp(-pre)) is built in place in one fresh buffer.
+    # exp overflows to inf below pre = -709, which gives the exact limit 0.
+    with np.errstate(over="ignore"):
+        for i in range(n_layers):
+            inputs.append(h)
+            pre = h @ params.weights[i].T
+            np.add(pre, params.biases[i], out=pre)
+            if i < n_layers - 1:
+                s = np.negative(pre)
+                np.exp(s, out=s)
+                np.add(s, 1.0, out=s)
+                np.divide(1.0, s, out=s)
+                pre_acts.append(pre)
+                sigmoids.append(s)
+                h = pre * s
+            else:
+                h = pre
     tape = Tape(params=params, c_ids=c_ids, inputs=inputs,
                 pre_acts=pre_acts, sigmoids=sigmoids, output=h)
     return h, tape

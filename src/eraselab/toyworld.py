@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConfigError, StructuralError
 
@@ -268,7 +267,7 @@ def bayes_classify(spec: PointMixtureSpec, x: np.ndarray) -> tuple:
     diff = np.atleast_2d(X)[:, None, :] - means        # (n, K, 2)
     log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
     log_comp = log_w - (diff ** 2).sum(axis=2) / (2.0 * var)
-    posterior = np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))
+    posterior = np.exp(log_comp - log_comp.max(axis=1, keepdims=True))
     posterior /= posterior.sum(axis=1, keepdims=True)
     labels = np.argmax(posterior, axis=1)
     if X.ndim == 1:

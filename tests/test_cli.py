@@ -428,6 +428,49 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    # The first allocation of each case is larger than the 2^57-byte
+    # (128 PiB) virtual address space of 5-level paging, so it fails at
+    # once, whatever the overcommit setting, inside the command body after
+    # --out exists: train-base draws 1e17 int64 row ids (8e17 bytes), eval
+    # draws 1e17 two-dimensional starting points (1.6e18 bytes).
+    OVERSIZED_BODIES = {
+        "train-base": ("[base]\nbatch_size = 100000000000000000\n",
+                       ["--data", "DATA"]),
+        "eval": ("[metrics]\nn_samples = 100000000000000000\n",
+                 ["--base", "BASE", "--model", "ERASED"]),
+    }
+
+    def run_oversized(self, pipeline, tmp_path, command, out):
+        text, args = self.OVERSIZED_BODIES[command]
+        config = tmp_path / "huge.ini"
+        config.write_text(text)
+        paths = {"DATA": pipeline["data"] / "dataset.csv",
+                 "BASE": pipeline["base"] / "base.ssrg",
+                 "ERASED": pipeline["erased"] / "erased.ssrg"}
+        return cli.main([command, "--config", str(config),
+                         *(str(paths.get(a, a)) for a in args),
+                         "--out", str(out)])
+
+    @pytest.mark.parametrize("command,out", [("train-base", "o"),
+                                             ("eval", "o"),
+                                             ("train-base", "o/run")])
+    def test_failed_body_removes_the_out_it_created(self, pipeline, tmp_path,
+                                                    capsys, command, out):
+        code = self.run_oversized(pipeline, tmp_path, command, tmp_path / out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_body_keeps_an_out_that_existed(self, pipeline, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+        assert self.run_oversized(pipeline, tmp_path, "train-base", out) == 1
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert (out / "keep.txt").read_text() == "kept"
+
     def test_bad_sweep_values_is_config(self, pipeline, tmp_path):
         code = cli.main(["sweep-lambda", "--config", str(pipeline["config"]),
                          "--base", str(pipeline["base"] / "base.ssrg"),

@@ -1,5 +1,7 @@
 """Forward/backward exactness and optimizer behavior of the eps network."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -258,7 +260,7 @@ def ref_forward_batch(params, Z, t, c):
         pre = h @ params.weights[i].T + params.biases[i]
         if i < n_layers - 1:
             pre_acts.append(pre)
-            h = pre * expit(pre)
+            h = pre * (1.0 / (1.0 + np.exp(-pre)))
         else:
             h = pre
     return h, inputs, pre_acts
@@ -278,7 +280,7 @@ def ref_backward(tape, upstream):
         grads.d_biases[i] += delta.sum(axis=0)
         if i > 0:
             x = tape.pre_acts[i - 1]
-            s = expit(x)
+            s = 1.0 / (1.0 + np.exp(-x))
             delta = (delta @ params.weights[i]) * (s * (1.0 + x * (1.0 - s)))
         else:
             delta = delta @ params.weights[i]
@@ -432,3 +434,38 @@ class TestFastPathOracle:
             assert_same_bits(params.get_tensor(name), ref.get_tensor(name), name)
             assert_same_bits(fast_state.m[name], ref_state.m[name], name)
             assert_same_bits(fast_state.v[name], ref_state.v[name], name)
+
+
+def identity_layer_params():
+    """One hidden unit whose pre-activation is z, to the last bit: W0 keeps
+    only the z column, every other weight and bias is zero."""
+    shape = nnet.NetworkShape(input_dim=1, hidden=(1,), time_embed_dim=2,
+                              concept_embed_dim=1)
+    params = nnet.init_params(shape, 1, seed=0)
+    params.set_tensor("w0", np.array([[1.0, 0.0, 0.0, 0.0]]))
+    params.set_tensor("b0", np.zeros(1))
+    return params
+
+
+class TestNumpySigmoid:
+    """forward_batch builds the sigmoid from NumPy ufuncs; scipy's expit is
+    the reference."""
+
+    def test_within_1e_15_relative_of_expit(self):
+        params = identity_layer_params()
+        x = np.concatenate([np.random.default_rng(30).uniform(-700, 700, 200_000),
+                            [-700.0, -1e-300, -0.0, 0.0, 1e-300, 700.0]])
+        _, tape = nnet.forward_batch(params, x[:, None], 1, 0)
+        assert np.array_equal(tape.pre_acts[0][:, 0], x)
+        got, want = tape.sigmoids[0][:, 0], expit(x)
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+
+    def test_saturated_forward_warns_nothing(self):
+        params = identity_layer_params()
+        x = np.array([-800.0, -720.0, 720.0, 800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, tape = nnet.forward_batch(params, x[:, None], 1, 0)
+        assert np.array_equal(tape.sigmoids[0][:, 0], [0.0, 0.0, 1.0, 1.0])
+        assert np.array_equal(tape.sigmoids[0][:, 0], expit(x))
+        assert np.all(np.isfinite(out))

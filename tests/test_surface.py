@@ -1,12 +1,21 @@
-"""Guard against unused public surface in the package.
+"""Guards on the package's surface.
 
 Every public top-level function and class, and every public method, in
-src/eraselab must be referenced by name (as an ast.Name or ast.Attribute)
-somewhere in src/eraselab outside its own definition. Helpers that only
-tests need live under tests/ instead.
+src/eraselab must be reachable: referenced somewhere in src/eraselab from
+code that is itself live. Module-level code and private definitions are
+live; a public definition becomes live once such code references it, a
+top-level one by ast.Name or ast.Attribute, a method only by
+ast.Attribute (a local variable of the same name does not count). This is
+iterated to a fixed point, so definitions that only reference each other
+stay unreferenced. Helpers that only tests need live under tests/ instead.
+
+The package's only runtime dependency is NumPy: importing the command
+line must not load SciPy.
 """
 
 import ast
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -15,41 +24,56 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eraselab"
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _references(tree) -> Counter:
-    names = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            names[node.attr] += 1
-    return names
-
-
 def _public_definitions(tree):
-    """(qualified name, node) of each public top-level function or class
-    and each public method."""
+    """(qualified name, node, is_method) of each public top-level function
+    or class and each public method."""
     for node in tree.body:
         if not isinstance(node, _DEFS) or node.name.startswith("_"):
             continue
-        yield node.name, node
+        yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, _DEFS) and not member.name.startswith("_"):
-                    yield f"{node.name}.{member.name}", member
+                    yield f"{node.name}.{member.name}", member, True
+
+
+def _live_references(tree, skipped):
+    """Counters of ast.Name ids and ast.Attribute attrs in tree, outside
+    the subtrees rooted at the nodes in skipped."""
+    names, attrs = Counter(), Counter()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            attrs[node.attr] += 1
+        stack.extend(ast.iter_child_nodes(node))
+    return names, attrs
 
 
 def _unused(package=PACKAGE):
     trees = {path.name: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(package.glob("*.py"))}
-    everywhere = Counter()
-    for tree in trees.values():
-        everywhere.update(_references(tree))
-    unused = []
-    for filename, tree in trees.items():
-        for qualname, node in _public_definitions(tree):
-            if everywhere[node.name] <= _references(node)[node.name]:
-                unused.append(f"{filename}: {qualname}")
-    return unused
+    definitions = [(filename, *definition) for filename, tree in trees.items()
+                   for definition in _public_definitions(tree)]
+    unproven = {id(node) for _, _, node, _ in definitions}
+    while True:
+        names, attrs = Counter(), Counter()
+        for tree in trees.values():
+            tree_names, tree_attrs = _live_references(tree, unproven)
+            names.update(tree_names)
+            attrs.update(tree_attrs)
+        proven = {id(node) for _, _, node, is_method in definitions
+                  if id(node) in unproven
+                  and (attrs[node.name] or (not is_method and names[node.name]))}
+        if not proven:
+            break
+        unproven -= proven
+    return [f"{filename}: {qualname}" for filename, qualname, node, _
+            in definitions if id(node) in unproven]
 
 
 def test_package_sources_found():
@@ -66,3 +90,37 @@ def test_guard_flags_an_unreferenced_function(tmp_path):
     with open(tmp_path / "nnet.py", "a") as fh:
         fh.write("\n\ndef orphan(x):\n    return orphan(x - 1) if x else 0\n")
     assert _unused(tmp_path) == ["nnet.py: orphan"]
+
+
+def test_guard_flags_a_method_named_like_a_local(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Table:\n"
+        "    def rows(self):\n"
+        "        return []\n"
+        "\n\n"
+        "def count():\n"
+        "    rows = [Table()]\n"
+        "    return len(rows)\n"
+        "\n\n"
+        "count()\n")
+    assert _unused(tmp_path) == ["mod.py: Table.rows"]
+
+
+def test_guard_flags_dead_functions_that_call_each_other(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "nnet.py", "a") as fh:
+        fh.write("\n\ndef ping(n):\n    return pong(n - 1) if n else 0\n"
+                 "\n\ndef pong(n):\n    return ping(n - 1) if n else 1\n")
+    assert _unused(tmp_path) == ["nnet.py: ping", "nnet.py: pong"]
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, eraselab.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    # A fresh interpreter started in src/, whose "-c" path entry is src/.
+    result = subprocess.run([sys.executable, "-c", code],
+                            cwd=PACKAGE.parent, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -331,3 +331,21 @@ class TestBatchedOraclesMatchPerRow:
             assert abs(o_conf - want_post[want_label]) <= 1e-9
         label, conf = tw.bayes_oracle(spec)(X[0])
         assert isinstance(label, int) and isinstance(conf, float)
+
+    def test_bayes_softmax_matches_logsumexp(self):
+        """The max-shifted softmax against scipy's logsumexp, as the batched
+        classifier computed it before, on points near and far from the
+        means."""
+        _, spec = tw.default_points_vocab()
+        rng = np.random.default_rng(9)
+        X = np.vstack([tw.gen_points2d(spec, 500, seed=10).samples,
+                       rng.uniform(-3, 3, (4000, 2)),
+                       rng.uniform(-40, 40, (1000, 2))])
+        diff = X[:, None, :] - spec.mean_array()
+        log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
+        log_comp = log_w - (diff ** 2).sum(axis=2) / (2.0 * spec.sigma ** 2)
+        want = np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        labels, posteriors = tw.bayes_classify(spec, X)
+        assert np.abs(posteriors - want).max() <= 1e-15
+        assert np.array_equal(labels, np.argmax(want, axis=1))
