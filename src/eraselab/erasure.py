@@ -255,7 +255,9 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
         raise ConfigError(f"warmup counts down from {cfg.warmup.sampler_T} "
                           f"but the sampler has {cfg.sampler_T} steps")
 
-    student = base.copy()
+    # An AdamW step builds new parameters and never writes into old ones,
+    # so the student may start as base itself and snapshots need no copy.
+    student = base
     mask = cfg.mask_for(student)
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
                                       weight_decay=cfg.weight_decay)
@@ -285,5 +287,5 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
             raise NumericalError(f"iteration {it}: {exc}") from exc
         log.iterations.append((it, int(teacher.t_index[k]), breakdown))
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
-            log.snapshots.append((it, student.copy()))
+            log.snapshots.append((it, student))
     return student, log

@@ -7,16 +7,25 @@ and unconditional passes share every weight. All arithmetic is f64; the
 backward pass is a hand-rolled tape replay that is exact up to rounding,
 which keeps finite-difference oracles tight.
 
-Optimizer contract: parameter arrays are never mutated. `adamw_step`
-returns a new Parameters whose updated tensors are freshly allocated, so
-tapes recorded against older parameters stay valid. The Adam moments and
-the optimizer's scratch buffers, which belong to `OptimizerState`, are
-updated in place.
+Storage contract: every tensor of a model lives in one contiguous f64
+vector, `flat`, laid out in `tensor_names()` order (w0, b0, w1, b1, ...,
+embed; see `tensor_layout`). That vector is the checkpoint payload.
+`Parameters.weights`, `biases` and `concept_embed` are reshaped views of
+it, and gradients and Adam moments use the same layout.
+
+Optimizer contract: nothing mutates a `flat` after construction.
+`adamw_step` returns a new Parameters over a freshly allocated vector, so
+tapes recorded against older parameters stay valid. `set_tensor` writes
+into `flat` and therefore only serves freshly copied parameters that no
+tape has seen. The Adam moments and the optimizer's scratch buffers,
+which belong to `OptimizerState`, are updated in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import bisect
+import functools
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,28 +57,74 @@ class NetworkShape:
         return list(zip(widths[:-1], widths[1:]))
 
 
+@dataclass(frozen=True)
+class TensorLayout:
+    """Where each tensor of a model lies in its flat vector: names in
+    tensor_names() order, shapes, and element offsets (one more than there
+    are tensors, the last being the vector's length)."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return self.offsets[-1]
+
+    def name_at(self, index: int) -> str:
+        """The tensor that holds element `index` of the flat vector."""
+        return self.names[bisect.bisect_right(self.offsets, index) - 1]
+
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """One reshaped view of flat per tensor, in layout order."""
+        if flat.shape != (self.size,) or flat.dtype != np.float64 \
+                or not flat.flags.c_contiguous:
+            raise StructuralError(f"flat vector must be contiguous f64 of "
+                                  f"length {self.size}, got {flat.dtype} "
+                                  f"{flat.shape}")
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape
+                in zip(self.offsets, self.offsets[1:], self.shapes)]
+
+
+@functools.lru_cache(maxsize=64)
+def tensor_layout(shape: NetworkShape, n_concepts: int) -> TensorLayout:
+    """The flat layout of a model of this shape and concept count."""
+    names, shapes = [], []
+    for i, (fan_in, fan_out) in enumerate(shape.layer_dims()):
+        names += [f"w{i}", f"b{i}"]
+        shapes += [(fan_out, fan_in), (fan_out,)]
+    names.append("embed")
+    shapes.append((n_concepts + 1, shape.concept_embed_dim))
+    offsets = [0]
+    for s in shapes:
+        offsets.append(offsets[-1] + int(np.prod(s)))
+    return TensorLayout(tuple(names), tuple(shapes), tuple(offsets))
+
+
 @dataclass
 class Parameters:
-    """Weights/biases per linear layer plus the concept embedding table.
+    """Weights/biases per linear layer plus the concept embedding table,
+    as views of one contiguous vector `flat` (see the module docstring).
 
-    Row K of the table is the unconditional token. Arrays are never
-    mutated: an optimizer step allocates new arrays for the tensors it
-    updates and shares the others, so tapes recorded against an older
-    Parameters stay valid.
+    Row K of the table is the unconditional token. Nothing mutates `flat`
+    after construction: an optimizer step builds a new vector, so tapes
+    recorded against an older Parameters stay valid.
     """
 
     shape: NetworkShape
     n_concepts: int
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    concept_embed: np.ndarray
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+    concept_embed: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        views = tensor_layout(self.shape, self.n_concepts).views(self.flat)
+        self.weights, self.biases, self.concept_embed = \
+            views[0:-1:2], views[1:-1:2], views[-1]
 
     def tensor_names(self) -> list[str]:
-        names = []
-        for i in range(len(self.weights)):
-            names.extend([f"w{i}", f"b{i}"])
-        names.append("embed")
-        return names
+        return list(tensor_layout(self.shape, self.n_concepts).names)
 
     def get_tensor(self, name: str) -> np.ndarray:
         if name == "embed":
@@ -78,23 +133,15 @@ class Parameters:
         return self.weights[idx] if kind == "w" else self.biases[idx]
 
     def set_tensor(self, name: str, value: np.ndarray) -> None:
+        """Write value into the tensor's view of `flat`; only for freshly
+        copied parameters (see the module docstring)."""
         if value.shape != self.get_tensor(name).shape:
             raise StructuralError(f"tensor {name}: shape {value.shape} != "
                                   f"{self.get_tensor(name).shape}")
-        if name == "embed":
-            self.concept_embed = value
-        else:
-            kind, idx = name[0], int(name[1:])
-            if kind == "w":
-                self.weights[idx] = value
-            else:
-                self.biases[idx] = value
+        self.get_tensor(name)[...] = value
 
     def copy(self) -> "Parameters":
-        return Parameters(self.shape, self.n_concepts,
-                          [w.copy() for w in self.weights],
-                          [b.copy() for b in self.biases],
-                          self.concept_embed.copy())
+        return Parameters(self.shape, self.n_concepts, self.flat.copy())
 
     @property
     def null_id(self) -> int:
@@ -104,13 +151,14 @@ class Parameters:
 def init_params(shape: NetworkShape, n_concepts: int, seed: int) -> Parameters:
     """Uniform(+-1/sqrt(fan_in)) linear layers, N(0, 0.02^2) embeddings."""
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in shape.layer_dims():
-        bound = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
-        biases.append(rng.uniform(-bound, bound, size=fan_out))
-    embed = 0.02 * rng.standard_normal((n_concepts + 1, shape.concept_embed_dim))
-    return Parameters(shape, n_concepts, weights, biases, embed)
+    params = Parameters(shape, n_concepts,
+                        np.empty(tensor_layout(shape, n_concepts).size))
+    for w, b in zip(params.weights, params.biases):
+        bound = 1.0 / np.sqrt(w.shape[1])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+        b[...] = rng.uniform(-bound, bound, size=b.shape)
+    params.concept_embed[...] = 0.02 * rng.standard_normal(params.concept_embed.shape)
+    return params
 
 
 @dataclass(frozen=True)
@@ -131,13 +179,40 @@ class TrainMask:
         return name in self.trainable
 
 
+@functools.lru_cache(maxsize=64)
+def _mask_spans(shape: NetworkShape, n_concepts: int,
+                mask: TrainMask) -> tuple[tuple[int, int], ...]:
+    """(start, stop) of each maximal run of masked-in tensors in the flat
+    layout; the full mask is one run."""
+    layout = tensor_layout(shape, n_concepts)
+    spans = []
+    for name, lo, hi in zip(layout.names, layout.offsets, layout.offsets[1:]):
+        if not mask.covers(name):
+            continue
+        if spans and spans[-1][1] == lo:
+            spans[-1] = (spans[-1][0], hi)
+        else:
+            spans.append((lo, hi))
+    return tuple(spans)
+
+
 @dataclass
 class GradientBuffer:
-    """Accumulated d(loss)/d(theta), shape-congruent with Parameters."""
+    """Per-tensor values laid out like Parameters.flat: d(loss)/d(theta),
+    and the Adam moments. d_weights, d_biases and d_embed are views of
+    `flat`; `buf[name]` is `buf.get_tensor(name)`."""
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
-    d_embed: np.ndarray
+    shape: NetworkShape
+    n_concepts: int
+    flat: np.ndarray
+    d_weights: list[np.ndarray] = field(init=False, repr=False)
+    d_biases: list[np.ndarray] = field(init=False, repr=False)
+    d_embed: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        views = tensor_layout(self.shape, self.n_concepts).views(self.flat)
+        self.d_weights, self.d_biases, self.d_embed = \
+            views[0:-1:2], views[1:-1:2], views[-1]
 
     def get_tensor(self, name: str) -> np.ndarray:
         if name == "embed":
@@ -145,11 +220,10 @@ class GradientBuffer:
         kind, idx = name[0], int(name[1:])
         return self.d_weights[idx] if kind == "w" else self.d_biases[idx]
 
+    __getitem__ = get_tensor
+
     def add(self, other: "GradientBuffer", scale: float = 1.0) -> None:
-        for i in range(len(self.d_weights)):
-            self.d_weights[i] += scale * other.d_weights[i]
-            self.d_biases[i] += scale * other.d_biases[i]
-        self.d_embed += scale * other.d_embed
+        self.flat += scale * other.flat
 
 
 def time_features(t, dim: int) -> np.ndarray:
@@ -162,6 +236,27 @@ def time_features(t, dim: int) -> np.ndarray:
     freqs = np.exp(-np.log(10000.0) * np.arange(half) / max(half - 1, 1))
     angles = np.multiply.outer(np.asarray(t, dtype=np.float64), freqs)
     return np.concatenate([np.sin(angles), np.cos(angles)], axis=-1)
+
+
+# time_features(arange(len), dim) per time_embed_dim. time_features is
+# elementwise, so a row of the table has the bits of a direct call. A table
+# is rebuilt at twice (largest t + 1) when a larger t arrives, so it never
+# holds more than 2 * (T_train + 1) rows.
+_TIME_TABLES: dict[int, np.ndarray] = {}
+
+
+def _time_rows(t, dim: int) -> np.ndarray:
+    """time_features(t, dim) for integer timesteps, from the table."""
+    t = np.asarray(t)
+    if t.dtype.kind not in "iu":
+        raise StructuralError(f"timesteps must be integers, got {t.dtype}")
+    lo, hi = (int(t), int(t)) if t.ndim == 0 else (int(t.min()), int(t.max()))
+    if lo < 0:
+        raise StructuralError(f"timestep {lo} is negative")
+    table = _TIME_TABLES.get(dim)
+    if table is None or hi >= len(table):
+        table = _TIME_TABLES[dim] = time_features(np.arange(2 * (hi + 1)), dim)
+    return table[t]
 
 
 @dataclass
@@ -194,8 +289,8 @@ def forward_batch(params: Parameters, Z: np.ndarray, t, c) -> tuple[np.ndarray, 
     c_ids = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,)).copy()
     if c_ids.min() < 0 or c_ids.max() > params.n_concepts:
         raise StructuralError(f"concept id out of range 0..{params.n_concepts}")
-    t_arr = np.broadcast_to(np.asarray(t, dtype=np.float64), (n,))
-    tf = time_features(t_arr, params.shape.time_embed_dim)
+    tf = np.broadcast_to(_time_rows(t, params.shape.time_embed_dim),
+                         (n, params.shape.time_embed_dim))
     x = np.concatenate([Z, tf, params.concept_embed[c_ids]], axis=1)
 
     inputs, pre_acts, sigmoids = [], [], []
@@ -244,11 +339,12 @@ def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
                               f"output {tape.output.shape}")
 
     n_layers = len(params.weights)
-    d_weights, d_biases = [None] * n_layers, [None] * n_layers
+    grads = GradientBuffer(params.shape, params.n_concepts,
+                           np.empty_like(params.flat))
     delta = up
     for i in reversed(range(n_layers)):
-        d_weights[i] = delta.T @ tape.inputs[i]
-        d_biases[i] = delta.sum(axis=0)
+        np.matmul(delta.T, tape.inputs[i], out=grads.d_weights[i])
+        np.sum(delta, axis=0, out=grads.d_biases[i])
         if i > 0:
             delta = delta @ params.weights[i]
             np.multiply(delta, _silu_grad(tape.pre_acts[i - 1],
@@ -257,9 +353,9 @@ def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
     # Of layer 0's input gradient only the concept-embedding columns have a
     # parameter behind them, so only those columns of W0 enter the product.
     embed_slice = slice(params.shape.input_dim + params.shape.time_embed_dim, None)
-    d_embed = np.zeros_like(params.concept_embed)
-    np.add.at(d_embed, tape.c_ids, delta @ params.weights[0][:, embed_slice])
-    return GradientBuffer(d_weights, d_biases, d_embed)
+    grads.d_embed.fill(0.0)
+    np.add.at(grads.d_embed, tape.c_ids, delta @ params.weights[0][:, embed_slice])
+    return grads
 
 
 # Elements per slice of the AdamW update. The update is elementwise, so
@@ -270,11 +366,11 @@ _ADAMW_CHUNK = 16384
 
 @dataclass
 class OptimizerState:
-    """Decoupled-weight-decay Adam moments per parameter tensor.
+    """Decoupled-weight-decay Adam moments, laid out like Parameters.flat.
 
-    `adamw_step` updates the C-contiguous moments `m` and `v` in place and
-    works in `scratch`, two flat buffers of one update slice each that
-    `fresh` allocates once. Only the state mutates; parameters never do.
+    `adamw_step` updates the moments `m` and `v` in place and works in
+    `scratch`, two flat buffers of one update slice each that `fresh`
+    allocates once. Only the state mutates; parameters never do.
     """
 
     lr: float = 1e-5
@@ -282,61 +378,60 @@ class OptimizerState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: GradientBuffer | None = None
+    v: GradientBuffer | None = None
     scratch: tuple = ()
 
     @staticmethod
     def fresh(params: Parameters, lr: float = 1e-5, weight_decay: float = 0.0,
               betas: tuple[float, float] = (0.9, 0.999),
               eps: float = 1e-8) -> "OptimizerState":
-        state = OptimizerState(lr=lr, betas=betas, eps=eps, weight_decay=weight_decay)
-        for name in params.tensor_names():
-            shape = params.get_tensor(name).shape
-            state.m[name] = np.zeros(shape)
-            state.v[name] = np.zeros(shape)
-        chunk = min(_ADAMW_CHUNK, max(m.size for m in state.m.values()))
-        state.scratch = (np.empty(chunk), np.empty(chunk))
-        return state
+        zeros = [GradientBuffer(params.shape, params.n_concepts,
+                                np.zeros_like(params.flat)) for _ in range(2)]
+        chunk = min(_ADAMW_CHUNK, params.flat.size)
+        return OptimizerState(lr=lr, betas=betas, eps=eps,
+                              weight_decay=weight_decay, m=zeros[0], v=zeros[1],
+                              scratch=(np.empty(chunk), np.empty(chunk)))
 
 
 def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
                state: OptimizerState) -> Parameters:
     """One AdamW update on the masked-in tensors; returns new Parameters.
 
-    Masked-out tensors keep their exact array objects; updated tensors are
-    new arrays. The moments change in place, in the operation order of
+    The result's vector is new: updated tensors are computed into it and
+    masked-out tensors copied bit for bit. An empty mask returns params
+    itself. The moments change in place, in the operation order of
 
         m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g
         p - lr * ((m/bc1) / (sqrt(v/bc2) + eps) + wd*p)
 
-    At wd == 0 the wd*p term is not formed; adding a zero leaves every
-    finite result as it was. Raises on non-finite gradients before
-    touching params or state.
+    which runs slice by slice over each contiguous run of masked-in
+    tensors. At wd == 0 the wd*p term is not formed; adding a zero leaves
+    every finite result as it was. Raises on non-finite gradients, naming
+    the first such tensor, before touching params or state.
     """
-    for name in params.tensor_names():
-        g = grads.get_tensor(name)
-        if mask.covers(name) and not np.all(np.isfinite(g)):
+    spans = _mask_spans(params.shape, params.n_concepts, mask)
+    for lo, hi in spans:
+        finite = np.isfinite(grads.flat[lo:hi])
+        if not finite.all():
+            name = tensor_layout(params.shape, params.n_concepts).name_at(
+                lo + int(np.argmin(finite)))
             raise NumericalError(f"non-finite gradient for tensor {name}")
 
     state.step_count += 1
+    if not spans:
+        return params
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step_count
     bc2 = 1.0 - b2 ** state.step_count
 
-    out = Parameters(params.shape, params.n_concepts, list(params.weights),
-                     list(params.biases), params.concept_embed)
-    for name in params.tensor_names():
-        if not mask.covers(name):
-            continue
-        param = params.get_tensor(name)
-        new = np.empty(param.shape)
-        flat_p, flat_new = param.reshape(-1), new.reshape(-1)
-        flat_g = grads.get_tensor(name).reshape(-1)
-        flat_m, flat_v = state.m[name].reshape(-1), state.v[name].reshape(-1)
-        for lo in range(0, param.size, _ADAMW_CHUNK):
-            hi = min(lo + _ADAMW_CHUNK, param.size)
-            p, g, m, v = flat_p[lo:hi], flat_g[lo:hi], flat_m[lo:hi], flat_v[lo:hi]
+    full = spans == ((0, params.flat.size),)
+    new = np.empty_like(params.flat) if full else params.flat.copy()
+    for span_lo, span_hi in spans:
+        for lo in range(span_lo, span_hi, _ADAMW_CHUNK):
+            hi = min(lo + _ADAMW_CHUNK, span_hi)
+            p, g = params.flat[lo:hi], grads.flat[lo:hi]
+            m, v = state.m.flat[lo:hi], state.v.flat[lo:hi]
             a, b = state.scratch[0][:hi - lo], state.scratch[1][:hi - lo]
             np.multiply(m, b1, out=m)
             np.multiply(g, 1.0 - b1, out=a)
@@ -354,6 +449,5 @@ def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
                 np.multiply(p, state.weight_decay, out=b)
                 np.add(a, b, out=a)
             np.multiply(a, state.lr, out=a)
-            np.subtract(p, a, out=flat_new[lo:hi])
-        out.set_tensor(name, new)
-    return out
+            np.subtract(p, a, out=new[lo:hi])
+    return Parameters(params.shape, params.n_concepts, new)

@@ -77,16 +77,10 @@ def write_json(path, payload) -> None:
 def write_checkpoint(params: nnet.Parameters, meta: dict, path) -> None:
     """Serialize parameters plus caller metadata atomically: the file is
     written and fsynced under a temp name, then moved over path."""
-    manifest = []
-    offset = 0
-    blobs = []
-    for name in params.tensor_names():
-        arr = np.ascontiguousarray(params.get_tensor(name), dtype="<f8")
-        manifest.append({"name": name, "shape": list(arr.shape),
-                         "offset": offset})
-        blob = arr.tobytes()
-        blobs.append(blob)
-        offset += len(blob)
+    layout = nnet.tensor_layout(params.shape, params.n_concepts)
+    manifest = [{"name": name, "shape": list(shape), "offset": 8 * offset}
+                for name, shape, offset
+                in zip(layout.names, layout.shapes, layout.offsets)]
     header = {
         "created_utc": _utc_stamp(),
         "meta": meta,
@@ -103,8 +97,7 @@ def write_checkpoint(params: nnet.Parameters, meta: dict, path) -> None:
     with _atomic_open(path, "wb") as fh:
         fh.write(struct.pack(_FIXED, MAGIC, VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(np.ascontiguousarray(params.flat, dtype="<f8").data)
 
 
 def _read_header(fh, path) -> dict:
@@ -144,9 +137,9 @@ def _count(value, least: int = 1) -> int:
 
 
 def _checked_header(fh, path):
-    """The header, the NetworkShape and concept count it declares, and the
-    (name, shape) of each tensor that model has. The manifest must list
-    exactly those tensors at consecutive offsets."""
+    """The header, the NetworkShape and concept count it declares, and that
+    model's nnet.TensorLayout. The manifest must list exactly the layout's
+    tensors at consecutive offsets."""
     header = _read_header(fh, path)
     try:
         model = header["model"]
@@ -161,21 +154,18 @@ def _checked_header(fh, path):
                     for entry in header["tensors"]]
     except (KeyError, TypeError, ValueError, StructuralError) as exc:
         raise FormatError(f"{path}: malformed header: {exc!r}") from exc
-    expected = []
-    for i, (fan_in, fan_out) in enumerate(shape.layer_dims()):
-        expected += [(f"w{i}", (fan_out, fan_in)), (f"b{i}", (fan_out,))]
-    expected.append(("embed", (n_concepts + 1, shape.concept_embed_dim)))
-    listed, names = [name for name, _, _ in manifest], [name for name, _ in expected]
-    if listed != names:
+    layout = nnet.tensor_layout(shape, n_concepts)
+    listed = [name for name, _, _ in manifest]
+    if listed != list(layout.names):
         raise FormatError(f"{path}: manifest lists tensors {listed}, the "
-                          f"declared model needs {names}")
-    offset = 0
-    for (name, shape_listed, at), (_, want) in zip(manifest, expected):
-        if (at, shape_listed) != (offset, want):
+                          f"declared model needs {list(layout.names)}")
+    for (name, shape_listed, at), want, offset in zip(manifest, layout.shapes,
+                                                      layout.offsets):
+        if (at, shape_listed) != (8 * offset, want):
             raise FormatError(f"{path}: tensor {name} at offset {at} with shape "
-                              f"{list(shape_listed)}, expected {offset} and {list(want)}")
-        offset += 8 * math.prod(want)
-    return header, shape, n_concepts, expected
+                              f"{list(shape_listed)}, expected {8 * offset} "
+                              f"and {list(want)}")
+    return header, shape, n_concepts, layout
 
 
 def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
@@ -183,30 +173,28 @@ def read_checkpoint(path) -> tuple[nnet.Parameters, dict]:
 
     The tensor shapes follow from the declared model; the manifest must
     list exactly those tensors at consecutive offsets, and the payload must
-    hold exactly their bytes, before anything is allocated.
+    hold exactly their bytes, before anything is allocated. The payload is
+    then read straight into the model's flat vector.
     """
     with open(path, "rb") as fh:
-        header, shape, n_concepts, expected = _checked_header(fh, path)
-        payload = fh.read()
-    offset = 0
-    for name, want in expected:
-        nbytes = 8 * math.prod(want)
-        if len(payload) < offset + nbytes:
-            raise CorruptionError(f"{path}: payload truncated in tensor {name} "
-                                  f"({max(len(payload) - offset, 0)} of {nbytes} bytes)")
-        offset += nbytes
-    if len(payload) > offset:
-        raise FormatError(f"{path}: {len(payload) - offset} payload bytes "
-                          f"after the last tensor")
-    values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    arrays, start = [], 0
-    for name, want in expected:
-        arrays.append(values[start:start + math.prod(want)].reshape(want))
-        if not np.isfinite(arrays[-1]).all():
-            raise FormatError(f"{path}: tensor {name} holds non-finite values")
-        start += arrays[-1].size
-    return nnet.Parameters(shape, n_concepts, arrays[0:-1:2], arrays[1:-1:2],
-                           arrays[-1]), header["meta"]
+        header, shape, n_concepts, layout = _checked_header(fh, path)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        for name, lo, hi in zip(layout.names, layout.offsets, layout.offsets[1:]):
+            if size < 8 * hi:
+                raise CorruptionError(f"{path}: payload truncated in tensor {name} "
+                                      f"({max(size - 8 * lo, 0)} of {8 * (hi - lo)} bytes)")
+        if size > 8 * layout.size:
+            raise FormatError(f"{path}: {size - 8 * layout.size} payload bytes "
+                              f"after the last tensor")
+        flat = np.empty(layout.size, dtype="<f8")
+        if fh.readinto(memoryview(flat).cast("B")) != flat.nbytes:
+            raise CorruptionError(f"{path}: payload shrank while it was read")
+    finite = np.isfinite(flat)
+    if not finite.all():
+        raise FormatError(f"{path}: tensor {layout.name_at(int(np.argmin(finite)))} "
+                          f"holds non-finite values")
+    return nnet.Parameters(shape, n_concepts, flat.astype(np.float64, copy=False)), \
+        header["meta"]
 
 
 # ---------------------------------------------------------------------------

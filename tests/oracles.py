@@ -102,16 +102,13 @@ def validation_eps_loss(params: nnet.Parameters, dataset: Dataset,
 
 def zero_like_params(params: nnet.Parameters) -> nnet.Parameters:
     return nnet.Parameters(params.shape, params.n_concepts,
-                           [np.zeros_like(w) for w in params.weights],
-                           [np.zeros_like(b) for b in params.biases],
-                           np.zeros_like(params.concept_embed))
+                           np.zeros_like(params.flat))
 
 
 def zero_grads(params: nnet.Parameters) -> nnet.GradientBuffer:
     """A GradientBuffer of zeros shaped like params."""
-    return nnet.GradientBuffer([np.zeros_like(w) for w in params.weights],
-                               [np.zeros_like(b) for b in params.biases],
-                               np.zeros_like(params.concept_embed))
+    return nnet.GradientBuffer(params.shape, params.n_concepts,
+                               np.zeros_like(params.flat))
 
 
 def assert_finite_grads(grads: nnet.GradientBuffer) -> None:

@@ -87,6 +87,59 @@ class TestForward:
             nnet.forward(params, np.zeros(3), t=1, c=0)
         with pytest.raises(StructuralError):
             nnet.forward(params, np.zeros(2), t=1, c=7)
+        with pytest.raises(StructuralError):
+            nnet.Parameters(params.shape, 3, params.flat[:-1])
+
+
+class TestTimeFeatureTable:
+    """forward_batch looks the time features up in a table that
+    time_features built; every row must keep the bits of a direct call."""
+
+    T_TRAIN = 1000
+
+    @staticmethod
+    def time_columns(tape, dim):
+        lo = tape.params.shape.input_dim
+        return tape.inputs[0][:, lo:lo + dim]
+
+    @pytest.mark.parametrize("dim", [4, 32])
+    def test_rows_equal_time_features_bitwise(self, dim, monkeypatch):
+        monkeypatch.setattr(nnet, "_TIME_TABLES", {})
+        params = nnet.init_params(tiny_shape(time_dim=dim), 2, seed=40)
+        ts = np.arange(self.T_TRAIN + 1)
+        for t in ts:
+            want = nnet.time_features(int(t), dim)
+            scalar = self.time_columns(
+                nnet.forward_batch(params, np.zeros((1, 2)), int(t), 0)[1], dim)
+            batch1 = self.time_columns(
+                nnet.forward_batch(params, np.zeros((1, 2)), ts[t:t + 1], 0)[1], dim)
+            assert scalar[0].tobytes() == want.tobytes(), t
+            assert batch1[0].tobytes() == want.tobytes(), t
+        batched = self.time_columns(
+            nnet.forward_batch(params, np.zeros((len(ts), 2)), ts[::-1], 1)[1], dim)
+        assert batched.tobytes() == nnet.time_features(ts[::-1], dim).tobytes()
+        assert len(nnet._TIME_TABLES[dim]) <= 2 * (self.T_TRAIN + 1)
+
+    def test_t_beyond_the_first_table(self, monkeypatch):
+        monkeypatch.setattr(nnet, "_TIME_TABLES", {})
+        dim = 32
+        params = nnet.init_params(tiny_shape(time_dim=dim), 2, seed=41)
+        nnet.forward_batch(params, np.zeros((1, 2)), 3, 0)
+        assert len(nnet._TIME_TABLES[dim]) == 8
+        ts = np.array([2, 500, 7, 999])
+        _, tape = nnet.forward_batch(params, np.zeros((4, 2)), ts, 0)
+        assert self.time_columns(tape, dim).tobytes() == \
+            nnet.time_features(ts, dim).tobytes()
+        assert len(nnet._TIME_TABLES[dim]) == 2 * (999 + 1)
+
+    @pytest.mark.parametrize("t", [1.5, 3.0, np.array([1.0, 2.0]), -1,
+                                   np.array([3, -2])],
+                             ids=["float", "integral-float", "float-vector",
+                                  "negative", "negative-in-vector"])
+    def test_non_integer_or_negative_t_rejected(self, t):
+        params = nnet.init_params(tiny_shape(), 2, seed=42)
+        with pytest.raises(StructuralError):
+            nnet.forward_batch(params, np.zeros((2, 2)), t, 0)
 
 
 class TestBackward:
@@ -222,6 +275,56 @@ class TestAdamW:
             np.testing.assert_array_equal(params.get_tensor(name),
                                           before.get_tensor(name))
 
+    @pytest.mark.parametrize("trainable", [(), ("w0", "embed"), ("b1",), None],
+                             ids=["empty", "w0-embed", "b1", "full"])
+    def test_masks_match_reference(self, trainable):
+        """Each mask updates only its tensors, as the per-tensor reference
+        does; masked-out tensors stay bit-equal and their moments zero."""
+        params = nnet.init_params(tiny_shape(), 2, seed=26)
+        mask = nnet.TrainMask.all_tensors(params) if trainable is None \
+            else nnet.TrainMask.only(trainable)
+        start, ref = params.copy(), params.copy()
+        state = nnet.OptimizerState.fresh(params, lr=0.05, weight_decay=0.1)
+        ref_state = nnet.OptimizerState.fresh(ref, lr=0.05, weight_decay=0.1)
+        rng = np.random.default_rng(27)
+        for step in range(1, 4):
+            grads = oracles.zero_grads(params)
+            grads.flat[...] = rng.standard_normal(grads.flat.shape)
+            out = nnet.adamw_step(params, grads, mask, state)
+            ref = ref_adamw_step(ref, grads, mask, ref_state)
+            assert state.step_count == step
+            params = out
+        for name in params.tensor_names():
+            assert_same_bits(params.get_tensor(name), ref.get_tensor(name), name)
+            assert_same_bits(state.m[name], ref_state.m[name], name)
+            assert_same_bits(state.v[name], ref_state.v[name], name)
+            if not mask.covers(name):
+                assert_same_bits(params.get_tensor(name), start.get_tensor(name), name)
+                assert not state.m[name].any() and not state.v[name].any(), name
+
+    @pytest.mark.parametrize("trainable,bad,raises", [
+        (None, "b1", True), (("w0", "embed"), "embed", True),
+        (("w0", "embed"), "b0", False)], ids=["full-b1", "partial-embed",
+                                             "masked-out-b0"])
+    def test_non_finite_gradient_names_tensor(self, trainable, bad, raises):
+        params = nnet.init_params(tiny_shape(), 2, seed=28)
+        mask = nnet.TrainMask.all_tensors(params) if trainable is None \
+            else nnet.TrainMask.only(trainable)
+        grads = oracles.zero_grads(params)
+        grads.get_tensor(bad).flat[-1] = np.inf
+        grads.get_tensor(bad).flat[0] = np.nan
+        state = nnet.OptimizerState.fresh(params, lr=0.1)
+        before = params.flat.copy()
+        if raises:
+            with pytest.raises(NumericalError, match=f"tensor {bad}$"):
+                nnet.adamw_step(params, grads, mask, state)
+            assert state.step_count == 0
+            assert not state.m.flat.any() and not state.v.flat.any()
+        else:
+            out = nnet.adamw_step(params, grads, mask, state)
+            assert_same_bits(out.get_tensor(bad), params.get_tensor(bad), bad)
+        assert_same_bits(params.flat, before, "params")
+
     def test_mask_soundness_over_many_steps(self):
         params = nnet.init_params(tiny_shape(), 2, seed=18)
         frozen_names = [n for n in params.tensor_names() if n not in ("w0", "embed")]
@@ -290,19 +393,20 @@ def ref_backward(tape, upstream):
 
 
 def ref_adamw_step(params, grads, mask, state):
-    """Allocating AdamW: rebinds state.m / state.v to new arrays each step."""
+    """Allocating AdamW, tensor by tensor: each moment and parameter update
+    is computed into a new array, then copied into the state's moments and
+    a copy of params."""
     state.step_count += 1
     b1, b2 = state.betas
     bc1 = 1.0 - b1 ** state.step_count
     bc2 = 1.0 - b2 ** state.step_count
-    out = nnet.Parameters(params.shape, params.n_concepts, list(params.weights),
-                          list(params.biases), params.concept_embed)
+    out = params.copy()
     for name in params.tensor_names():
         if not mask.covers(name):
             continue
         g = grads.get_tensor(name)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        state.m[name][...] = b1 * state.m[name] + (1.0 - b1) * g
+        state.v[name][...] = b2 * state.v[name] + (1.0 - b2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
         p = params.get_tensor(name)

@@ -1,6 +1,7 @@
 """Checkpoint byte format and run-configuration parsing."""
 
 import csv
+import hashlib
 import json
 import re
 import struct
@@ -56,6 +57,21 @@ class TestCheckpoint:
         assert loaded.n_concepts == params.n_concepts
         for name in params.tensor_names():
             assert_array_equal(loaded.get_tensor(name), params.get_tensor(name))
+
+    @pytest.mark.parametrize("shape,sha256", [
+        (nnet.NetworkShape(input_dim=2),
+         "bfc4d5cd53a6eeaa9a868697dd013448991727e46a62b154091c57259c13a9c1"),
+        (nnet.NetworkShape(input_dim=256, hidden=(1024,)),
+         "feda6fca88a3b23ef9b340dea515500940eb3afa8d61684a807a409143385b4b"),
+    ], ids=["points", "glyphs"])
+    def test_payload_bytes_golden(self, tmp_path, shape, sha256):
+        """The payload of a seeded model, pinned: the tensors in manifest
+        order as little-endian f64."""
+        path = tmp_path / "model.ssrg"
+        persistence.write_checkpoint(nnet.init_params(shape, 4, seed=0), {}, path)
+        raw = path.read_bytes()
+        _, _, hlen = struct.unpack_from("<4sHI", raw)
+        assert hashlib.sha256(raw[FIXED_LEN + hlen:]).hexdigest() == sha256
 
     def test_header_parseable_without_payload(self, tmp_path):
         path = tmp_path / "model.ssrg"
