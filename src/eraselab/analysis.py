@@ -10,7 +10,6 @@ theory_checks runs them all as one seeded suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -69,8 +68,9 @@ class MetricReport:
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError(f"rate for concept {cid} outside [0,1]: {rate}")
 
-    def to_json(self) -> str:
-        payload = {
+    def to_dict(self) -> dict:
+        """The report as JSON-ready data, concept ids as string keys."""
+        return {
             "erasure_rates": {str(k): v for k, v in self.erasure_rates.items()},
             "drift": {str(k): v for k, v in self.drift.items()},
             "consistency": {str(k): v for k, v in self.consistency.items()},
@@ -78,11 +78,9 @@ class MetricReport:
             "seeds": list(self.seeds),
             "threshold": self.threshold,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        raw = json.loads(text)
+    def from_dict(cls, raw: dict) -> "MetricReport":
         return cls(erasure_rates={int(k): v for k, v in raw["erasure_rates"].items()},
                    drift={int(k): v for k, v in raw["drift"].items()},
                    consistency={int(k): v for k, v in raw["consistency"].items()},

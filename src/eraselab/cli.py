@@ -270,7 +270,7 @@ def cmd_eval(args) -> int:
 
         ps.write_json(os.path.join(out, "metrics.json"),
                       {"method": method,
-                       "report": json.loads(metrics.to_json()),
+                       "report": metrics.to_dict(),
                        "timeline": timeline})
     worst = max(rates.values())
     print(f"method={method} max target rate={worst:.3f} over {n} samples; "
@@ -279,13 +279,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_lambda(args) -> int:
-    cfg, vocab, [(base, _)] = _load(args, "base")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: need at least one lambda")
+    # Each value names its checkpoint lambda_{:g}.ssrg, so two values with
+    # one name would overwrite each other's checkpoint; 0 and -0 are one run.
+    names = set()
+    for lam in values:
+        if not (np.isfinite(lam) and lam >= 0):
+            raise ConfigError(f"--values: lambda must be finite and >= 0, "
+                              f"got {lam!r}")
+        if f"{abs(lam):g}" in names:
+            raise ConfigError(f"--values: {lam!r} repeats the checkpoint name "
+                              f"lambda_{abs(lam):g}.ssrg")
+        names.add(f"{abs(lam):g}")
+    cfg, vocab, [(base, _)] = _load(args, "base")
     with _out_dir(args, cfg, {"erase": cfg.erase.seed}) as out:
         sched, sampler = cfg.schedule(), cfg.sampler()
         oracle = _oracle(cfg)
@@ -435,6 +446,9 @@ def main(argv=None) -> int:
             if value is not None and value < least:
                 raise ConfigError(f"--{name.replace('_', '-')}: must be >= "
                                   f"{least}, got {value}")
+        gamma = getattr(args, "gamma", None)
+        if gamma is not None and not np.isfinite(gamma):
+            raise ConfigError(f"--gamma: must be finite, got {gamma}")
         return args.handler(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -204,7 +204,7 @@ def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
 
     rng = np.random.default_rng(seed)
     params = nnet.init_params(shape, dataset.n_concepts, seed=seed)
-    mask = nnet.TrainMask.all_tensors(params)
+    mask = frozenset(params.tensor_names())
     state = nnet.OptimizerState.fresh(params, lr=lr)
     n = len(dataset.labels)
 

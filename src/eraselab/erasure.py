@@ -73,15 +73,15 @@ class EraseConfig:
         if self.trainable is not None and len(self.trainable) == 0:
             raise ConfigError("at least one tensor must stay trainable")
 
-    def mask_for(self, params: nnet.Parameters) -> nnet.TrainMask:
+    def mask_for(self, params: nnet.Parameters) -> frozenset[str]:
         if self.trainable is None:
-            return nnet.TrainMask.all_tensors(params)
+            return frozenset(params.tensor_names())
         known = set(params.tensor_names())
         bad = [n for n in self.trainable if n not in known]
         if bad:
             raise ConfigError(f"unknown trainable tensors {bad}; known: "
                               f"{sorted(known)}")
-        return nnet.TrainMask.only(self.trainable)
+        return frozenset(self.trainable)
 
     def validate_ids(self, vocab: ConceptVocab) -> None:
         for cid in self.erase_set:
@@ -156,7 +156,7 @@ def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
 
 def concept_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
                  c: int, e_s_u: np.ndarray, target: np.ndarray,
-                 gamma2: float) -> tuple[float, nnet.GradientBuffer]:
+                 gamma2: float) -> tuple[float, nnet.Parameters]:
     """||gamma2*(eps_s(z,c) - sg(e_s_u)) - target||^2.
 
     e_s_u is the student's unconditional prediction at (z_t, schedule_t)
@@ -172,7 +172,7 @@ def concept_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
 
 
 def penalty_loss(tape_u: nnet.Tape,
-                 anchor: np.ndarray) -> tuple[float, nnet.GradientBuffer]:
+                 anchor: np.ndarray) -> tuple[float, nnet.Parameters]:
     """||eps_s(z, null) - anchor||^2 with full student gradient.
 
     tape_u is the tape of the student's null-token forward at one state.
@@ -184,7 +184,7 @@ def penalty_loss(tape_u: nnet.Tape,
 
 
 def baseline_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
-                  c: int, target: np.ndarray) -> tuple[float, nnet.GradientBuffer]:
+                  c: int, target: np.ndarray) -> tuple[float, nnet.Parameters]:
     """||eps_s(z, c) - target||^2 for the esd and sdd targets of
     teacher_targets."""
     e_s_c, tape_c = nnet.forward(student, z_t, schedule_t, c)
@@ -274,7 +274,7 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
             c_loss, grads = concept_loss(student, z_t, schedule_t, c, e_s_u,
                                          teacher.target[k], cfg.gamma2)
             p_loss, p_grads = penalty_loss(tape_u, teacher.anchor[k])
-            grads.add(p_grads, scale=cfg.lam)
+            grads.flat += cfg.lam * p_grads.flat
             breakdown = LossBreakdown(c_loss, p_loss, c_loss + cfg.lam * p_loss)
         else:
             c_loss, grads = baseline_loss(student, z_t, schedule_t, c,

@@ -11,14 +11,14 @@ Storage contract: every tensor of a model lives in one contiguous f64
 vector, `flat`, laid out in `tensor_names()` order (w0, b0, w1, b1, ...,
 embed; see `tensor_layout`). That vector is the checkpoint payload.
 `Parameters.weights`, `biases` and `concept_embed` are reshaped views of
-it, and gradients and Adam moments use the same layout.
+it. The same type holds a model, its gradient and its Adam moments, and a
+training mask is a frozenset of tensor names.
 
-Optimizer contract: nothing mutates a `flat` after construction.
+Write contract: a model's `flat` is never written once it is in use.
 `adamw_step` returns a new Parameters over a freshly allocated vector, so
-tapes recorded against older parameters stay valid. `set_tensor` writes
-into `flat` and therefore only serves freshly copied parameters that no
-tape has seen. The Adam moments and the optimizer's scratch buffers,
-which belong to `OptimizerState`, are updated in place.
+tapes recorded against older parameters stay valid; `set_tensor` only
+serves freshly copied parameters that no tape has seen. Gradient and
+moment vectors, and the optimizer's scratch buffers, are written in place.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -106,9 +105,11 @@ class Parameters:
     """Weights/biases per linear layer plus the concept embedding table,
     as views of one contiguous vector `flat` (see the module docstring).
 
-    Row K of the table is the unconditional token. Nothing mutates `flat`
-    after construction: an optimizer step builds a new vector, so tapes
-    recorded against an older Parameters stay valid.
+    Row K of the table is the unconditional token. The same type carries a
+    gradient (`backward`) and the Adam moments. A model's `flat` is never
+    written once it is in use: an optimizer step builds a new vector, so
+    tapes recorded against an older Parameters stay valid. Gradient and
+    moment vectors are written in place.
     """
 
     shape: NetworkShape
@@ -161,69 +162,21 @@ def init_params(shape: NetworkShape, n_concepts: int, seed: int) -> Parameters:
     return params
 
 
-@dataclass(frozen=True)
-class TrainMask:
-    """Which parameter tensors receive optimizer updates."""
-
-    trainable: frozenset[str]
-
-    @staticmethod
-    def all_tensors(params: Parameters) -> "TrainMask":
-        return TrainMask(frozenset(params.tensor_names()))
-
-    @staticmethod
-    def only(names: Sequence[str]) -> "TrainMask":
-        return TrainMask(frozenset(names))
-
-    def covers(self, name: str) -> bool:
-        return name in self.trainable
-
-
 @functools.lru_cache(maxsize=64)
 def _mask_spans(shape: NetworkShape, n_concepts: int,
-                mask: TrainMask) -> tuple[tuple[int, int], ...]:
+                mask: frozenset[str]) -> tuple[tuple[int, int], ...]:
     """(start, stop) of each maximal run of masked-in tensors in the flat
     layout; the full mask is one run."""
     layout = tensor_layout(shape, n_concepts)
     spans = []
     for name, lo, hi in zip(layout.names, layout.offsets, layout.offsets[1:]):
-        if not mask.covers(name):
+        if name not in mask:
             continue
         if spans and spans[-1][1] == lo:
             spans[-1] = (spans[-1][0], hi)
         else:
             spans.append((lo, hi))
     return tuple(spans)
-
-
-@dataclass
-class GradientBuffer:
-    """Per-tensor values laid out like Parameters.flat: d(loss)/d(theta),
-    and the Adam moments. d_weights, d_biases and d_embed are views of
-    `flat`; `buf[name]` is `buf.get_tensor(name)`."""
-
-    shape: NetworkShape
-    n_concepts: int
-    flat: np.ndarray
-    d_weights: list[np.ndarray] = field(init=False, repr=False)
-    d_biases: list[np.ndarray] = field(init=False, repr=False)
-    d_embed: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        views = tensor_layout(self.shape, self.n_concepts).views(self.flat)
-        self.d_weights, self.d_biases, self.d_embed = \
-            views[0:-1:2], views[1:-1:2], views[-1]
-
-    def get_tensor(self, name: str) -> np.ndarray:
-        if name == "embed":
-            return self.d_embed
-        kind, idx = name[0], int(name[1:])
-        return self.d_weights[idx] if kind == "w" else self.d_biases[idx]
-
-    __getitem__ = get_tensor
-
-    def add(self, other: "GradientBuffer", scale: float = 1.0) -> None:
-        self.flat += scale * other.flat
 
 
 def time_features(t, dim: int) -> np.ndarray:
@@ -324,11 +277,12 @@ def forward(params: Parameters, z: np.ndarray, t: int, c: int) -> tuple[np.ndarr
     return out[0], tape
 
 
-def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
+def backward(tape: Tape, upstream: np.ndarray) -> Parameters:
     """Exact gradient of <upstream, eps_hat> w.r.t. every parameter tensor.
 
     Batched tapes take an (n, d) upstream and accumulate the gradient of
-    sum_i <upstream_i, eps_hat_i>.
+    sum_i <upstream_i, eps_hat_i>. The gradient is a Parameters over a
+    fresh vector.
     """
     params = tape.params
     up = np.asarray(upstream, dtype=np.float64)
@@ -339,12 +293,12 @@ def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
                               f"output {tape.output.shape}")
 
     n_layers = len(params.weights)
-    grads = GradientBuffer(params.shape, params.n_concepts,
-                           np.empty_like(params.flat))
+    grads = Parameters(params.shape, params.n_concepts,
+                       np.empty_like(params.flat))
     delta = up
     for i in reversed(range(n_layers)):
-        np.matmul(delta.T, tape.inputs[i], out=grads.d_weights[i])
-        np.sum(delta, axis=0, out=grads.d_biases[i])
+        np.matmul(delta.T, tape.inputs[i], out=grads.weights[i])
+        np.sum(delta, axis=0, out=grads.biases[i])
         if i > 0:
             delta = delta @ params.weights[i]
             np.multiply(delta, _silu_grad(tape.pre_acts[i - 1],
@@ -353,8 +307,8 @@ def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
     # Of layer 0's input gradient only the concept-embedding columns have a
     # parameter behind them, so only those columns of W0 enter the product.
     embed_slice = slice(params.shape.input_dim + params.shape.time_embed_dim, None)
-    grads.d_embed.fill(0.0)
-    np.add.at(grads.d_embed, tape.c_ids, delta @ params.weights[0][:, embed_slice])
+    grads.concept_embed.fill(0.0)
+    np.add.at(grads.concept_embed, tape.c_ids, delta @ params.weights[0][:, embed_slice])
     return grads
 
 
@@ -363,6 +317,10 @@ def backward(tape: Tape, upstream: np.ndarray) -> GradientBuffer:
 # in cache without changing any result.
 _ADAMW_CHUNK = 16384
 
+# Adam's moment decay rates and the denominator's epsilon.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimizerState:
@@ -370,33 +328,29 @@ class OptimizerState:
 
     `adamw_step` updates the moments `m` and `v` in place and works in
     `scratch`, two flat buffers of one update slice each that `fresh`
-    allocates once. Only the state mutates; parameters never do.
+    allocates once. Only the state mutates; the model never does.
     """
 
-    lr: float = 1e-5
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+    lr: float
+    weight_decay: float
+    m: Parameters
+    v: Parameters
+    scratch: tuple
     step_count: int = 0
-    m: GradientBuffer | None = None
-    v: GradientBuffer | None = None
-    scratch: tuple = ()
 
     @staticmethod
-    def fresh(params: Parameters, lr: float = 1e-5, weight_decay: float = 0.0,
-              betas: tuple[float, float] = (0.9, 0.999),
-              eps: float = 1e-8) -> "OptimizerState":
-        zeros = [GradientBuffer(params.shape, params.n_concepts,
-                                np.zeros_like(params.flat)) for _ in range(2)]
+    def fresh(params: Parameters, lr: float = 1e-5,
+              weight_decay: float = 0.0) -> "OptimizerState":
+        zeros = [Parameters(params.shape, params.n_concepts,
+                            np.zeros_like(params.flat)) for _ in range(2)]
         chunk = min(_ADAMW_CHUNK, params.flat.size)
-        return OptimizerState(lr=lr, betas=betas, eps=eps,
-                              weight_decay=weight_decay, m=zeros[0], v=zeros[1],
-                              scratch=(np.empty(chunk), np.empty(chunk)))
+        return OptimizerState(lr, weight_decay, zeros[0], zeros[1],
+                              (np.empty(chunk), np.empty(chunk)))
 
 
-def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
+def adamw_step(params: Parameters, grads: Parameters, mask: frozenset[str],
                state: OptimizerState) -> Parameters:
-    """One AdamW update on the masked-in tensors; returns new Parameters.
+    """One AdamW update on the tensors named in mask; returns new Parameters.
 
     The result's vector is new: updated tensors are computed into it and
     masked-out tensors copied bit for bit. An empty mask returns params
@@ -421,7 +375,7 @@ def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
     state.step_count += 1
     if not spans:
         return params
-    b1, b2 = state.betas
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step_count
     bc2 = 1.0 - b2 ** state.step_count
 
@@ -442,7 +396,7 @@ def adamw_step(params: Parameters, grads: GradientBuffer, mask: TrainMask,
             np.add(v, a, out=v)
             np.divide(v, bc2, out=b)
             np.sqrt(b, out=b)
-            np.add(b, state.eps, out=b)
+            np.add(b, ADAM_EPS, out=b)
             np.divide(m, bc1, out=a)
             np.divide(a, b, out=a)
             if state.weight_decay != 0.0:

@@ -164,7 +164,7 @@ def load_run(run_dir) -> RunRecord:
         with open(metrics_path) as fh:
             raw = json.load(fh)
         method, timeline = raw["method"], raw.get("timeline")
-        report = MetricReport.from_json(json.dumps(raw["report"]))
+        report = MetricReport.from_dict(raw["report"])
         timeline = Series(method, tuple(map(float, timeline["iterations"])),
                           tuple(map(float, timeline["rates"]))) \
             if timeline else None

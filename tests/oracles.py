@@ -105,15 +105,8 @@ def zero_like_params(params: nnet.Parameters) -> nnet.Parameters:
                            np.zeros_like(params.flat))
 
 
-def zero_grads(params: nnet.Parameters) -> nnet.GradientBuffer:
-    """A GradientBuffer of zeros shaped like params."""
-    return nnet.GradientBuffer(params.shape, params.n_concepts,
-                               np.zeros_like(params.flat))
-
-
-def assert_finite_grads(grads: nnet.GradientBuffer) -> None:
-    arrays = [*grads.d_weights, *grads.d_biases, grads.d_embed]
-    if any(not np.all(np.isfinite(a)) for a in arrays):
+def assert_finite_grads(grads: nnet.Parameters) -> None:
+    if not np.all(np.isfinite(grads.flat)):
         raise NumericalError("non-finite gradient")
 
 

@@ -1,5 +1,7 @@
 """Metrics (erasure rate, MMD^2, SSIM, consistency) and theory verifiers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -367,7 +369,7 @@ class TestMetricReport:
 
     def test_json_round_trip(self):
         rep = self.report()
-        back = an.MetricReport.from_json(rep.to_json())
+        back = an.MetricReport.from_dict(json.loads(json.dumps(rep.to_dict())))
         assert back == rep
 
     def test_validation(self):

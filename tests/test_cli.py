@@ -145,7 +145,7 @@ class TestPipelineArtifacts:
     def test_eval_metrics_round_trip(self, pipeline):
         payload = json.loads((pipeline["eval"] / "metrics.json").read_text())
         assert payload["method"] == "ours"
-        report = MetricReport.from_json(json.dumps(payload["report"]))
+        report = MetricReport.from_dict(payload["report"])
         assert set(report.erasure_rates) == {0}
         assert set(report.drift) == set(range(1, 8))
         assert payload["timeline"]["iterations"] == [4, 8]
@@ -277,6 +277,32 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 1
         assert "--seed:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_flag_is_config(self, pipeline, tmp_path, capsys,
+                                             gamma):
+        code = cli.main(["sample", "--config", str(pipeline["config"]),
+                         "--model", str(pipeline["base"] / "base.ssrg"),
+                         "--concept", "c0", "--n", "2", "--gamma", gamma,
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--gamma:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("values", ["0,-1", "0,nan", "1,1", "1,1.0000001",
+                                        "0,-0"])
+    def test_bad_lambda_values_fail_before_erasing(
+            self, pipeline, tmp_path, monkeypatch, capsys, values):
+        def no_erase(*args, **kwargs):
+            raise AssertionError("sweep-lambda erased before checking --values")
+
+        monkeypatch.setattr(cli.er, "erase_finetune", no_erase)
+        code = cli.main(["sweep-lambda", "--config", str(pipeline["config"]),
+                         "--base", str(pipeline["base"] / "base.ssrg"),
+                         "--values", values, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--values:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("config,meta_edit,field", [

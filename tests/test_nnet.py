@@ -181,9 +181,9 @@ class TestBackward:
         _, tape = nnet.forward(params, np.array([0.1, -0.4]), t=4, c=1)
         grads = nnet.backward(tape, np.array([1.0, -2.0]))
         for row in (0, 2, 3):
-            np.testing.assert_array_equal(grads.d_embed[row],
-                                          np.zeros_like(grads.d_embed[row]))
-        assert np.abs(grads.d_embed[1]).max() > 0
+            np.testing.assert_array_equal(grads.concept_embed[row],
+                                          np.zeros_like(grads.concept_embed[row]))
+        assert np.abs(grads.concept_embed[1]).max() > 0
 
     def test_batch_backward_accumulates(self):
         params = nnet.init_params(tiny_shape(), 2, seed=9)
@@ -192,10 +192,10 @@ class TestBackward:
         up = rng.standard_normal((4, 2))
         _, tape = nnet.forward_batch(params, Z, 3, 1)
         batch_grads = nnet.backward(tape, up)
-        total = oracles.zero_grads(params)
+        total = oracles.zero_like_params(params)
         for i in range(4):
             _, tape_i = nnet.forward(params, Z[i], 3, 1)
-            total.add(nnet.backward(tape_i, up[i]))
+            total.flat += nnet.backward(tape_i, up[i]).flat
         for name in params.tensor_names():
             np.testing.assert_allclose(batch_grads.get_tensor(name),
                                        total.get_tensor(name), rtol=1e-12, atol=1e-14)
@@ -222,18 +222,18 @@ class TestBackward:
 class TestAdamW:
     def test_all_false_mask_is_identity(self):
         params = nnet.init_params(tiny_shape(), 2, seed=14)
-        grads = oracles.zero_grads(params)
-        grads.d_weights[0] += 1.0
+        grads = oracles.zero_like_params(params)
+        grads.weights[0] += 1.0
         state = nnet.OptimizerState.fresh(params, lr=0.1)
-        out = nnet.adamw_step(params, grads, nnet.TrainMask(frozenset()), state)
+        out = nnet.adamw_step(params, grads, frozenset(), state)
         for name in params.tensor_names():
             assert out.get_tensor(name) is params.get_tensor(name)
 
     def test_zero_grad_zero_decay_is_identity(self):
         params = nnet.init_params(tiny_shape(), 2, seed=15)
-        grads = oracles.zero_grads(params)
+        grads = oracles.zero_like_params(params)
         state = nnet.OptimizerState.fresh(params, lr=0.1, weight_decay=0.0)
-        out = nnet.adamw_step(params, grads, nnet.TrainMask.all_tensors(params), state)
+        out = nnet.adamw_step(params, grads, frozenset(params.tensor_names()), state)
         for name in params.tensor_names():
             np.testing.assert_array_equal(out.get_tensor(name),
                                           params.get_tensor(name))
@@ -245,14 +245,13 @@ class TestAdamW:
         shape = tiny_shape(hidden=(1,))
         params = nnet.init_params(shape, 1, seed=16)
         theta = float(params.biases[0][0])
-        state = nnet.OptimizerState.fresh(params, lr=lr, weight_decay=wd,
-                                          betas=(b1, b2), eps=eps)
-        mask = nnet.TrainMask.only(["b0"])
+        state = nnet.OptimizerState.fresh(params, lr=lr, weight_decay=wd)
+        mask = frozenset(["b0"])
 
         m = v = 0.0
         for step, g in enumerate(grad_seq, start=1):
-            grads = oracles.zero_grads(params)
-            grads.d_biases[0][0] = g
+            grads = oracles.zero_like_params(params)
+            grads.biases[0][0] = g
             params = nnet.adamw_step(params, grads, mask, state)
 
             m = b1 * m + (1 - b1) * g
@@ -264,12 +263,12 @@ class TestAdamW:
 
     def test_nan_grads_abort_preserving_state(self):
         params = nnet.init_params(tiny_shape(), 2, seed=17)
-        grads = oracles.zero_grads(params)
-        grads.d_weights[0][0, 0] = np.nan
+        grads = oracles.zero_like_params(params)
+        grads.weights[0][0, 0] = np.nan
         state = nnet.OptimizerState.fresh(params, lr=0.1)
         before = params.copy()
         with pytest.raises(NumericalError):
-            nnet.adamw_step(params, grads, nnet.TrainMask.all_tensors(params), state)
+            nnet.adamw_step(params, grads, frozenset(params.tensor_names()), state)
         assert state.step_count == 0
         for name in params.tensor_names():
             np.testing.assert_array_equal(params.get_tensor(name),
@@ -281,14 +280,14 @@ class TestAdamW:
         """Each mask updates only its tensors, as the per-tensor reference
         does; masked-out tensors stay bit-equal and their moments zero."""
         params = nnet.init_params(tiny_shape(), 2, seed=26)
-        mask = nnet.TrainMask.all_tensors(params) if trainable is None \
-            else nnet.TrainMask.only(trainable)
+        mask = frozenset(params.tensor_names()) if trainable is None \
+            else frozenset(trainable)
         start, ref = params.copy(), params.copy()
         state = nnet.OptimizerState.fresh(params, lr=0.05, weight_decay=0.1)
         ref_state = nnet.OptimizerState.fresh(ref, lr=0.05, weight_decay=0.1)
         rng = np.random.default_rng(27)
         for step in range(1, 4):
-            grads = oracles.zero_grads(params)
+            grads = oracles.zero_like_params(params)
             grads.flat[...] = rng.standard_normal(grads.flat.shape)
             out = nnet.adamw_step(params, grads, mask, state)
             ref = ref_adamw_step(ref, grads, mask, ref_state)
@@ -296,11 +295,12 @@ class TestAdamW:
             params = out
         for name in params.tensor_names():
             assert_same_bits(params.get_tensor(name), ref.get_tensor(name), name)
-            assert_same_bits(state.m[name], ref_state.m[name], name)
-            assert_same_bits(state.v[name], ref_state.v[name], name)
-            if not mask.covers(name):
+            m, v = state.m.get_tensor(name), state.v.get_tensor(name)
+            assert_same_bits(m, ref_state.m.get_tensor(name), name)
+            assert_same_bits(v, ref_state.v.get_tensor(name), name)
+            if name not in mask:
                 assert_same_bits(params.get_tensor(name), start.get_tensor(name), name)
-                assert not state.m[name].any() and not state.v[name].any(), name
+                assert not m.any() and not v.any(), name
 
     @pytest.mark.parametrize("trainable,bad,raises", [
         (None, "b1", True), (("w0", "embed"), "embed", True),
@@ -308,9 +308,9 @@ class TestAdamW:
                                              "masked-out-b0"])
     def test_non_finite_gradient_names_tensor(self, trainable, bad, raises):
         params = nnet.init_params(tiny_shape(), 2, seed=28)
-        mask = nnet.TrainMask.all_tensors(params) if trainable is None \
-            else nnet.TrainMask.only(trainable)
-        grads = oracles.zero_grads(params)
+        mask = frozenset(params.tensor_names()) if trainable is None \
+            else frozenset(trainable)
+        grads = oracles.zero_like_params(params)
         grads.get_tensor(bad).flat[-1] = np.inf
         grads.get_tensor(bad).flat[0] = np.nan
         state = nnet.OptimizerState.fresh(params, lr=0.1)
@@ -329,7 +329,7 @@ class TestAdamW:
         params = nnet.init_params(tiny_shape(), 2, seed=18)
         frozen_names = [n for n in params.tensor_names() if n not in ("w0", "embed")]
         before = {n: params.get_tensor(n).copy() for n in params.tensor_names()}
-        mask = nnet.TrainMask.only(["w0", "embed"])
+        mask = frozenset(["w0", "embed"])
         state = nnet.OptimizerState.fresh(params, lr=0.05)
         rng = np.random.default_rng(19)
         for _ in range(20):
@@ -375,12 +375,12 @@ def ref_backward(tape, upstream):
     up = np.asarray(upstream, dtype=np.float64)
     if up.ndim == 1:
         up = up[None, :]
-    grads = oracles.zero_grads(params)
+    grads = oracles.zero_like_params(params)
     delta = up
     n_layers = len(params.weights)
     for i in reversed(range(n_layers)):
-        grads.d_weights[i] += delta.T @ tape.inputs[i]
-        grads.d_biases[i] += delta.sum(axis=0)
+        grads.weights[i] += delta.T @ tape.inputs[i]
+        grads.biases[i] += delta.sum(axis=0)
         if i > 0:
             x = tape.pre_acts[i - 1]
             s = 1.0 / (1.0 + np.exp(-x))
@@ -388,7 +388,7 @@ def ref_backward(tape, upstream):
         else:
             delta = delta @ params.weights[i]
     embed_slice = slice(params.shape.input_dim + params.shape.time_embed_dim, None)
-    np.add.at(grads.d_embed, tape.c_ids, delta[:, embed_slice])
+    np.add.at(grads.concept_embed, tape.c_ids, delta[:, embed_slice])
     return grads
 
 
@@ -397,20 +397,21 @@ def ref_adamw_step(params, grads, mask, state):
     is computed into a new array, then copied into the state's moments and
     a copy of params."""
     state.step_count += 1
-    b1, b2 = state.betas
+    b1, b2 = nnet.ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step_count
     bc2 = 1.0 - b2 ** state.step_count
     out = params.copy()
     for name in params.tensor_names():
-        if not mask.covers(name):
+        if name not in mask:
             continue
         g = grads.get_tensor(name)
-        state.m[name][...] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name][...] = b2 * state.v[name] + (1.0 - b2) * g * g
-        m_hat = state.m[name] / bc1
-        v_hat = state.v[name] / bc2
+        m, v = state.m.get_tensor(name), state.v.get_tensor(name)
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / bc1
+        v_hat = v / bc2
         p = params.get_tensor(name)
-        update = m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * p
+        update = m_hat / (np.sqrt(v_hat) + nnet.ADAM_EPS) + state.weight_decay * p
         out.set_tensor(name, p - state.lr * update)
     return out
 
@@ -420,9 +421,10 @@ GLYPH_SHAPE = nnet.NetworkShape(input_dim=256, hidden=(1024,))
 
 
 # backward takes layer 0's input gradient only over the embedding columns of
-# W0, so d_embed may differ from ref_backward's full product by rounding: per
-# step by at most EMBED_GRAD_TOL times max|d_embed|, and after fifty steps
-# the embedding and its moments by at most EMBED_RTOL, elementwise.
+# W0, so the embedding gradient may differ from ref_backward's full product
+# by rounding: per step by at most EMBED_GRAD_TOL times its largest
+# magnitude, and after fifty steps the embedding and its moments by at most
+# EMBED_RTOL, elementwise.
 EMBED_GRAD_TOL = 1e-14
 EMBED_RTOL = 1e-12
 
@@ -465,8 +467,8 @@ class TestFastPathOracle:
         embedding and its moments within the bounds stated above."""
         lr = 1e-3
         fast = nnet.init_params(shape, 4, seed=22)
-        mask = nnet.TrainMask.all_tensors(fast) if trainable is None \
-            else nnet.TrainMask.only(trainable)
+        mask = frozenset(fast.tensor_names()) if trainable is None \
+            else frozenset(trainable)
         ref = fast.copy()
         fast_state = nnet.OptimizerState.fresh(fast, lr=lr,
                                                weight_decay=weight_decay)
@@ -490,8 +492,8 @@ class TestFastPathOracle:
             for name in exact:
                 assert np.array_equal(grads.get_tensor(name),
                                       ref_grads.get_tensor(name)), name
-            assert np.abs(grads.d_embed - ref_grads.d_embed).max() \
-                <= EMBED_GRAD_TOL * np.abs(ref_grads.d_embed).max()
+            assert np.abs(grads.concept_embed - ref_grads.concept_embed).max() \
+                <= EMBED_GRAD_TOL * np.abs(ref_grads.concept_embed).max()
 
             before = fast.copy()
             fast = nnet.adamw_step(fast, grads, mask, fast_state)
@@ -500,11 +502,13 @@ class TestFastPathOracle:
 
         assert_same_tensors(fast, ref, exact)
         for name in exact:
-            assert np.array_equal(fast_state.m[name], ref_state.m[name]), name
-            assert np.array_equal(fast_state.v[name], ref_state.v[name]), name
+            assert np.array_equal(fast_state.m.get_tensor(name),
+                                  ref_state.m.get_tensor(name)), name
+            assert np.array_equal(fast_state.v.get_tensor(name),
+                                  ref_state.v.get_tensor(name)), name
         for got, want in ((fast.concept_embed, ref.concept_embed),
-                          (fast_state.m["embed"], ref_state.m["embed"]),
-                          (fast_state.v["embed"], ref_state.v["embed"])):
+                          (fast_state.m.concept_embed, ref_state.m.concept_embed),
+                          (fast_state.v.concept_embed, ref_state.v.concept_embed)):
             np.testing.assert_allclose(got, want, rtol=EMBED_RTOL, atol=0)
 
     @pytest.mark.parametrize("shape", [POINTS_SHAPE, GLYPH_SHAPE],
@@ -521,23 +525,25 @@ class TestFastPathOracle:
         w0[0, :8] = [0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300, 5.0, -5.0]
         params.set_tensor("w0", w0)
         ref = params.copy()
-        mask = nnet.TrainMask.all_tensors(params)
+        mask = frozenset(params.tensor_names())
         fast_state = nnet.OptimizerState.fresh(params, lr=1e-3,
                                                weight_decay=weight_decay)
         ref_state = nnet.OptimizerState.fresh(ref, lr=1e-3,
                                               weight_decay=weight_decay)
         for _ in range(5):
-            grads = oracles.zero_grads(params)
+            grads = oracles.zero_like_params(params)
             for name in params.tensor_names():
                 g = grads.get_tensor(name)
                 g[...] = rng.standard_normal(g.shape)
-            grads.d_weights[0][0, :4] = [0.0, -0.0, -0.0, 0.0]
+            grads.weights[0][0, :4] = [0.0, -0.0, -0.0, 0.0]
             params = nnet.adamw_step(params, grads, mask, fast_state)
             ref = ref_adamw_step(ref, grads, mask, ref_state)
         for name in params.tensor_names():
             assert_same_bits(params.get_tensor(name), ref.get_tensor(name), name)
-            assert_same_bits(fast_state.m[name], ref_state.m[name], name)
-            assert_same_bits(fast_state.v[name], ref_state.v[name], name)
+            assert_same_bits(fast_state.m.get_tensor(name),
+                             ref_state.m.get_tensor(name), name)
+            assert_same_bits(fast_state.v.get_tensor(name),
+                             ref_state.v.get_tensor(name), name)
 
 
 def identity_layer_params():

@@ -9,6 +9,11 @@ ast.Attribute (a local variable of the same name does not count). This is
 iterated to a fixed point, so definitions that only reference each other
 stay unreferenced. Helpers that only tests need live under tests/ instead.
 
+The package's options do not grow unnoticed: the defaulted parameters of
+public functions and methods, plus the defaulted fields of public
+dataclasses (a field(init=False) is no option), may not exceed a recorded
+count.
+
 The package's only runtime dependency is NumPy: importing the command
 line must not load SciPy.
 """
@@ -22,6 +27,10 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "eraselab"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Defaulted parameters and dataclass fields in the public surface. Lower it
+# when options go; raise it only for an option justified in CHANGES.md.
+OPTION_COUNT = 51
 
 
 def _public_definitions(tree):
@@ -76,6 +85,32 @@ def _unused(package=PACKAGE):
             in definitions if id(node) in unproven]
 
 
+def _defaults(function):
+    return len(function.args.defaults) \
+        + sum(d is not None for d in function.args.kw_defaults)
+
+
+def _is_option_field(member):
+    """A dataclass field with a default that __init__ accepts."""
+    if not isinstance(member, ast.AnnAssign) or member.value is None:
+        return False
+    value = member.value
+    return not (isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+                and any(kw.arg == "init" for kw in value.keywords))
+
+
+def _option_count(package=PACKAGE):
+    count = 0
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for _, node, _ in _public_definitions(tree):
+            if not isinstance(node, ast.ClassDef):
+                count += _defaults(node)
+            elif any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                count += sum(map(_is_option_field, node.body))
+    return count
+
+
 def test_package_sources_found():
     assert (PACKAGE / "cli.py").is_file()
 
@@ -113,6 +148,24 @@ def test_guard_flags_dead_functions_that_call_each_other(tmp_path):
         fh.write("\n\ndef ping(n):\n    return pong(n - 1) if n else 0\n"
                  "\n\ndef pong(n):\n    return ping(n - 1) if n else 1\n")
     assert _unused(tmp_path) == ["nnet.py: ping", "nnet.py: pong"]
+
+
+def test_no_new_options():
+    count = _option_count()
+    assert count <= OPTION_COUNT, (
+        f"{count} defaulted parameters and dataclass fields in src/eraselab, "
+        f"{OPTION_COUNT} recorded in tests/test_surface.py: justify the new "
+        f"option in CHANGES.md, then raise OPTION_COUNT")
+
+
+def test_option_count_sees_a_new_default(tmp_path):
+    for path in PACKAGE.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text())
+    with open(tmp_path / "nnet.py", "a") as fh:
+        fh.write("\n\n@dataclass\nclass Knobs:\n    a: int = 1\n"
+                 "    b: list = field(init=False)\n"
+                 "\n    def turn(self, by=1, *, to=None):\n        pass\n")
+    assert _option_count(tmp_path) == _option_count() + 3
 
 
 def test_cli_import_loads_no_scipy():
