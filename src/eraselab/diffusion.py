@@ -107,7 +107,7 @@ GuidanceFn = Callable[[np.ndarray, int, int, int], np.ndarray]
 def conditional_eps(params: nnet.Parameters) -> GuidanceFn:
     """Plain eps_theta(z, c, t) closure (no guidance)."""
     def guid(Z, sampler_index, schedule_t, c):
-        return nnet.forward_batch(params, Z, schedule_t, c)[0]
+        return nnet.eps_columns(params, Z, schedule_t, [c])[0]
     return guid
 
 
@@ -172,7 +172,7 @@ def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
     for i in range(0, sampler.T):
         t_from = sampler.schedule_t(i)
         t_to = sampler.schedule_t(i + 1)
-        eps_hat = nnet.forward_batch(params, Z, t_to, c)[0]
+        eps_hat = nnet.eps_columns(params, Z, t_to, [c])[0]
         Z = ddim_step(Z, eps_hat, t_from, t_to, sched)
         if not np.all(np.isfinite(Z)):
             raise NumericalError(f"non-finite state inverting step "

@@ -11,8 +11,8 @@ The rollout composition is eps_hat = eps_uncond + gamma*(eps_cond -
 eps_uncond) + delta. Note the convention gap against cfg_compose:
 guided_eps(gamma) without instructions equals cfg_compose at gamma - 1.
 
-guided_eps and delta sit on _guided_terms, which evaluates every distinct
-concept of every row once, in one forward_batch over the stacked rows.
+guided_eps, delta and the CFG closure sit on nnet.eps_columns, which
+evaluates every distinct concept of every row once, in one tape-free pass.
 Rows may carry their own concept, sampler index and schedule timestep.
 """
 
@@ -106,35 +106,14 @@ def _mask_rows(abs_delta: np.ndarray, kappa: float) -> np.ndarray:
     return (abs_delta >= thresh).astype(np.float64)
 
 
-def _eps_columns(params: nnet.Parameters, Z: np.ndarray, t,
-                 columns: Sequence) -> list[np.ndarray]:
-    """eps(Z, t, c) for each column of concept ids, from one forward_batch.
-
-    A column is one id or one id per row; -1 marks a row the column does
-    not need, which stays 0. Each distinct (row, concept) pair is evaluated
-    once. t is a schedule timestep or one per row.
-    """
-    n = Z.shape[0]
-    ids = np.stack([np.broadcast_to(np.asarray(col, dtype=np.int64), (n,))
-                    for col in columns])
-    rows = np.broadcast_to(np.arange(n), ids.shape)
-    need = ids >= 0
-    keys, where = np.unique(ids[need] * n + rows[need], return_inverse=True)
-    t_rows = np.broadcast_to(np.asarray(t), (n,))[keys % n]
-    eps = nnet.forward_batch(params, Z[keys % n], t_rows, keys // n)[0]
-    out = np.zeros(ids.shape + (Z.shape[1],))
-    out[need] = eps[where]
-    return list(out)
-
-
 def _guided_terms(params: nnet.Parameters, Z: np.ndarray, sampler_index,
                   schedule_t, c, instructions: Sequence[InstructionConcept],
                   warmup: WarmupRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eps_uncond, eps_cond, delta) at states Z of shape (n, d).
 
-    One forward_batch evaluates, per row, the null token, c and the concept
-    of each instruction whose window and warmup rule are open at the row's
-    sampler index, each distinct concept once. c, sampler_index and
+    One nnet.eps_columns call evaluates, per row, the null token, c and the
+    concept of each instruction whose window and warmup rule are open at the
+    row's sampler index, each distinct concept once. c, sampler_index and
     schedule_t may be scalars or per-row vectors.
 
     delta = sum over open instructions of g_c * mask * (eps(z, c'') -
@@ -148,7 +127,7 @@ def _guided_terms(params: nnet.Parameters, Z: np.ndarray, sampler_index,
                               f"0..{params.n_concepts - 1}")
     index = np.broadcast_to(np.asarray(sampler_index), (n,))
     gates = [ins.in_window(index) & warmup.active(index) for ins in instructions]
-    e_u, e_c, *e_ins = _eps_columns(
+    e_u, e_c, *e_ins = nnet.eps_columns(
         params, Z, schedule_t, [params.null_id, c] + [
             np.where(gate, ins.concept_id, -1)
             for ins, gate in zip(instructions, gates)])
@@ -198,8 +177,7 @@ def guided_eps(params: nnet.Parameters, z: np.ndarray, sampler_index: int,
 def cfg_guidance(params: nnet.Parameters, gamma: float) -> GuidanceFn:
     """Sampling closure for plain CFG: (1+gamma)*eps_c - gamma*eps_uncond."""
     def guid(Z, sampler_index, schedule_t, c):
-        e_c = nnet.forward_batch(params, Z, schedule_t, c)[0]
-        e_u = nnet.forward_batch(params, Z, schedule_t, params.null_id)[0]
+        e_c, e_u = nnet.eps_columns(params, Z, schedule_t, [c, params.null_id])
         return cfg_compose(e_u, e_c, gamma)
     return guid
 

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import bisect
 import functools
+import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -96,7 +98,7 @@ def tensor_layout(shape: NetworkShape, n_concepts: int) -> TensorLayout:
     shapes.append((n_concepts + 1, shape.concept_embed_dim))
     offsets = [0]
     for s in shapes:
-        offsets.append(offsets[-1] + int(np.prod(s)))
+        offsets.append(offsets[-1] + math.prod(s))
     return TensorLayout(tuple(names), tuple(shapes), tuple(offsets))
 
 
@@ -233,12 +235,48 @@ def _silu_grad(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward_batch(params: Parameters, Z: np.ndarray, t, c) -> tuple[np.ndarray, Tape]:
-    """Batched eps prediction; t and c may be scalars or per-row vectors."""
+def _check_rows(params: Parameters, Z) -> np.ndarray:
+    """Z as an (n, input_dim) f64 array with n >= 1."""
     Z = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    n = Z.shape[0]
     if Z.shape[1] != params.shape.input_dim:
         raise StructuralError(f"z dim {Z.shape[1]} != input_dim {params.shape.input_dim}")
+    if Z.shape[0] == 0:
+        raise StructuralError("empty batch: no rows to evaluate")
+    return Z
+
+
+def _upper_layers(params: Parameters, pre: np.ndarray,
+                  tape: Optional[Tape] = None) -> np.ndarray:
+    """The network from layer 0's pre-activation (bias added) to the output.
+
+    Each hidden layer's sigmoid 1 / (1 + exp(-pre)) is built in place in one
+    fresh buffer; exp overflows to inf below pre = -709, which gives the
+    exact limit 0. A tape, if given, receives every later layer's input and
+    every hidden layer's pre-activation and sigmoid.
+    """
+    n_layers = len(params.weights)
+    with np.errstate(over="ignore"):
+        for i in range(1, n_layers):
+            s = np.negative(pre)
+            np.exp(s, out=s)
+            np.add(s, 1.0, out=s)
+            np.divide(1.0, s, out=s)
+            if tape is None:
+                h = np.multiply(pre, s, out=s)
+            else:
+                tape.pre_acts.append(pre)
+                tape.sigmoids.append(s)
+                h = pre * s
+                tape.inputs.append(h)
+            pre = h @ params.weights[i].T
+            np.add(pre, params.biases[i], out=pre)
+    return pre
+
+
+def forward_batch(params: Parameters, Z: np.ndarray, t, c) -> tuple[np.ndarray, Tape]:
+    """Batched eps prediction; t and c may be scalars or per-row vectors."""
+    Z = _check_rows(params, Z)
+    n = Z.shape[0]
     c_ids = np.broadcast_to(np.asarray(c, dtype=np.int64), (n,)).copy()
     if c_ids.min() < 0 or c_ids.max() > params.n_concepts:
         raise StructuralError(f"concept id out of range 0..{params.n_concepts}")
@@ -246,29 +284,59 @@ def forward_batch(params: Parameters, Z: np.ndarray, t, c) -> tuple[np.ndarray, 
                          (n, params.shape.time_embed_dim))
     x = np.concatenate([Z, tf, params.concept_embed[c_ids]], axis=1)
 
-    inputs, pre_acts, sigmoids = [], [], []
-    h = x
-    n_layers = len(params.weights)
-    # The sigmoid 1 / (1 + exp(-pre)) is built in place in one fresh buffer.
-    # exp overflows to inf below pre = -709, which gives the exact limit 0.
-    with np.errstate(over="ignore"):
-        for i in range(n_layers):
-            inputs.append(h)
-            pre = h @ params.weights[i].T
-            np.add(pre, params.biases[i], out=pre)
-            if i < n_layers - 1:
-                s = np.negative(pre)
-                np.exp(s, out=s)
-                np.add(s, 1.0, out=s)
-                np.divide(1.0, s, out=s)
-                pre_acts.append(pre)
-                sigmoids.append(s)
-                h = pre * s
-            else:
-                h = pre
-    tape = Tape(params=params, c_ids=c_ids, inputs=inputs,
-                pre_acts=pre_acts, sigmoids=sigmoids, output=h)
-    return h, tape
+    tape = Tape(params=params, c_ids=c_ids, inputs=[x], pre_acts=[],
+                sigmoids=[], output=None)
+    pre = x @ params.weights[0].T
+    np.add(pre, params.biases[0], out=pre)
+    tape.output = _upper_layers(params, pre, tape)
+    return tape.output, tape
+
+
+def eps_columns(params: Parameters, Z: np.ndarray, t, columns) -> np.ndarray:
+    """eps(Z, t, c) for each column of concept ids, shape (k, n, d); no tape.
+
+    This is frozen-model inference. A column is one concept id or one id
+    per row; -1 marks a row the column does not need, which stays 0. Each
+    distinct (row, concept) pair is evaluated once. t is a schedule
+    timestep or one per row.
+
+    Layer 0 is computed in factored form: W0's z columns meet each row of Z
+    once, however many columns read it, and its time and concept columns
+    meet each distinct (t, c) pair once. The sum differs from
+    forward_batch's single product by rounding only; the later layers are
+    forward_batch's. Z, c and t are checked as forward_batch checks them.
+    """
+    Z = _check_rows(params, Z)
+    n, d = Z.shape
+    ids = np.empty((len(columns), n), dtype=np.int64)
+    for i, col in enumerate(columns):
+        ids[i] = col
+    if ids.min() < -1 or ids.max() > params.n_concepts:
+        raise StructuralError(f"concept id out of range 0..{params.n_concepts} "
+                              f"(or -1 to skip a row)")
+    t_all = np.broadcast_to(np.asarray(t), (n,))
+    out = np.zeros(ids.shape + (d,))
+    need = ids >= 0
+    if not need.any():
+        return out
+    keys, where = np.unique(ids[need] * n + np.nonzero(need)[1],
+                            return_inverse=True)
+    row = keys % n
+    width = params.n_concepts + 1
+    pairs, pair_at = np.unique(t_all[row] * width + keys // n,
+                               return_inverse=True)
+
+    # layer 0 = z part + (time part + concept part + b0), the bracket once
+    # per distinct (t, c) pair
+    w0, t_dim = params.weights[0], params.shape.time_embed_dim
+    tf = _time_rows(pairs // width, t_dim)
+    bias = tf @ w0[:, d:d + t_dim].T
+    bias += params.concept_embed[pairs % width] @ w0[:, d + t_dim:].T
+    np.add(bias, params.biases[0], out=bias)
+    pre = (Z @ w0[:, :d].T)[row]
+    pre += bias[pair_at]
+    out[need] = _upper_layers(params, pre)[where]
+    return out
 
 
 def forward(params: Parameters, z: np.ndarray, t: int, c: int) -> tuple[np.ndarray, Tape]:

@@ -113,13 +113,17 @@ def _read_header(fh, path) -> dict:
             f"supported version {VERSION}")
     if version != VERSION:
         raise FormatError(f"{path}: invalid format version {version}")
-    raw = fh.read(header_len)
-    if len(raw) < header_len:
+    # the length is checked against the file before a buffer of it is made
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < header_len:
         raise CorruptionError(f"{path}: header truncated "
-                              f"({len(raw)} of {header_len} bytes)")
+                              f"({left} of {header_len} bytes)")
+    raw = fh.read(header_len)
     try:
         return json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: undecodable bytes, bad JSON or an over-long integer;
+        # RecursionError: nesting deeper than the parser's stack
         raise FormatError(f"{path}: header is not valid JSON: {exc}") from exc
 
 

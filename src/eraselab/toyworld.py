@@ -382,21 +382,25 @@ def _first_bad_row(path):
 def dataset_from_csv(path, mode: str, n_concepts: int) -> Dataset:
     """Read a dataset CSV of `mode`'s width in one parse.
 
-    A missing header, no data rows, a ragged row, a non-numeric or
-    non-finite cell, a wrong width or a label that is not a concept id in
-    0..n_concepts-1 is a ConfigError naming the file.
+    Bytes that do not decode, a missing header, no data rows, a ragged
+    row, a non-numeric or non-finite cell, a wrong width or a label that is
+    not a concept id in 0..n_concepts-1 is a ConfigError naming the file.
     """
     width = 1 + MODE_DIMS[mode]
-    with open(path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if header[0] != "label":
-            raise ConfigError(f"{path}: expected dataset header starting with 'label'")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no rows: below
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {_first_bad_row(path) or exc}") from exc
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\r\n").split(",")
+            if header[0] != "label":
+                raise ConfigError(f"{path}: expected dataset header starting "
+                                  f"with 'label'")
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # no rows: below
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {_first_bad_row(path) or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason})") from exc
     if table.shape[0] == 0:
         raise ConfigError(f"{path}: dataset has no rows")
     for what, got in (("header has", len(header)), ("rows have", table.shape[1])):

@@ -3,7 +3,8 @@
 Each is an independent or sequential path that a test compares the
 package's own code against: a batch-1 DDIM trajectory with its record,
 forward diffusion, a seeded validation loss, zero parameter and gradient
-buffers, the class direction evaluated on its own, the nearest-rank
+buffers, the class direction evaluated on its own, the frozen-model eps
+columns and CFG closure as forward_batch calls, the nearest-rank
 percentile, and the exact score and Bayes rate of a Gaussian mixture.
 """
 
@@ -19,7 +20,7 @@ from eraselab import nnet
 from eraselab.diffusion import (GuidanceFn, NoiseSchedule, SamplerConfig,
                                 conditional_eps, descend)
 from eraselab.errors import ConfigError, NumericalError, StructuralError
-from eraselab.guidance import _nearest_rank
+from eraselab.guidance import _nearest_rank, cfg_compose
 from eraselab.toyworld import Dataset, PointMixtureSpec
 
 # ---------------------------------------------------------------------------
@@ -122,6 +123,32 @@ def class_direction(params: nnet.Parameters, z: np.ndarray, t: int,
     e_u = nnet.forward_batch(params, np.atleast_2d(z), t, params.null_id)[0]
     out = e_c - e_u
     return out[0] if np.asarray(z).ndim == 1 else out
+
+
+def eps_columns(params: nnet.Parameters, Z: np.ndarray, t,
+                columns) -> np.ndarray:
+    """nnet.eps_columns through one forward_batch over the stacked rows,
+    layer 0 as one product over [z, time features, embedding]."""
+    n = Z.shape[0]
+    ids = np.stack([np.broadcast_to(np.asarray(col, dtype=np.int64), (n,))
+                    for col in columns])
+    rows = np.broadcast_to(np.arange(n), ids.shape)
+    need = ids >= 0
+    keys, where = np.unique(ids[need] * n + rows[need], return_inverse=True)
+    t_rows = np.broadcast_to(np.asarray(t), (n,))[keys % n]
+    eps = nnet.forward_batch(params, Z[keys % n], t_rows, keys // n)[0]
+    out = np.zeros(ids.shape + (Z.shape[1],))
+    out[need] = eps[where]
+    return out
+
+
+def cfg_guidance(params: nnet.Parameters, gamma: float) -> GuidanceFn:
+    """The CFG closure as two forward_batch calls, conditional then null."""
+    def guid(Z, sampler_index, schedule_t, c):
+        e_c = nnet.forward_batch(params, Z, schedule_t, c)[0]
+        e_u = nnet.forward_batch(params, Z, schedule_t, params.null_id)[0]
+        return cfg_compose(e_u, e_c, gamma)
+    return guid
 
 
 def percentile_threshold(values: np.ndarray, kappa: float) -> float:

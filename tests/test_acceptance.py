@@ -137,8 +137,9 @@ def test_criterion_03_cfg_identities(announce):
     rng = np.random.default_rng(4)
     Z = rng.standard_normal((1000, 2))
     t, c = 17, 5
-    e_c, _ = nnet.forward_batch(params, Z, t, c)
-    e_u, _ = nnet.forward_batch(params, Z, t, params.null_id)
+    # the frozen-model path's own conditional and null eps, from the same
+    # columns the CFG closure evaluates
+    e_c, e_u = nnet.eps_columns(params, Z, t, [c, params.null_id])
     gamma0 = gd.cfg_guidance(params, 0.0)(Z, 9, t, c)
     gamma_m1 = gd.cfg_guidance(params, -1.0)(Z, 9, t, c)
     ok = np.array_equal(gamma0, e_c) and np.array_equal(gamma_m1, e_u)

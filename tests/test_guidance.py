@@ -255,3 +255,17 @@ class TestGuidedEps:
             for single in ins:
                 out = gd.delta([single], z, t, 57, params, warmup)
                 assert np.count_nonzero(out) <= bound
+
+
+class TestCfgGuidance:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, 7.5])
+    def test_matches_two_forward_batch_calls(self, gamma):
+        """The CFG closure evaluates [c, null] in one nnet.eps_columns call;
+        two forward_batch calls are its oracle, within the rounding bound
+        of eps_columns (1e-14 of the largest magnitude)."""
+        params = small_params(input_dim=16, seed=26)
+        Z = np.random.default_rng(27).standard_normal((60, 16))
+        for c in (0, 3, params.null_id):
+            got = gd.cfg_guidance(params, gamma)(Z, 9, 17, c)
+            want = oracles.cfg_guidance(params, gamma)(Z, 9, 17, c)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

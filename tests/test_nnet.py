@@ -579,3 +579,101 @@ class TestNumpySigmoid:
         assert np.array_equal(tape.sigmoids[0][:, 0], [0.0, 0.0, 1.0, 1.0])
         assert np.array_equal(tape.sigmoids[0][:, 0], expit(x))
         assert np.all(np.isfinite(out))
+
+
+# ---------------------------------------------------------------------------
+# The tape-free eps primitive against forward_batch
+# ---------------------------------------------------------------------------
+
+# eps_columns sums layer 0 as three partial products where forward_batch
+# takes one, so a column may differ from forward_batch by rounding: at most
+# EPS_COLUMNS_RTOL times the column's largest magnitude (measured at most
+# 8.6e-16 on the points shape and 1.7e-15 on the glyph shape).
+EPS_COLUMNS_RTOL = 1e-14
+
+
+def assert_column_close(got, want):
+    scale = np.abs(want).max()
+    assert np.abs(got - want).max() <= EPS_COLUMNS_RTOL * scale
+
+
+class TestEpsColumns:
+    K = 4
+
+    def make(self, shape, n, seed):
+        params = nnet.init_params(shape, self.K, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        return params, rng, rng.standard_normal((n, shape.input_dim))
+
+    @pytest.mark.parametrize("shape", [POINTS_SHAPE, GLYPH_SHAPE],
+                             ids=["points", "glyphs"])
+    @pytest.mark.parametrize("t", [0, 17, 1000], ids=["t0", "t17", "T_train"])
+    def test_scalar_t_columns_match_forward_batch(self, shape, t):
+        params, rng, Z = self.make(shape, 50, seed=50)
+        per_row = rng.integers(0, self.K + 1, size=50)
+        columns = [self.K, 1, per_row]
+        out = nnet.eps_columns(params, Z, t, columns)
+        assert out.shape == (3, 50, shape.input_dim)
+        for got, c in zip(out, columns):
+            assert_column_close(got, nnet.forward_batch(params, Z, t, c)[0])
+
+    @pytest.mark.parametrize("shape", [POINTS_SHAPE, GLYPH_SHAPE],
+                             ids=["points", "glyphs"])
+    def test_per_row_t_and_skipped_rows(self, shape):
+        params, rng, Z = self.make(shape, 40, seed=52)
+        t = rng.integers(0, 1001, size=40)
+        t[:2] = [0, 1000]
+        gate = rng.random(40) < 0.5
+        columns = [self.K, rng.integers(0, self.K + 1, size=40),
+                   np.where(gate, 2, -1)]
+        out = nnet.eps_columns(params, Z, t, columns)
+        for got, c in zip(out[:2], columns[:2]):
+            assert_column_close(got, nnet.forward_batch(params, Z, t, c)[0])
+        assert not out[2][~gate].any()
+        assert_column_close(out[2][gate],
+                            nnet.forward_batch(params, Z[gate], t[gate], 2)[0])
+
+    @pytest.mark.parametrize("shape", [POINTS_SHAPE, GLYPH_SHAPE],
+                             ids=["points", "glyphs"])
+    def test_matches_stacked_forward_batch_oracle(self, shape):
+        params, rng, Z = self.make(shape, 30, seed=54)
+        t = rng.integers(1, 101, size=30)
+        columns = [self.K, rng.integers(0, self.K + 1, size=30),
+                   np.where(rng.random(30) < 0.3, 0, -1), 3]
+        got = nnet.eps_columns(params, Z, t, columns)
+        want = oracles.eps_columns(params, Z, t, columns)
+        for g, w in zip(got, want):
+            assert_column_close(g, w)
+        assert np.array_equal(got == 0, want == 0)
+
+    def test_repeated_pair_evaluated_once(self):
+        params, _, Z = self.make(POINTS_SHAPE, 20, seed=56)
+        out = nnet.eps_columns(params, Z, 9, [self.K, 2, self.K, 2])
+        assert np.array_equal(out[0], out[2]) and np.array_equal(out[1], out[3])
+
+    def test_all_rows_skipped_is_zero(self):
+        params, _, Z = self.make(POINTS_SHAPE, 5, seed=58)
+        out = nnet.eps_columns(params, Z, 9, [-1, np.full(5, -1)])
+        assert out.shape == (2, 5, 2) and not out.any()
+
+    @pytest.mark.parametrize("Z,t,columns", [
+        (np.zeros((3, 3)), 1, [0]),
+        (np.zeros((3, 2)), 1, [K + 1]),
+        (np.zeros((3, 2)), 1, [np.array([0, -2, 1])]),
+        (np.zeros((3, 2)), 1.5, [0]),
+        (np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]), [0]),
+        (np.zeros((3, 2)), -1, [0]),
+        (np.zeros((3, 2)), np.array([3, -2, 1]), [0]),
+    ], ids=["z-width", "concept-above", "concept-below", "float-t",
+            "float-t-vector", "negative-t", "negative-t-in-vector"])
+    def test_bad_input_rejected(self, Z, t, columns):
+        params = nnet.init_params(tiny_shape(), self.K, seed=60)
+        with pytest.raises(StructuralError):
+            nnet.eps_columns(params, Z, t, columns)
+
+    def test_empty_batch_named_by_both_forwards(self):
+        params = nnet.init_params(tiny_shape(), self.K, seed=61)
+        with pytest.raises(StructuralError, match="empty batch"):
+            nnet.forward_batch(params, np.zeros((0, 2)), 3, 0)
+        with pytest.raises(StructuralError, match="empty batch"):
+            nnet.eps_columns(params, np.zeros((0, 2)), 3, [0])

@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -269,6 +270,126 @@ class TestCheckpoint:
     def test_nonexistent_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             persistence.read_checkpoint(tmp_path / "missing.ssrg")
+
+
+# ---------------------------------------------------------------------------
+# Seeded fuzzing of the checkpoint readers: whatever the bytes, both readers
+# raise FormatError (CorruptionError is one) and nothing else, and neither
+# allocates what a mutated header declares before checking it against the
+# file.
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = [None, True, -1, 0, 1.5, float("nan"), 10 ** 12, 2 ** 63,
+                10 ** 30, "x", [], {}, [1, 2], {"a": 1}, [[[[]]]]]
+
+
+def _json_paths(value, trail=()):
+    yield trail
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _json_paths(child, trail + (key,))
+
+
+def _mutated_header(header, rng):
+    """A deep copy of header with one value replaced or one key deleted."""
+    header = json.loads(json.dumps(header))
+    paths = list(_json_paths(header))
+    trail = paths[rng.integers(len(paths))]
+    value = _JSON_VALUES[rng.integers(len(_JSON_VALUES))]
+    if not trail:
+        return value
+    parent = header
+    for key in trail[:-1]:
+        parent = parent[key]
+    if isinstance(parent, dict) and rng.random() < 0.2:
+        del parent[trail[-1]]
+    else:
+        parent[trail[-1]] = value
+    return header
+
+
+def _fuzzed_checkpoint(raw, header, rng, kind):
+    hlen = struct.unpack_from("<I", raw, 6)[0]
+    blob = bytearray(raw)
+    if kind == "byte-flips":
+        for _ in range(rng.integers(1, 4)):
+            blob[rng.integers(len(blob))] ^= 1 << int(rng.integers(8))
+    elif kind == "truncation":
+        blob = blob[:rng.integers(len(blob))]
+    elif kind == "header-length":
+        lengths = [0, 1, hlen - 1, hlen + 1, hlen + 8, 2 ** 31, 2 ** 32 - 1,
+                   int(rng.integers(0, 2 ** 32))]
+        blob[6:10] = struct.pack("<I", lengths[rng.integers(len(lengths))])
+    else:
+        text = json.dumps(_mutated_header(header, rng), sort_keys=True).encode()
+        blob = bytearray(raw[:6] + struct.pack("<I", len(text)) + text
+                         + raw[FIXED_LEN + hlen:])
+    return bytes(blob)
+
+
+class TestCheckpointFuzz:
+    KINDS = ("byte-flips", "truncation", "header-length", "header-json")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_only_format_errors_escape(self, tmp_path, kind):
+        good = tmp_path / "good.ssrg"
+        persistence.write_checkpoint(small_params(), {"stage": "base"}, good)
+        raw = good.read_bytes()
+        header = persistence.read_checkpoint_header(good)
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        path = tmp_path / "fuzzed.ssrg"
+        rejected = 0
+        for _ in range(250):
+            path.write_bytes(_fuzzed_checkpoint(raw, header, rng, kind))
+            for reader in (persistence.read_checkpoint,
+                           persistence.read_checkpoint_header):
+                try:
+                    reader(path)
+                except FormatError:
+                    rejected += 1
+        assert rejected > 0
+
+    @pytest.mark.parametrize("text", [b"[" * 100_000, b'{"a": ' + b"1" * 5000 + b"}"],
+                             ids=["deep-nesting", "long-integer"])
+    def test_header_json_beyond_the_parser(self, tmp_path, text):
+        path = tmp_path / "deep.ssrg"
+        path.write_bytes(struct.pack("<4sHI", b"SSRG", 1, len(text)) + text)
+        for reader in (persistence.read_checkpoint,
+                       persistence.read_checkpoint_header):
+            with pytest.raises(FormatError, match="not valid JSON"):
+                reader(path)
+
+    def test_declared_sizes_checked_before_allocation(self, tmp_path):
+        """A header length or model widths far beyond the file are rejected
+        from the file's size, before any buffer of that size exists."""
+        good = tmp_path / "good.ssrg"
+        persistence.write_checkpoint(small_params(), {}, good)
+        raw = good.read_bytes()
+        long_header = tmp_path / "long_header.ssrg"
+        long_header.write_bytes(raw[:6] + struct.pack("<I", 2 ** 32 - 1) + raw[10:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptionError, match="header truncated"):
+                persistence.read_checkpoint(long_header)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+        def widen(header):
+            header["model"]["hidden"] = [2 ** 62, 5]
+            layout = nnet.tensor_layout(
+                nnet.NetworkShape(2, (2 ** 62, 5), 4, 4), 3)
+            header["tensors"] = [
+                {"name": name, "shape": list(shape), "offset": 8 * offset}
+                for name, shape, offset
+                in zip(layout.names, layout.shapes, layout.offsets)]
+        wide = tmp_path / "wide.ssrg"
+        repack(good, wide, mutate_header=widen)
+        # w0 alone declares 2**62 * 10 doubles, more than an int64 holds
+        with pytest.raises(CorruptionError, match="payload truncated in tensor w0"):
+            persistence.read_checkpoint(wide)
 
 
 def write_config(tmp_path, text):

@@ -5,7 +5,8 @@ src/eraselab must be reachable: referenced somewhere in src/eraselab from
 code that is itself live. Module-level code and private definitions are
 live; a public definition becomes live once such code references it, a
 top-level one by ast.Name or ast.Attribute, a method only by
-ast.Attribute (a local variable of the same name does not count). This is
+ast.Attribute (a local variable of the same name does not count, nor does
+an attribute of an outside import such as np.zeros). This is
 iterated to a fixed point, so definitions that only reference each other
 stay unreferenced. Helpers that only tests need live under tests/ instead.
 
@@ -46,9 +47,33 @@ def _public_definitions(tree):
                     yield f"{node.name}.{member.name}", member, True
 
 
+def _outside_aliases(tree):
+    """Names that tree binds to modules or objects from outside the package
+    (np, os, math, ...): absolute imports of anything but eraselab."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update((alias.asname or alias.name).split(".")[0]
+                           for alias in node.names
+                           if alias.name.split(".")[0] != "eraselab")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] != "eraselab":
+            aliases.update(alias.asname or alias.name for alias in node.names)
+    return aliases
+
+
+def _root_name(node):
+    """The id of the ast.Name at the bottom of an attribute chain, if any."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
 def _live_references(tree, skipped):
     """Counters of ast.Name ids and ast.Attribute attrs in tree, outside
-    the subtrees rooted at the nodes in skipped."""
+    the subtrees rooted at the nodes in skipped. An attribute of an outside
+    import (np.zeros) references nothing in the package."""
+    outside = _outside_aliases(tree)
     names, attrs = Counter(), Counter()
     stack = [tree]
     while stack:
@@ -57,7 +82,8 @@ def _live_references(tree, skipped):
             continue
         if isinstance(node, ast.Name):
             names[node.id] += 1
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) \
+                and _root_name(node.value) not in outside:
             attrs[node.attr] += 1
         stack.extend(ast.iter_child_nodes(node))
     return names, attrs
@@ -139,6 +165,21 @@ def test_guard_flags_a_method_named_like_a_local(tmp_path):
         "\n\n"
         "count()\n")
     assert _unused(tmp_path) == ["mod.py: Table.rows"]
+
+
+def test_guard_flags_a_method_named_like_an_outside_attribute(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "import numpy as np\n"
+        "\n\n"
+        "class Buffer:\n"
+        "    def zeros(self):\n"
+        "        return np.zeros(2)\n"
+        "\n\n"
+        "def make():\n"
+        "    return Buffer(), np.zeros(3)\n"
+        "\n\n"
+        "make()\n")
+    assert _unused(tmp_path) == ["mod.py: Buffer.zeros"]
 
 
 def test_guard_flags_dead_functions_that_call_each_other(tmp_path):

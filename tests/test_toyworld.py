@@ -252,6 +252,71 @@ class TestDatasetCsv:
                 tw.dataset_from_csv(path, mode="points2d", n_concepts=2)
 
 
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"label,x0,x1\n0,1.0,2\xb5.0\n")
+        with pytest.raises(ConfigError, match="not a text file"):
+            tw.dataset_from_csv(path, mode="points2d", n_concepts=2)
+
+
+_CELLS = ["", "nan", "inf", "-inf", "1e999", "abc", "0x10", "1,2", " ", "-1",
+          "8", "3.5", "1e-320", "\x00", "\u00e9", '"1"', "1_0", "+1", "--1"]
+
+
+def _mutated_rows(rows, rng, kind):
+    """rows (lists of cells, header first) with one seeded mutation."""
+    rows = [list(r) for r in rows]
+    at = int(rng.integers(len(rows)))
+    cell = _CELLS[rng.integers(len(_CELLS))]
+    if kind == "cell":
+        rows[at][rng.integers(len(rows[at]))] = cell
+    elif kind == "row":
+        if rng.random() < 0.5:
+            del rows[at]
+        else:
+            rows.insert(at, list(rows[rng.integers(len(rows))]))
+    elif kind == "width":
+        if rng.random() < 0.5:
+            rows[at].pop()
+        else:
+            rows[at].append(cell)
+    else:
+        keep = int(rng.integers(1, 4))
+        rows = [r[:keep] for r in rows]
+    return rows
+
+
+class TestDatasetCsvFuzz:
+    """Seeded mutations of a valid points CSV: the loader raises ConfigError
+    and nothing else."""
+
+    KINDS = ("cell", "row", "width", "all-widths", "byte-flips")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_only_config_errors_escape(self, tmp_path, kind):
+        vocab, spec = tw.default_points_vocab()
+        good = tmp_path / "good.csv"
+        tw.dataset_to_csv(tw.gen_points2d(spec, 3, seed=0), good)
+        rows = [line.split(",") for line in good.read_text().splitlines()]
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        path = tmp_path / "fuzzed.csv"
+        rejected = 0
+        for _ in range(300):
+            if kind == "byte-flips":
+                blob = bytearray(good.read_bytes())
+                for _ in range(rng.integers(1, 4)):
+                    blob[rng.integers(len(blob))] ^= 1 << int(rng.integers(8))
+                path.write_bytes(bytes(blob))
+            else:
+                path.write_text("\n".join(",".join(r) for r in
+                                          _mutated_rows(rows, rng, kind)) + "\n")
+            try:
+                tw.dataset_from_csv(path, "points2d", vocab.size)
+            except ConfigError:
+                rejected += 1
+        assert rejected > 0
+
+
 # -- the per-row oracles, kept as the oracle of the batched classifiers ------
 
 def per_row_bayes(spec, x):
