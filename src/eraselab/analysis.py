@@ -208,7 +208,7 @@ def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
     if len(Z):
         c_rows = np.repeat(concepts, len(seeds))
         x_a, x_b = (df.descend(Z, sampler, sched, c_rows,
-                               gd.cfg_guidance(model, gamma))[0]
+                               gd.cfg_guidance(model, gamma))
                     for model in (model_a, model_b))
         for a, b in zip(x_a, x_b):
             sims.append(ssim(a.reshape(16, 16), b.reshape(16, 16))

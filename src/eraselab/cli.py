@@ -195,8 +195,8 @@ def cmd_invert(args) -> int:
         sched, sampler = cfg.schedule(), cfg.sampler()
         X, labels = dataset.samples, dataset.labels
         latents = df.ddim_invert(X, model, sched, sampler, labels)
-        recon, _, _ = df.descend(latents, sampler, sched, labels,
-                                 df.conditional_eps(model))
+        recon = df.descend(latents, sampler, sched, labels,
+                           df.conditional_eps(model))
         recon_rows = [(str(i), str(c), float(np.linalg.norm(r - x0))
                        / max(float(np.linalg.norm(x0)), 1e-300))
                       for i, (c, r, x0) in enumerate(zip(labels, recon, X))]

@@ -128,12 +128,13 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, from_t: int, to_t: int,
 
 
 def descend(Z: np.ndarray, sampler: SamplerConfig, sched: NoiseSchedule,
-            c: int, guid: GuidanceFn, stop_index: int = 0,
-            record: bool = False) -> tuple[np.ndarray, list, list]:
+            c: int, guid: GuidanceFn, stop_index: int = 0) -> np.ndarray:
     """DDIM descent of explicit states Z (n, d) from sampler index T down to
-    stop_index; returns (final states, recorded states, recorded eps)."""
-    states = [Z.copy()] if record else []
-    eps_list = []
+    stop_index; returns the final states and keeps no history.
+
+    Each step calls guid(Z, i, tau_i, c) with the states at sampler index i,
+    so a closure that needs an intermediate state reads it there.
+    """
     for i in range(sampler.T, stop_index, -1):
         t_from = sampler.schedule_t(i)
         t_to = sampler.schedule_t(i - 1)
@@ -142,22 +143,16 @@ def descend(Z: np.ndarray, sampler: SamplerConfig, sched: NoiseSchedule,
         if not np.all(np.isfinite(Z)):
             raise NumericalError(f"non-finite state after DDIM step "
                                  f"{i} -> {i - 1} (t={t_from} -> {t_to})")
-        if record:
-            eps_list.append(eps_hat.copy())
-            states.append(Z.copy())
-    return Z, states, eps_list
+    return Z
 
 
 def sample_final_batch(params: nnet.Parameters, sched: NoiseSchedule,
-                       sampler: SamplerConfig, c: int, guid: Optional[GuidanceFn],
+                       sampler: SamplerConfig, c: int, guid: GuidanceFn,
                        n: int, seed: int) -> np.ndarray:
     """n seeded z_T ~ N(0, I) descended together; returns the final states."""
-    if guid is None:
-        guid = conditional_eps(params)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, params.shape.input_dim))
-    Z, _, _ = descend(Z, sampler, sched, c, guid)
-    return Z
+    return descend(Z, sampler, sched, c, guid)
 
 
 def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,

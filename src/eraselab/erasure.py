@@ -15,8 +15,10 @@ and ignore lambda.
 
 Nothing the teacher computes depends on the student, so erase_finetune
 computes the teacher's side of every iteration first: all rollouts as one
-batched descent, then the targets at every rollout state. The sequential
-loop keeps only the student's forwards, its backward and AdamW.
+batched descent, then the targets at every rollout state. The descent keeps
+one state per iteration, taken as it passes that iteration's t, and no
+trajectory. The sequential loop keeps only the student's forwards, its
+backward and AdamW.
 """
 
 from __future__ import annotations
@@ -212,8 +214,10 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
     """Draw (t_index, c, z_T) for every iteration in the loop's RNG order,
     roll all rows down in one descent, then take every row's targets.
 
-    The descent runs to the lowest t_index and records every state; row r
-    keeps the state at its own t_index (z_T when t_index is T).
+    The descent runs to the lowest t_index and keeps no history: as it
+    passes sampler index i, the guidance closure copies the state of every
+    row whose t_index is i (z_T when t_index is T), and the rows at the
+    lowest index take the descent's result.
     """
     rng = np.random.default_rng(cfg.seed)
     n, T = cfg.n_iters, cfg.sampler_T
@@ -227,9 +231,17 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
     rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
         and cfg.replacement_mode == "delta" else ()
     guid = gd.rollout_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
-    _, states, _ = df.descend(Z_T, sampler, sched, concept, guid,
-                              stop_index=int(t_index.min()), record=True)
-    z_t = np.array([states[T - t][k] for k, t in enumerate(t_index)])
+    z_t = np.empty_like(Z_T)
+
+    def keep_and_guide(Z, sampler_index, schedule_t, c):
+        rows = t_index == sampler_index
+        z_t[rows] = Z[rows]
+        return guid(Z, sampler_index, schedule_t, c)
+
+    stop = int(t_index.min())
+    last = t_index == stop
+    z_t[last] = df.descend(Z_T, sampler, sched, concept, keep_and_guide,
+                           stop_index=stop)[last]
     schedule_t = np.asarray(sampler.tau)[t_index - 1]
     target, anchor = teacher_targets(teacher, cfg, z_t, t_index, schedule_t,
                                      concept)

@@ -1,11 +1,13 @@
 """Reference implementations that only the tests use.
 
 Each is an independent or sequential path that a test compares the
-package's own code against: a batch-1 DDIM trajectory with its record,
-forward diffusion, a seeded validation loss, zero parameter and gradient
-buffers, the class direction evaluated on its own, the frozen-model eps
-columns and CFG closure as forward_batch calls, the nearest-rank
-percentile, and the exact score and Bayes rate of a Gaussian mixture.
+package's own code against: the DDIM descent with its per-step record of
+states and eps (diffusion.descend keeps only the final states), a
+batch-1 trajectory built on it, forward diffusion, a seeded validation
+loss, zero parameter and gradient buffers, the class direction evaluated
+on its own, the frozen-model eps columns and CFG closure as
+forward_batch calls, the nearest-rank percentile, and the exact score
+and Bayes rate of a Gaussian mixture.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy.special import logsumexp
 
 from eraselab import nnet
 from eraselab.diffusion import (GuidanceFn, NoiseSchedule, SamplerConfig,
-                                conditional_eps, descend)
+                                conditional_eps, ddim_step)
 from eraselab.errors import ConfigError, NumericalError, StructuralError
 from eraselab.guidance import _nearest_rank, cfg_compose
 from eraselab.toyworld import Dataset, PointMixtureSpec
@@ -52,6 +54,27 @@ class Trajectory:
         return self.states[-1]
 
 
+def descend_recorded(Z: np.ndarray, sampler: SamplerConfig,
+                     sched: NoiseSchedule, c: int, guid: GuidanceFn,
+                     stop_index: int = 0) -> tuple[np.ndarray, list, list]:
+    """diffusion.descend with a record of its history: returns (final
+    states, the states at sampler indices T down to stop_index, the eps
+    used to leave each of them but the last)."""
+    states = [Z.copy()]
+    eps_list = []
+    for i in range(sampler.T, stop_index, -1):
+        t_from = sampler.schedule_t(i)
+        t_to = sampler.schedule_t(i - 1)
+        eps_hat = guid(Z, i, t_from, c)
+        Z = ddim_step(Z, eps_hat, t_from, t_to, sched)
+        if not np.all(np.isfinite(Z)):
+            raise NumericalError(f"non-finite state after DDIM step "
+                                 f"{i} -> {i - 1} (t={t_from} -> {t_to})")
+        eps_list.append(eps_hat.copy())
+        states.append(Z.copy())
+    return Z, states, eps_list
+
+
 def forward_diffuse(x0: np.ndarray, t: int, eps: np.ndarray,
                     sched: NoiseSchedule) -> np.ndarray:
     """z_t = sqrt(alpha_bar_t) x0 + sqrt(1 - alpha_bar_t) eps."""
@@ -72,7 +95,8 @@ def sample(params: nnet.Parameters, sched: NoiseSchedule, sampler: SamplerConfig
         guid = conditional_eps(params)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((1, params.shape.input_dim))
-    _, states, eps_list = descend(Z, sampler, sched, c, guid, stop_index, record=True)
+    _, states, eps_list = descend_recorded(Z, sampler, sched, c, guid,
+                                           stop_index)
     return Trajectory(states=np.array([s[0] for s in states]),
                       eps_hats=np.array([e[0] for e in eps_list])
                       if eps_list else np.zeros((0, params.shape.input_dim)),

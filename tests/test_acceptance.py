@@ -286,8 +286,7 @@ def test_criterion_07_ddim_determinism_and_inversion(announce, points_world,
         x0 = dataset.samples[idx]
         c = int(dataset.labels[idx])
         z_T = df.ddim_invert(x0, points_base, sched, sampler, c)
-        recon, _, _ = df.descend(z_T[None, :], sampler, sched, c, cond, 0,
-                                 record=False)
+        recon = df.descend(z_T[None, :], sampler, sched, c, cond, 0)
         rels.append(np.linalg.norm(recon[0] - x0) / np.linalg.norm(x0))
     mean_rel = float(np.mean(rels))
     ok = deterministic and mean_rel <= 0.05
@@ -391,8 +390,7 @@ def test_criterion_11_concept_purification(announce, glyphs_world, glyphs_base,
         flips = 0
         for x in dataset.samples[dataset.labels == 0][:50]:
             z_T = df.ddim_invert(x, model, sched, sampler, 0)
-            out, _, _ = df.descend(z_T[None, :], sampler, sched, 0, cond, 0,
-                                   record=False)
+            out = df.descend(z_T[None, :], sampler, sched, 0, cond, 0)
             flips += oracle(out[0])[0] != 0
         return flips / 50.0
 

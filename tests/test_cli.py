@@ -1,7 +1,11 @@
 """End-to-end pipeline runs and exit-code mapping for the command line."""
 
 import csv
+import hashlib
 import json
+import math
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,53 +41,105 @@ MANIFESTS = [
 ]
 
 
+def run_pipeline(root):
+    """Write TINY_CONFIG under root and run every command on it once, each
+    into its own run directory; returns the paths by key."""
+    config = root / "run.ini"
+    config.write_text(TINY_CONFIG)
+    paths = {"root": root, "config": config,
+             **{key: root / key for _, key, _ in MANIFESTS}}
+    base, erased = paths["base"] / "base.ssrg", paths["erased"] / "erased.ssrg"
+    conf = ["--config", str(config)]
+    commands = [
+        ["gen-data", *conf, "--out", str(paths["data"]), "--n", "20"],
+        ["train-base", *conf, "--data", str(paths["data"] / "dataset.csv"),
+         "--out", str(paths["base"])],
+        ["erase", *conf, "--base", str(base), "--out", str(paths["erased"])],
+        ["eval", *conf, "--base", str(base), "--model", str(erased),
+         "--out", str(paths["eval"]), "--n", "30", "--drift-n", "20",
+         "--timeline-n", "20"],
+        ["sample", *conf, "--model", str(erased), "--concept", "c1",
+         "--n", "4", "--out", str(paths["sample"])],
+        ["invert", *conf, "--model", str(base),
+         "--data", str(paths["sample"] / "samples.csv"),
+         "--out", str(paths["invert"])],
+        ["sweep-lambda", *conf, "--base", str(base), "--values", "5",
+         "--n", "10", "--out", str(paths["sweep"])],
+        ["verify-theory", *conf, "--out", str(paths["theory"])],
+        ["report", "--runs", str(paths["eval"]), "--out", str(paths["report"])],
+    ]
+    for argv in commands:
+        code = cli.main(argv)
+        assert code == 0, f"{argv[0]} exited {code}"
+    return paths
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One tiny end-to-end run shared by the assertions below."""
-    root = tmp_path_factory.mktemp("pipeline")
-    config = root / "run.ini"
-    config.write_text(TINY_CONFIG)
-    paths = {
-        "root": root,
-        "config": config,
-        "data": root / "data",
-        "base": root / "base",
-        "erased": root / "erased",
-        "eval": root / "eval",
-        **{key: root / key for key in ("sample", "invert", "sweep", "theory",
-                                       "report")},
-    }
-    assert cli.main(["gen-data", "--config", str(config),
-                     "--out", str(paths["data"]), "--n", "20"]) == 0
-    assert cli.main(["train-base", "--config", str(config),
-                     "--data", str(paths["data"] / "dataset.csv"),
-                     "--out", str(paths["base"])]) == 0
-    assert cli.main(["erase", "--config", str(config),
-                     "--base", str(paths["base"] / "base.ssrg"),
-                     "--out", str(paths["erased"])]) == 0
-    assert cli.main(["eval", "--config", str(config),
-                     "--base", str(paths["base"] / "base.ssrg"),
-                     "--model", str(paths["erased"] / "erased.ssrg"),
-                     "--out", str(paths["eval"]),
-                     "--n", "30", "--drift-n", "20",
-                     "--timeline-n", "20"]) == 0
-    assert cli.main(["sample", "--config", str(config),
-                     "--model", str(paths["erased"] / "erased.ssrg"),
-                     "--concept", "c1", "--n", "4",
-                     "--out", str(paths["sample"])]) == 0
-    assert cli.main(["invert", "--config", str(config),
-                     "--model", str(paths["base"] / "base.ssrg"),
-                     "--data", str(paths["sample"] / "samples.csv"),
-                     "--out", str(paths["invert"])]) == 0
-    assert cli.main(["sweep-lambda", "--config", str(config),
-                     "--base", str(paths["base"] / "base.ssrg"),
-                     "--values", "5", "--n", "10",
-                     "--out", str(paths["sweep"])]) == 0
-    assert cli.main(["verify-theory", "--config", str(config),
-                     "--out", str(paths["theory"])]) == 0
-    assert cli.main(["report", "--runs", str(paths["eval"]),
-                     "--out", str(paths["report"])]) == 0
-    return paths
+    return run_pipeline(tmp_path_factory.mktemp("pipeline"))
+
+
+# Artifacts of the pipeline whose numbers tests/fingerprints.json pins.
+# report.write_csv prints 6 significant digits, so these compare as printed.
+PRINTED_CSVS = ("base/train_loss.csv", "erased/loss.csv", "sweep/sweep.csv",
+                "invert/recon.csv", "theory/theory.csv")
+FINGERPRINTED = PRINTED_CSVS + ("sample/samples.csv", "eval/metrics.json")
+CHECKPOINTS = ("base/base.ssrg", "erased/erased.ssrg",
+               "erased/checkpoints/iter_0004.ssrg",
+               "erased/checkpoints/iter_0008.ssrg", "sweep/lambda_5.ssrg")
+FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
+
+
+def payload_sha256(path):
+    """sha256 of a checkpoint's payload; the header holds paths and times."""
+    raw = Path(path).read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 6)
+    return hashlib.sha256(raw[10 + header_len:]).hexdigest()
+
+
+def pipeline_fingerprints(root):
+    """The numbers of a run_pipeline run under root, and its payload hashes.
+
+    write_csv files are kept cell for cell as printed, samples.csv as its
+    labels and doubles, metrics.json as parsed. The payload hashes are for
+    information only: OpenBLAS picks its kernels per CPU, so they can
+    differ across hosts.
+    """
+    root = Path(root)
+    artifacts = {}
+    for name in PRINTED_CSVS:
+        with open(root / name, newline="") as fh:
+            artifacts[name] = list(csv.reader(fh))
+    with open(root / "sample/samples.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    artifacts["sample/samples.csv"] = [header] + [
+        [int(label)] + [float(v) for v in values] for label, *values in rows]
+    artifacts["eval/metrics.json"] = json.loads(
+        (root / "eval/metrics.json").read_text())
+    return {"artifacts": artifacts,
+            "payload_sha256": {name: payload_sha256(root / name)
+                               for name in CHECKPOINTS}}
+
+
+def assert_matches(got, want, where, exact=False):
+    """Strings, integers and everything under a key that names a rate must
+    match exactly; other floats within 1e-9 relative."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for key in want:
+            assert_matches(got[key], want[key], f"{where}.{key}",
+                           exact or "rate" in key)
+    elif isinstance(want, list):
+        assert len(got) == len(want), f"{where}: {len(got)} != {len(want)} items"
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_matches(g, w, f"{where}[{i}]", exact)
+    elif isinstance(want, float) and not exact:
+        assert isinstance(got, float) and \
+            math.isclose(got, want, rel_tol=1e-9), f"{where}: {got!r} != {want!r}"
+    else:
+        assert type(got) is type(want) and got == want, \
+            f"{where}: {got!r} != {want!r}"
 
 
 def read_rows(path):
@@ -220,6 +276,18 @@ class TestPipelineArtifacts:
         assert [float(r["lambda"]) for r in rows] == [0.0, 5.0]
         assert (tmp_path / "lambda_0.ssrg").exists()
         assert (tmp_path / "lambda_5.ssrg").exists()
+
+
+class TestFingerprints:
+    """The pipeline's numbers, recorded in tests/fingerprints.json by
+    tools/record_fingerprints.py. A change that alters the arithmetic
+    re-records the file and says by how much each value moved."""
+
+    @pytest.mark.parametrize("name", FINGERPRINTED)
+    def test_artifact_matches_recorded(self, pipeline, name):
+        want = json.loads(FINGERPRINTS.read_text())["artifacts"][name]
+        got = pipeline_fingerprints(pipeline["root"])["artifacts"][name]
+        assert_matches(got, want, name)
 
 
 class TestExitCodes:
@@ -577,7 +645,7 @@ class TestInvertMatchesPerSample:
         for i in range(len(picked)):
             x0, c = full.samples[picked[i]], int(full.labels[picked[i]])
             z_T = df.ddim_invert(x0, model, sched, sampler, c)
-            out, _, _ = df.descend(z_T[None, :], sampler, sched, c, guid, 0)
+            out = df.descend(z_T[None, :], sampler, sched, c, guid, 0)
             rel = float(np.linalg.norm(out[0] - x0)) / float(np.linalg.norm(x0))
             assert latents.labels[i] == c and recon[i]["label"] == str(c)
             assert np.abs(latents.samples[i] - z_T).max() \

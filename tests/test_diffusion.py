@@ -210,7 +210,8 @@ class TestSample:
         _, spec, _ = points_world
         accs = []
         for cid in range(8):
-            X = df.sample_final_batch(points_base, sched, sampler, cid, None,
+            X = df.sample_final_batch(points_base, sched, sampler, cid,
+                                      df.conditional_eps(points_base),
                                       200, seed=500 + cid)
             accs.append(np.mean([tw.bayes_classify(spec, x)[0] == cid
                                  for x in X]))
@@ -226,8 +227,8 @@ class TestInvert:
         np.testing.assert_allclose(z_T, np.sqrt(sched.alpha_bar_at(100)) * x0,
                                    rtol=1e-12)
         traj = oracles.sample(params, sched, sampler, c=0, guid=None, seed=0)
-        recon, _, _ = df.descend(z_T[None, :], sampler, sched, 0,
-                                  df.conditional_eps(params), 0, record=False)
+        recon = df.descend(z_T[None, :], sampler, sched, 0,
+                           df.conditional_eps(params), 0)
         np.testing.assert_allclose(recon[0], x0, rtol=1e-12)
 
     def test_round_trip_on_training_samples(self, points_world, points_base,
@@ -241,8 +242,7 @@ class TestInvert:
             x0 = dataset.samples[idx]
             c = int(dataset.labels[idx])
             z_T = df.ddim_invert(x0, points_base, sched, sampler, c)
-            recon, _, _ = df.descend(z_T[None, :], sampler, sched, c, guid,
-                                      0, record=False)
+            recon = df.descend(z_T[None, :], sampler, sched, c, guid, 0)
             rels.append(np.linalg.norm(recon[0] - x0) / np.linalg.norm(x0))
         assert np.mean(rels) <= 0.05
 

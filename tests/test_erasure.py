@@ -1,5 +1,7 @@
 """Erasure losses, stop-gradient soundness, and the fine-tuning loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from eraselab import diffusion as df
 from eraselab import erasure as er
 from eraselab import guidance as gd
 from eraselab import nnet
+from eraselab import persistence
 from eraselab import toyworld as tw
 from eraselab.errors import ConfigError
 
@@ -492,7 +495,7 @@ def sequential_erase(base, cfg, sched):
             z_t = z_T[0]
         else:
             z_t = df.descend(z_T, sampler, sched, c, guid,
-                             stop_index=t_index)[0][0]
+                             stop_index=t_index)[0]
         schedule_t = sampler.schedule_t(t_index)
         target, anchor = sequential_targets(teacher, cfg, z_t, t_index,
                                             schedule_t, c)
@@ -562,6 +565,30 @@ class TestTeacherPassOracle:
             assert_rel_close(batched.anchor[k], anchor)
 
     @pytest.mark.parametrize("case", sorted(SLOW_PATH_CASES))
+    def test_teacher_pass_keeps_the_recorded_states(self, case):
+        """Row k's z_t is, bit for bit, the state at its own t_index in
+        the recorded descent of all rows."""
+        base, sched = oracle_setup()
+        cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
+        sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
+        T, rng = cfg.sampler_T, np.random.default_rng(cfg.seed)
+        draws = [(rng.integers(1, T + 1),
+                  cfg.erase_set[rng.integers(0, len(cfg.erase_set))],
+                  rng.standard_normal(base.shape.input_dim))
+                 for _ in range(cfg.n_iters)]
+        t_index, c, Z_T = (np.array(col) for col in zip(*draws))
+        rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
+            and cfg.replacement_mode == "delta" else ()
+        guid = gd.rollout_guidance(base, cfg.gamma1, rollout_ins, cfg.warmup)
+        _, states, _ = oracles.descend_recorded(Z_T, sampler, sched, c, guid,
+                                                int(t_index.min()))
+        got = er._teacher_pass(base, cfg, sched, sampler)
+        assert np.array_equal(got.t_index, t_index)
+        assert np.array_equal(got.concept, c)
+        for k, t in enumerate(t_index):
+            assert np.array_equal(got.z_t[k], states[T - t][k]), k
+
+    @pytest.mark.parametrize("case", sorted(SLOW_PATH_CASES))
     def test_erase_matches_sequential_loop(self, case):
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
@@ -574,3 +601,24 @@ class TestTeacherPassOracle:
         assert_rel_close(np.array(got_losses)[:, 1], np.array(losses)[:, 1])
         for name in base.tensor_names():
             assert_rel_close(got.get_tensor(name), want.get_tensor(name))
+
+
+def test_teacher_pass_holds_no_trajectory(tmp_path):
+    """On a glyph-sized input with a narrow net, a descent that kept every
+    state and eps of its 200 rows (28 times the results) would dominate the
+    pass's peak; keeping one state per row stays within 10 times."""
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nmode = glyphs16\n[base]\nhidden = 16\n"
+                      "[erase]\nn_iters = 200\n")
+    cfg = persistence.load_config(config)
+    vocab, _ = cfg.vocab_and_spec()
+    teacher = nnet.init_params(cfg.network_shape(), vocab.size, seed=0)
+    tracemalloc.start()
+    try:
+        got = er._teacher_pass(teacher, cfg.erase, cfg.schedule(),
+                               cfg.sampler())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = got.z_t.nbytes + got.target.nbytes + got.anchor.nbytes
+    assert peak < 10 * kept, (peak, kept)
