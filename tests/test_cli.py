@@ -26,6 +26,14 @@ n_samples = 30
 consistency_seeds = 0,1,2
 """
 
+# Erase runs beside the pipeline's own, on TINY_CONFIG with these keys
+# added to [erase]: run directory -> keys. They pin the esd target and the
+# explicit-replacement target, which the default erase run does not reach.
+ERASE_VARIANTS = {
+    "erased-esd": "loss_kind = esd\n",
+    "erased-explicit": "replacement_mode = explicit\nreplacement = c2\n",
+}
+
 # Each command that writes --out: its run directory in the pipeline
 # fixture and the keys of its manifest's seeds.
 MANIFESTS = [
@@ -68,6 +76,12 @@ def run_pipeline(root):
         ["verify-theory", *conf, "--out", str(paths["theory"])],
         ["report", "--runs", str(paths["eval"]), "--out", str(paths["report"])],
     ]
+    for key, keys in ERASE_VARIANTS.items():
+        variant = root / f"{key}.ini"
+        variant.write_text(TINY_CONFIG.replace("[erase]\n", "[erase]\n" + keys))
+        paths[key] = root / key
+        commands.append(["erase", "--config", str(variant), "--base", str(base),
+                         "--out", str(paths[key])])
     for argv in commands:
         code = cli.main(argv)
         assert code == 0, f"{argv[0]} exited {code}"
@@ -83,11 +97,13 @@ def pipeline(tmp_path_factory):
 # Artifacts of the pipeline whose numbers tests/fingerprints.json pins.
 # report.write_csv prints 6 significant digits, so these compare as printed.
 PRINTED_CSVS = ("base/train_loss.csv", "erased/loss.csv", "sweep/sweep.csv",
-                "invert/recon.csv", "theory/theory.csv")
+                "invert/recon.csv", "theory/theory.csv",
+                *(f"{key}/loss.csv" for key in ERASE_VARIANTS))
 FINGERPRINTED = PRINTED_CSVS + ("sample/samples.csv", "eval/metrics.json")
 CHECKPOINTS = ("base/base.ssrg", "erased/erased.ssrg",
                "erased/checkpoints/iter_0004.ssrg",
-               "erased/checkpoints/iter_0008.ssrg", "sweep/lambda_5.ssrg")
+               "erased/checkpoints/iter_0008.ssrg", "sweep/lambda_5.ssrg",
+               *(f"{key}/erased.ssrg" for key in ERASE_VARIANTS))
 FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
 
 

@@ -3,7 +3,10 @@
 Runs the tiny seeded points pipeline of tests/test_cli.py (run_pipeline) in
 a temporary directory and writes the numbers that
 TestFingerprints compares, plus each checkpoint's payload sha256 for
-information. Run it from the repository root after a change that alters
+information. Besides its default erase run, the pipeline erases the same
+base twice more (test_cli.ERASE_VARIANTS): once with the esd loss and once
+with an explicit replacement concept, so their loss.csv and payloads are
+recorded too. Run it from the repository root after a change that alters
 the arithmetic on purpose, and say in the change's notes how far each
 value moved:
 
