@@ -260,8 +260,7 @@ def _guided_score(params: nnet.Parameters, z: np.ndarray, t: int, c: int,
                   sigma_t: float) -> tuple[np.ndarray, np.ndarray]:
     """(unconditional score, class score term) so the guided score is
     uncond + gamma * class."""
-    e_u, _ = nnet.forward(params, z, t, params.null_id)
-    e_c, _ = nnet.forward(params, z, t, c)
+    e_u, e_c = nnet.eps_columns(params, z[None], t, [params.null_id, c])[:, 0]
     s_u = -e_u / sigma_t
     s_class = -(e_c - e_u) / sigma_t
     return s_u, s_class

@@ -13,12 +13,17 @@ and L_penalty anchors the student's unconditional prediction to the
 teacher's. esd/sdd baseline losses replace L_concept for comparison runs
 and ignore lambda.
 
+Both terms read the same two student evaluations, eps(z, null) and
+eps(z, c), so one iteration of the student is one forward over the rows
+[null, c] and one backward (student_step). The teacher's targets come from
+the same two-row call at each state, so a student equal to the teacher
+reproduces them bit for bit.
+
 Nothing the teacher computes depends on the student, so erase_finetune
 computes the teacher's side of every iteration first: all rollouts as one
 batched descent, then the targets at every rollout state. The descent keeps
 one state per iteration, taken as it passes that iteration's t, and no
-trajectory. The sequential loop keeps only the student's forwards, its
-backward and AdamW.
+trajectory. The sequential loop keeps only the student step and AdamW.
 """
 
 from __future__ import annotations
@@ -114,34 +119,41 @@ class EraseRunLog:
     snapshots: list = field(default_factory=list)    # (iter, Parameters)
 
 
+def _null_and_concept(params: nnet.Parameters, z: np.ndarray, t,
+                      c) -> tuple[np.ndarray, nnet.Tape]:
+    """forward_batch over the rows [null, c] at one state: the call that the
+    student step and the teacher's targets share, so that equal parameters
+    give equal bits (a batch-1 forward can round differently)."""
+    return nnet.forward_batch(params, np.stack([z, z]), t, (params.null_id, c))
+
+
 def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
                     t_index, schedule_t, c) -> tuple[np.ndarray, np.ndarray]:
-    """(target, anchor): the frozen teacher's side of the losses at z_t.
+    """(target, anchor): the frozen teacher's side of the losses at the
+    (n, d) states z_t.
 
     Row r is evaluated at sampler index t_index[r], schedule timestep
-    schedule_t[r] and concept c[r]; scalars apply to every row, and a 1-D
-    z_t gives 1-D results. anchor = eps_teacher(z, null) is the penalty's
-    target. target is, for ours, gamma1 * the teacher's class direction
-    (under c plus delta in delta mode; under the replacement concept, no
-    delta, in explicit mode); for esd, eps_u - gamma1 * (eps_c - eps_u);
-    for sdd, eps_u.
+    schedule_t[r] and concept c[r]; scalars apply to every row.
+    anchor = eps_teacher(z, null) is the penalty's target. target is, for
+    ours, gamma1 * the teacher's class direction (under c plus delta in
+    delta mode; under the replacement concept, no delta, in explicit mode);
+    for esd, eps_u - gamma1 * (eps_c - eps_u); for sdd, eps_u.
 
-    eps_c and eps_u are evaluated row by row, in the arithmetic of the
-    student's own batch-1 forwards. A student equal to the teacher then
-    gets an exactly zero residual, as in a per-iteration loop, and AdamW,
-    which divides by the gradient's own scale, never sees rounding noise in
-    place of a zero gradient. delta is evaluated for all rows at once.
+    eps_u and eps_c come row by row from the two-row call of student_step.
+    A student equal to the teacher then gets exactly zero residuals, and
+    AdamW, which divides by the gradient's own scale, never sees rounding
+    noise in place of a zero gradient. delta is evaluated for all rows at
+    once.
     """
-    Z = np.atleast_2d(np.asarray(z_t, dtype=np.float64))
+    Z = np.asarray(z_t, dtype=np.float64)
     ours = cfg.loss_kind == "ours"
     teacher_c = cfg.replacement_id if ours \
         and cfg.replacement_mode == "explicit" else c
     t_rows = np.broadcast_to(schedule_t, (len(Z),))
     c_rows = np.broadcast_to(teacher_c, (len(Z),))
-    e_u = np.array([nnet.forward(teacher, z, t, teacher.null_id)[0]
-                    for z, t in zip(Z, t_rows)])
-    e_c = np.array([nnet.forward(teacher, z, t, k)[0]
+    eps = np.array([_null_and_concept(teacher, z, t, k)[0]
                     for z, t, k in zip(Z, t_rows, c_rows)])
+    e_u, e_c = eps[:, 0], eps[:, 1]
     if ours:
         target = cfg.gamma1 * (e_c - e_u)
         if cfg.replacement_mode == "delta" and cfg.instructions:
@@ -151,49 +163,39 @@ def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
         target = e_u - cfg.gamma1 * (e_c - e_u)
     else:
         target = e_u
-    if np.asarray(z_t).ndim == 1:
-        return target[0], e_u[0]
     return target, e_u
 
 
-def concept_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
-                 c: int, e_s_u: np.ndarray, target: np.ndarray,
-                 gamma2: float) -> tuple[float, nnet.Parameters]:
-    """||gamma2*(eps_s(z,c) - sg(e_s_u)) - target||^2.
+def student_step(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
+                 c: int, target: np.ndarray, anchor: np.ndarray,
+                 cfg: EraseConfig) -> tuple[LossBreakdown, nnet.Parameters]:
+    """The student's losses at one rollout state and the gradient of
+    their total.
 
-    e_s_u is the student's unconditional prediction at (z_t, schedule_t)
-    and enters as a constant (stop-gradient); target comes from
-    teacher_targets. Gradient flows only through the student's conditional
-    evaluation.
+    For ours, with e_u = eps_s(z, null) and e_c = eps_s(z, c),
+
+        concept = ||r_c||^2,  r_c = gamma2 * (e_c - sg(e_u)) - target
+        penalty = ||r_u||^2,  r_u = e_u - anchor
+
+    and the total is concept + lam * penalty. e_u enters r_c as a constant
+    (stop-gradient), so the concept term's gradient flows only through the
+    conditional row. esd and sdd have concept = ||e_c - target||^2 and no
+    penalty. Both rows come from one forward, and the gradient from one
+    backward with the upstream [2 lam r_u, 2 gamma2 r_c] (esd/sdd:
+    [0, 2 r_c]). target and anchor come from teacher_targets.
     """
-    e_s_c, tape_c = nnet.forward(student, z_t, schedule_t, c)
-    resid = gamma2 * (e_s_c - e_s_u) - target
-    loss = float(resid @ resid)
-    grads = nnet.backward(tape_c, 2.0 * gamma2 * resid)
-    return loss, grads
-
-
-def penalty_loss(tape_u: nnet.Tape,
-                 anchor: np.ndarray) -> tuple[float, nnet.Parameters]:
-    """||eps_s(z, null) - anchor||^2 with full student gradient.
-
-    tape_u is the tape of the student's null-token forward at one state.
-    """
-    resid = tape_u.output[0] - anchor
-    loss = float(resid @ resid)
-    grads = nnet.backward(tape_u, 2.0 * resid)
-    return loss, grads
-
-
-def baseline_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
-                  c: int, target: np.ndarray) -> tuple[float, nnet.Parameters]:
-    """||eps_s(z, c) - target||^2 for the esd and sdd targets of
-    teacher_targets."""
-    e_s_c, tape_c = nnet.forward(student, z_t, schedule_t, c)
-    resid = e_s_c - target
-    loss = float(resid @ resid)
-    grads = nnet.backward(tape_c, 2.0 * resid)
-    return loss, grads
+    (e_u, e_c), tape = _null_and_concept(student, z_t, schedule_t, c)
+    if cfg.loss_kind == "ours":
+        r_u = e_u - anchor
+        r_c = cfg.gamma2 * (e_c - e_u) - target
+        upstream = (2.0 * cfg.lam * r_u, 2.0 * cfg.gamma2 * r_c)
+    else:
+        r_u = np.zeros_like(e_u)
+        r_c = e_c - target
+        upstream = (r_u, 2.0 * r_c)
+    concept, penalty = float(r_c @ r_c), float(r_u @ r_u)
+    return (LossBreakdown(concept, penalty, concept + cfg.lam * penalty),
+            nnet.backward(tape, np.stack(upstream)))
 
 
 @dataclass(frozen=True)
@@ -255,9 +257,10 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
 
     Per iteration: t ~ U{1..T} in sampler-index space, c ~ erase set, fresh
     x_T ~ N(0, I); the frozen teacher rolls down to x_t under guided
-    prediction, the losses are evaluated at x_t, and the student takes one
-    AdamW step. The teacher's side of all iterations is computed up front
-    (_teacher_pass). Snapshots are taken every cfg.snapshot_every iterations.
+    prediction, the student's losses and their gradient are evaluated at x_t
+    (student_step), and the student takes one AdamW step. The teacher's side
+    of all iterations is computed up front (_teacher_pass). Snapshots are
+    taken every cfg.snapshot_every iterations.
     """
     cfg.validate_ids(vocab)
     if vocab.size != base.n_concepts:
@@ -280,19 +283,9 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
     for k in range(cfg.n_iters):
         it, z_t = k + 1, teacher.z_t[k]
         schedule_t, c = int(teacher.schedule_t[k]), int(teacher.concept[k])
-        if cfg.loss_kind == "ours":
-            e_s_u, tape_u = nnet.forward(student, z_t, schedule_t,
-                                         student.null_id)
-            c_loss, grads = concept_loss(student, z_t, schedule_t, c, e_s_u,
-                                         teacher.target[k], cfg.gamma2)
-            p_loss, p_grads = penalty_loss(tape_u, teacher.anchor[k])
-            grads.flat += cfg.lam * p_grads.flat
-            breakdown = LossBreakdown(c_loss, p_loss, c_loss + cfg.lam * p_loss)
-        else:
-            c_loss, grads = baseline_loss(student, z_t, schedule_t, c,
-                                          teacher.target[k])
-            breakdown = LossBreakdown(c_loss, 0.0, c_loss)
-
+        breakdown, grads = student_step(student, z_t, schedule_t, c,
+                                        teacher.target[k], teacher.anchor[k],
+                                        cfg)
         try:
             student = nnet.adamw_step(student, grads, mask, state)
         except NumericalError as exc:

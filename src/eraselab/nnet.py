@@ -339,12 +339,6 @@ def eps_columns(params: Parameters, Z: np.ndarray, t, columns) -> np.ndarray:
     return out
 
 
-def forward(params: Parameters, z: np.ndarray, t: int, c: int) -> tuple[np.ndarray, Tape]:
-    """Single-sample eps prediction: eps_hat(z_t, c, t) plus its tape."""
-    out, tape = forward_batch(params, np.asarray(z, dtype=np.float64)[None, :], t, c)
-    return out[0], tape
-
-
 def backward(tape: Tape, upstream: np.ndarray) -> Parameters:
     """Exact gradient of <upstream, eps_hat> w.r.t. every parameter tensor.
 

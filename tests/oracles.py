@@ -1,13 +1,15 @@
 """Reference implementations that only the tests use.
 
 Each is an independent or sequential path that a test compares the
-package's own code against: the DDIM descent with its per-step record of
-states and eps (diffusion.descend keeps only the final states), a
-batch-1 trajectory built on it, forward diffusion, a seeded validation
-loss, zero parameter and gradient buffers, the class direction evaluated
-on its own, the frozen-model eps columns and CFG closure as
-forward_batch calls, the nearest-rank percentile, and the exact score
-and Bayes rate of a Gaussian mixture.
+package's own code against: the batch-1 forward, the DDIM descent with its
+per-step record of states and eps (diffusion.descend keeps only the final
+states), a batch-1 trajectory built on it, forward diffusion, a seeded
+validation loss, zero parameter and gradient buffers, the three erase
+losses as separate batch-1 evaluations (erasure.student_step makes one
+two-row forward and one backward), the class direction evaluated on its
+own, the frozen-model eps columns and CFG closure as forward_batch calls,
+the nearest-rank percentile, and the exact score and Bayes rate of a
+Gaussian mixture.
 """
 
 from __future__ import annotations
@@ -24,6 +26,19 @@ from eraselab.diffusion import (GuidanceFn, NoiseSchedule, SamplerConfig,
 from eraselab.errors import ConfigError, NumericalError, StructuralError
 from eraselab.guidance import _nearest_rank, cfg_compose
 from eraselab.toyworld import Dataset, PointMixtureSpec
+
+# ---------------------------------------------------------------------------
+# Network
+# ---------------------------------------------------------------------------
+
+
+def forward(params: nnet.Parameters, z: np.ndarray, t: int,
+            c: int) -> tuple[np.ndarray, nnet.Tape]:
+    """Single-sample eps prediction: eps_hat(z_t, c, t) plus its tape."""
+    out, tape = nnet.forward_batch(params, np.asarray(z, dtype=np.float64)[None, :],
+                                   t, c)
+    return out[0], tape
+
 
 # ---------------------------------------------------------------------------
 # Diffusion
@@ -136,17 +151,51 @@ def assert_finite_grads(grads: nnet.Parameters) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Erasure losses
+# ---------------------------------------------------------------------------
+
+
+def concept_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
+                 c: int, e_s_u: np.ndarray, target: np.ndarray,
+                 gamma2: float) -> tuple[float, nnet.Parameters]:
+    """||gamma2*(eps_s(z,c) - sg(e_s_u)) - target||^2 and its gradient,
+    from a batch-1 forward of the conditional row; e_s_u is a constant."""
+    e_s_c, tape_c = forward(student, z_t, schedule_t, c)
+    resid = gamma2 * (e_s_c - e_s_u) - target
+    return float(resid @ resid), nnet.backward(tape_c, 2.0 * gamma2 * resid)
+
+
+def penalty_loss(tape_u: nnet.Tape,
+                 anchor: np.ndarray) -> tuple[float, nnet.Parameters]:
+    """||eps_s(z, null) - anchor||^2 and its gradient; tape_u is the tape of
+    the student's batch-1 null-token forward."""
+    resid = tape_u.output[0] - anchor
+    return float(resid @ resid), nnet.backward(tape_u, 2.0 * resid)
+
+
+def baseline_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
+                  c: int, target: np.ndarray) -> tuple[float, nnet.Parameters]:
+    """||eps_s(z, c) - target||^2 and its gradient (the esd and sdd loss),
+    from a batch-1 forward."""
+    e_s_c, tape_c = forward(student, z_t, schedule_t, c)
+    resid = e_s_c - target
+    return float(resid @ resid), nnet.backward(tape_c, 2.0 * resid)
+
+
+# ---------------------------------------------------------------------------
 # Guidance
 # ---------------------------------------------------------------------------
 
 
 def class_direction(params: nnet.Parameters, z: np.ndarray, t: int,
                     c: int) -> np.ndarray:
-    """eps(z, c) - eps(z, null): the scaled class-posterior gradient."""
-    e_c = nnet.forward_batch(params, np.atleast_2d(z), t, c)[0]
-    e_u = nnet.forward_batch(params, np.atleast_2d(z), t, params.null_id)[0]
-    out = e_c - e_u
-    return out[0] if np.asarray(z).ndim == 1 else out
+    """eps(z, c) - eps(z, null): the scaled class-posterior gradient, from
+    one forward_batch over the rows [null, c] (the call shape of the erase
+    student step and the teacher's targets)."""
+    z = np.asarray(z, dtype=np.float64)
+    e_u, e_c = nnet.forward_batch(params, np.stack([z, z]), t,
+                                  (params.null_id, c))[0]
+    return e_c - e_u
 
 
 def eps_columns(params: nnet.Parameters, Z: np.ndarray, t,

@@ -6,6 +6,8 @@ erase fine-tunes are cached per configuration so criteria can share runs.
 All thresholds here are frozen contract values.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,7 +91,7 @@ def test_criterion_01_gradient_exactness(announce):
         t = int(rng.integers(1, 50))
         c = int(rng.integers(0, k + 1))
         upstream = rng.standard_normal(input_dim)
-        _, tape = nnet.forward(params, z, t, c)
+        _, tape = oracles.forward(params, z, t, c)
         analytic = nnet.backward(tape, upstream)
         h = 1e-5
         for name in params.tensor_names():
@@ -103,7 +105,7 @@ def test_criterion_01_gradient_exactness(announce):
                     v = bumped.get_tensor(name).copy()
                     v[idx] += sign * h
                     bumped.set_tensor(name, v)
-                    out, _ = nnet.forward(bumped, z, t, c)
+                    out, _ = oracles.forward(bumped, z, t, c)
                     vals.append(float(upstream @ out))
                 numeric = (vals[0] - vals[1]) / (2 * h)
                 got = float(analytic.get_tensor(name)[idx])
@@ -184,7 +186,8 @@ def test_criterion_05_stop_gradient_soundness(announce):
     shape = nnet.NetworkShape(input_dim=2, hidden=(6,), time_embed_dim=4,
                               concept_embed_dim=4)
     teacher = nnet.init_params(shape, 3, seed=11)
-    cfg = er.EraseConfig(erase_set=(0,), sampler_T=10,
+    # lam = 0: the student step's gradient is the concept term's alone
+    cfg = er.EraseConfig(erase_set=(0,), sampler_T=10, lam=0.0,
                          instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),
                                        gd.InstructionConcept(1, 6.5, 1, 10, 0.5)))
     sched = df.make_linear_schedule(20, 1e-4, 0.02)
@@ -196,18 +199,18 @@ def test_criterion_05_stop_gradient_soundness(announce):
         t_index = int(rng.integers(1, 11))
         schedule_t = 2 * t_index
         c = int(rng.integers(0, 3))
-        e_u_frozen, _ = nnet.forward(student, z, schedule_t, student.null_id)
-        teacher_target, _ = er.teacher_targets(teacher, cfg, z, t_index,
-                                               schedule_t, c)
-        _, grads = er.concept_loss(student, z, schedule_t, c, e_u_frozen,
-                                   teacher_target, cfg.gamma2)
-        e_t_c, _ = nnet.forward(teacher, z, schedule_t, c)
-        e_t_u, _ = nnet.forward(teacher, z, schedule_t, teacher.null_id)
+        e_u_frozen, _ = oracles.forward(student, z, schedule_t, student.null_id)
+        teacher_target, anchor = er.teacher_targets(teacher, cfg, z[None],
+                                                    t_index, schedule_t, c)
+        _, grads = er.student_step(student, z, schedule_t, c,
+                                   teacher_target[0], anchor[0], cfg)
+        e_t_c, _ = oracles.forward(teacher, z, schedule_t, c)
+        e_t_u, _ = oracles.forward(teacher, z, schedule_t, teacher.null_id)
         target = cfg.gamma1 * (e_t_c - e_t_u) + gd.delta(
             cfg.instructions, z, t_index, schedule_t, teacher, cfg.warmup)
 
         def frozen_loss(p):
-            e_c, _ = nnet.forward(p, z, schedule_t, c)
+            e_c, _ = oracles.forward(p, z, schedule_t, c)
             resid = cfg.gamma2 * (e_c - e_u_frozen) - target
             return float(resid @ resid)
 
@@ -239,10 +242,17 @@ def test_criterion_06_penalty_anchor_and_decomposition(announce):
     cfg = er.EraseConfig(erase_set=(0,), sampler_T=10,
                          instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),))
 
+    def step(student, z, t_index, schedule_t, lam, gamma2):
+        step_cfg = dataclasses.replace(cfg, lam=lam, gamma2=gamma2)
+        target, anchor = er.teacher_targets(teacher, step_cfg, z[None],
+                                            t_index, schedule_t, 0)
+        return er.student_step(student, z, schedule_t, 0, target[0],
+                               anchor[0], step_cfg)
+
     def penalty(student, z, schedule_t):
-        _, anchor = er.teacher_targets(teacher, cfg, z, 1, schedule_t, 0)
-        _, tape_u = nnet.forward(student, z, schedule_t, student.null_id)
-        return er.penalty_loss(tape_u, anchor)
+        # gamma2 = 0 gives the conditional row a zero upstream
+        breakdown, grads = step(student, z, 1, schedule_t, 1.0, 0.0)
+        return breakdown.penalty, grads
 
     anchored = all(penalty(teacher, rng.standard_normal(2),
                            int(rng.integers(1, 21)))[0] == 0.0
@@ -250,9 +260,7 @@ def test_criterion_06_penalty_anchor_and_decomposition(announce):
 
     student = nnet.init_params(shape, 3, seed=23)
     z = rng.standard_normal(2)
-    target, _ = er.teacher_targets(teacher, cfg, z, 4, 8, 0)
-    e_s_u, _ = nnet.forward(student, z, 8, student.null_id)
-    _, g_c = er.concept_loss(student, z, 8, 0, e_s_u, target, cfg.gamma2)
+    _, g_c = step(student, z, 4, 8, 0.0, cfg.gamma2)
     _, g_p = penalty(student, z, 8)
     decomposed = True
     for lam in (0.0, 1.0, 5.0):

@@ -149,7 +149,7 @@ class TestTrainBase:
         for _ in range(200):
             x0 = dataset.samples[rng.integers(0, len(dataset.labels))]
             z = oracles.forward_diffuse(x0, t, rng.standard_normal(2), sched)
-            eps_hat, _ = nnet.forward(gauss1_base, z, t, 0)
+            eps_hat, _ = oracles.forward(gauss1_base, z, t, 0)
             truth = oracles.mixture_log_density_grad(spec, z, alpha_bar=a)
             errs.append(np.linalg.norm(-eps_hat / sig - truth)
                         / np.linalg.norm(truth))
@@ -160,9 +160,9 @@ class TestTrainBase:
         for _ in range(25):
             z = rng.standard_normal(2)
             t = int(rng.integers(1, 101))
-            e_u, _ = nnet.forward(uncond_base, z, t, uncond_base.null_id)
+            e_u, _ = oracles.forward(uncond_base, z, t, uncond_base.null_id)
             for c in range(uncond_base.n_concepts):
-                e_c, _ = nnet.forward(uncond_base, z, t, c)
+                e_c, _ = oracles.forward(uncond_base, z, t, c)
                 assert np.linalg.norm(e_c - e_u) < 0.05
 
     def test_empty_dataset_rejected(self, sched):

@@ -1,5 +1,6 @@
 """Erasure losses, stop-gradient soundness, and the fine-tuning loop."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -39,25 +40,40 @@ def window_instructions(kappa=0.5):
             gd.InstructionConcept(1, 6.5, 1, 10, kappa))
 
 
-# The loss functions take the teacher's targets; these wrappers give them
-# the former (student, teacher, state) signatures.
+# Each loss term through the package's student step, in the (student,
+# teacher, state) signatures of the tests below. teacher_targets takes
+# (n, d) states; one state is one row.
+def targets(teacher, cfg, z, t_index, schedule_t, c):
+    target, anchor = er.teacher_targets(teacher, cfg, z[None], t_index,
+                                        schedule_t, c)
+    return target[0], anchor[0]
+
+
 def concept_loss(student, teacher, z, t_index, schedule_t, c, cfg):
-    target, _ = er.teacher_targets(teacher, cfg, z, t_index, schedule_t, c)
-    e_s_u, _ = nnet.forward(student, z, schedule_t, student.null_id)
-    return er.concept_loss(student, z, schedule_t, c, e_s_u, target,
-                           cfg.gamma2)
+    """The concept term alone: the step at lam = 0."""
+    target, anchor = targets(teacher, cfg, z, t_index, schedule_t, c)
+    breakdown, grads = er.student_step(student, z, schedule_t, c, target,
+                                       anchor, dataclasses.replace(cfg, lam=0.0))
+    return breakdown.concept, grads
 
 
 def penalty_loss(student, teacher, z, schedule_t):
-    _, anchor = er.teacher_targets(teacher, run_config(), z, 1, schedule_t, 0)
-    _, tape_u = nnet.forward(student, z, schedule_t, student.null_id)
-    return er.penalty_loss(tape_u, anchor)
+    """The penalty term alone: the step at lam = 1 and gamma2 = 0, which
+    gives the conditional row a zero upstream."""
+    cfg = run_config(lam=1.0, gamma2=0.0)
+    target, anchor = targets(teacher, cfg, z, 1, schedule_t, 0)
+    breakdown, grads = er.student_step(student, z, schedule_t, 0, target,
+                                       anchor, cfg)
+    return breakdown.penalty, grads
 
 
 def baseline_loss(kind, student, teacher, z, schedule_t, c, gamma):
     cfg = run_config(loss_kind=kind, gamma1=gamma)
-    target, _ = er.teacher_targets(teacher, cfg, z, 1, schedule_t, c)
-    return er.baseline_loss(student, z, schedule_t, c, target)
+    target, anchor = targets(teacher, cfg, z, 1, schedule_t, c)
+    breakdown, grads = er.student_step(student, z, schedule_t, c, target,
+                                       anchor, cfg)
+    assert breakdown.penalty == 0.0
+    return breakdown.concept, grads
 
 
 class TestEraseConfig:
@@ -141,8 +157,8 @@ class TestConceptLoss:
         cfg = run_config(replacement_mode="explicit", replacement_id=2,
                          gamma1=3.0, gamma2=3.0)
         z = np.array([0.4, -1.1])
-        e_c, _ = nnet.forward(params, z, 6, 0)
-        e_r, _ = nnet.forward(params, z, 6, 2)
+        e_c, _ = oracles.forward(params, z, 6, 0)
+        e_r, _ = oracles.forward(params, z, 6, 2)
         expected = 3.0 * (e_c - e_r)
         loss, _ = concept_loss(params, params, z, 3, 6, 0, cfg)
         np.testing.assert_allclose(loss, expected @ expected, rtol=1e-12)
@@ -165,15 +181,15 @@ class TestConceptLoss:
             loss, grads = concept_loss(student, teacher, z, t_index,
                                           schedule_t, c, cfg)
 
-            e_u_frozen, _ = nnet.forward(student, z, schedule_t,
-                                         student.null_id)
-            e_t_c, _ = nnet.forward(teacher, z, schedule_t, c)
-            e_t_u, _ = nnet.forward(teacher, z, schedule_t, teacher.null_id)
+            e_u_frozen, _ = oracles.forward(student, z, schedule_t,
+                                            student.null_id)
+            e_t_c, _ = oracles.forward(teacher, z, schedule_t, c)
+            e_t_u, _ = oracles.forward(teacher, z, schedule_t, teacher.null_id)
             target = cfg.gamma1 * (e_t_c - e_t_u) + gd.delta(
                 cfg.instructions, z, t_index, schedule_t, teacher, cfg.warmup)
 
             def frozen_loss(p):
-                e_c, _ = nnet.forward(p, z, schedule_t, c)
+                e_c, _ = oracles.forward(p, z, schedule_t, c)
                 resid = cfg.gamma2 * (e_c - e_u_frozen) - target
                 return float(resid @ resid)
 
@@ -211,10 +227,10 @@ class TestConceptLoss:
         h = 1e-4
 
         def naive_loss(p):
-            e_c, _ = nnet.forward(p, z, 6, 1)
-            e_u, _ = nnet.forward(p, z, 6, p.null_id)
-            e_t_c, _ = nnet.forward(teacher, z, 6, 1)
-            e_t_u, _ = nnet.forward(teacher, z, 6, teacher.null_id)
+            e_c, _ = oracles.forward(p, z, 6, 1)
+            e_u, _ = oracles.forward(p, z, 6, p.null_id)
+            e_t_c, _ = oracles.forward(teacher, z, 6, 1)
+            e_t_u, _ = oracles.forward(teacher, z, 6, teacher.null_id)
             resid = cfg.gamma2 * (e_c - e_u) - cfg.gamma1 * (e_t_c - e_t_u)
             return float(resid @ resid)
 
@@ -299,8 +315,8 @@ class TestBaselineLoss:
         student = nnet.init_params(teacher.shape, 3, seed=10)
         z = np.array([0.6, -0.2])
         loss, grads = baseline_loss("esd", student, teacher, z, 8, 0, 2.0)
-        e_t_c, _ = nnet.forward(teacher, z, 8, 0)
-        e_t_u, _ = nnet.forward(teacher, z, 8, teacher.null_id)
+        e_t_c, _ = oracles.forward(teacher, z, 8, 0)
+        e_t_u, _ = oracles.forward(teacher, z, 8, teacher.null_id)
         target = e_t_u - 2.0 * (e_t_c - e_t_u)
         h = 1e-5
         for name in ("w1", "embed"):
@@ -315,7 +331,7 @@ class TestBaselineLoss:
                     v = bumped.get_tensor(name).copy()
                     v[idx] += sign * h
                     bumped.set_tensor(name, v)
-                    e_c, _ = nnet.forward(bumped, z, 8, 0)
+                    e_c, _ = oracles.forward(bumped, z, 8, 0)
                     resid = e_c - target
                     vals.append(float(resid @ resid))
                 num[idx] = (vals[0] - vals[1]) / (2 * h)
@@ -325,19 +341,114 @@ class TestBaselineLoss:
 
 
 class TestGradientDecomposition:
+    """The step's one backward against the oracle's separate batch-1
+    backwards. Batching rounds differently, so the gradients agree within
+    1e-12 of their largest magnitude (measured at most 8.8e-14 on this
+    net, at lam = 0, where gamma2 amplifies the null row's rounding)."""
+
     def test_total_gradient_is_concept_plus_scaled_penalty(self):
         teacher, _ = tiny_setup(seed=13)
-        student = nnet.init_params(teacher.shape, 3, seed=14)
-        cfg = run_config(instructions=window_instructions())
-        z = np.array([0.1, -0.4])
-        _, c_grads = concept_loss(student, teacher, z, 6, 12, 0, cfg)
-        _, p_grads = penalty_loss(student, teacher, z, 12)
-        for lam in (0.0, 1.0, 5.0):
-            _, combined = concept_loss(student, teacher, z, 6, 12, 0, cfg)
-            combined.flat += lam * p_grads.flat
-            for name in student.tensor_names():
-                expected = c_grads.get_tensor(name) + lam * p_grads.get_tensor(name)
-                np.testing.assert_array_equal(combined.get_tensor(name), expected)
+        rng = np.random.default_rng(16)
+        for rep in range(5):
+            student = nnet.init_params(teacher.shape, 3, seed=14 + rep)
+            z = rng.standard_normal(2)
+            for lam in (0.0, 1.0, 5.0):
+                cfg = run_config(instructions=window_instructions(), lam=lam)
+                target, anchor = targets(teacher, cfg, z, 6, 12, 0)
+                breakdown, got = er.student_step(student, z, 12, 0, target,
+                                                 anchor, cfg)
+                e_s_u, tape_u = oracles.forward(student, z, 12, student.null_id)
+                c_loss, g_c = oracles.concept_loss(student, z, 12, 0, e_s_u,
+                                                   target, cfg.gamma2)
+                p_loss, g_p = oracles.penalty_loss(tape_u, anchor)
+                assert_rel_close(got.flat, g_c.flat + lam * g_p.flat, 1e-12)
+                assert_rel_close(breakdown.concept, c_loss, 1e-12)
+                assert_rel_close(breakdown.penalty, p_loss, 1e-12)
+                assert breakdown.total == \
+                    breakdown.concept + lam * breakdown.penalty
+
+    @pytest.mark.parametrize("kind", ["esd", "sdd"])
+    def test_baseline_gradient_matches_oracle(self, kind):
+        teacher, _ = tiny_setup(seed=13)
+        rng = np.random.default_rng(17)
+        for rep in range(5):
+            student = nnet.init_params(teacher.shape, 3, seed=14 + rep)
+            z = rng.standard_normal(2)
+            cfg = run_config(loss_kind=kind)
+            target, anchor = targets(teacher, cfg, z, 6, 12, 1)
+            breakdown, got = er.student_step(student, z, 12, 1, target,
+                                             anchor, cfg)
+            loss, want = oracles.baseline_loss(student, z, 12, 1, target)
+            assert_rel_close(got.flat, want.flat, 1e-12)
+            assert_rel_close(breakdown.concept, loss, 1e-12)
+            assert (breakdown.penalty, breakdown.total) == (0.0, breakdown.concept)
+
+
+class TestStudentStep:
+    def test_gradient_matches_central_differences(self):
+        """The step's gradient is that of concept + lam * penalty with the
+        null row's output held constant inside the concept term only."""
+        teacher, _ = tiny_setup(seed=11)
+        cfg = run_config(instructions=window_instructions(), lam=5.0)
+        rng = np.random.default_rng(18)
+        h = 1e-5
+        for rep in range(3):
+            student = nnet.init_params(teacher.shape, 3, seed=30 + rep)
+            z = rng.standard_normal(2)
+            t_index = int(rng.integers(1, 11))
+            schedule_t, c = 2 * t_index, int(rng.integers(0, 3))
+            target, anchor = targets(teacher, cfg, z, t_index, schedule_t, c)
+            breakdown, grads = er.student_step(student, z, schedule_t, c,
+                                               target, anchor, cfg)
+            e_u_frozen, _ = oracles.forward(student, z, schedule_t,
+                                            student.null_id)
+
+            def loss(p):
+                e_c, _ = oracles.forward(p, z, schedule_t, c)
+                e_u, _ = oracles.forward(p, z, schedule_t, p.null_id)
+                r_c = cfg.gamma2 * (e_c - e_u_frozen) - target
+                r_u = e_u - anchor
+                return float(r_c @ r_c) + cfg.lam * float(r_u @ r_u)
+
+            assert_rel_close(breakdown.total, loss(student), 1e-12)
+            num = np.empty_like(student.flat)
+            for i in range(student.flat.size):
+                vals = []
+                for sign in (1.0, -1.0):
+                    bumped = student.copy()
+                    bumped.flat[i] += sign * h
+                    vals.append(loss(bumped))
+                num[i] = (vals[0] - vals[1]) / (2 * h)
+            err = np.abs(grads.flat - num) / np.maximum(1.0, np.abs(num))
+            assert err.max() <= 1e-6, err.max()
+
+    @pytest.mark.parametrize("mode", ["delta", "explicit"])
+    def test_exact_zero_residuals_at_the_teacher(self, mode):
+        """A student equal to the teacher reproduces the teacher's eps bit
+        for bit: the penalty is exactly 0, so it adds exactly nothing to the
+        gradient, and in delta mode without instructions so is the concept
+        residual. This needs teacher_targets to make the step's two-row
+        call; batch-1 calls round differently."""
+        base, sched = oracle_setup()
+        extra = {} if mode == "delta" else dict(replacement_mode="explicit",
+                                                replacement_id=2)
+        cfg = run_config(n_iters=24, erase_set=(0, 1), **extra)
+        sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
+        teacher = er._teacher_pass(base, cfg, sched, sampler)
+        for k in range(cfg.n_iters):
+            state = (base, teacher.z_t[k], int(teacher.schedule_t[k]),
+                     int(teacher.concept[k]), teacher.target[k],
+                     teacher.anchor[k])
+            breakdown, grads = er.student_step(*state, cfg)
+            assert breakdown.penalty == 0.0, k
+            if mode == "delta":
+                assert breakdown.concept == 0.0, k
+                assert not grads.flat.any(), k
+            else:
+                assert breakdown.concept > 0.0, k
+                _, no_penalty = er.student_step(
+                    *state, dataclasses.replace(cfg, lam=0.0))
+                assert np.array_equal(grads.flat, no_penalty.flat), k
 
 
 class TestResidualTriangleBound:
@@ -424,18 +535,44 @@ class TestEraseFinetune:
         with pytest.raises(ConfigError):
             er.erase_finetune(base, run_config(), sched, small_vocab(5))
 
+    @pytest.mark.parametrize("kind", ["ours", "esd"])
+    def test_one_two_row_forward_per_target_and_per_step(self, kind,
+                                                         monkeypatch):
+        """The tape forwards are the teacher's targets and the student's
+        steps, two rows each, one per iteration apiece, and the student
+        makes one backward per iteration."""
+        rows, backwards = [], []
+        forward_batch, backward = nnet.forward_batch, nnet.backward
+
+        def counted_forward(params, Z, t, c):
+            rows.append(len(Z))
+            return forward_batch(params, Z, t, c)
+
+        def counted_backward(tape, upstream):
+            backwards.append(tape.output.shape[0])
+            return backward(tape, upstream)
+
+        monkeypatch.setattr(nnet, "forward_batch", counted_forward)
+        monkeypatch.setattr(nnet, "backward", counted_backward)
+        base, sched = tiny_setup()
+        cfg = run_config(n_iters=5, loss_kind=kind,
+                         instructions=window_instructions())
+        er.erase_finetune(base, cfg, sched, small_vocab())
+        assert rows == [2] * 10
+        assert backwards == [2] * 5
+
 
 # -- the sequential erase loop, kept as the oracle of the teacher pass -------
 
 def sequential_targets(teacher, cfg, z, t_index, schedule_t, c):
     """(target, anchor) at one state as the per-iteration loop computed
     them before the teacher pass: batch-1 teacher forwards."""
-    e_t_u, _ = nnet.forward(teacher, z, schedule_t, teacher.null_id)
+    e_t_u, _ = oracles.forward(teacher, z, schedule_t, teacher.null_id)
     if cfg.loss_kind == "sdd":
         return e_t_u, e_t_u
     explicit = cfg.loss_kind == "ours" and cfg.replacement_mode == "explicit"
-    e_t_c, _ = nnet.forward(teacher, z, schedule_t,
-                            cfg.replacement_id if explicit else c)
+    e_t_c, _ = oracles.forward(teacher, z, schedule_t,
+                               cfg.replacement_id if explicit else c)
     if cfg.loss_kind == "esd":
         return e_t_u - cfg.gamma1 * (e_t_c - e_t_u), e_t_u
     target = cfg.gamma1 * (e_t_c - e_t_u)
@@ -473,9 +610,11 @@ def sequential_guidance(params, gamma, instructions, warmup):
 
 
 def sequential_erase(base, cfg, sched):
-    """The erase loop before the teacher pass: one batch-1 teacher rollout
-    and one teacher evaluation per iteration. Returns the student, the loss
-    rows and each iteration's (t_index, c, z_t, target, anchor)."""
+    """The erase loop before the teacher pass and the student step: one
+    batch-1 teacher rollout and one teacher evaluation per iteration, and
+    one batch-1 student forward and backward per loss term. Returns the
+    student, the loss rows and each iteration's (t_index, c, z_t, target,
+    anchor)."""
     teacher, student = base.copy(), base.copy()
     mask = cfg.mask_for(student)
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
@@ -501,21 +640,17 @@ def sequential_erase(base, cfg, sched):
                                             schedule_t, c)
         rows.append((t_index, c, z_t, target, anchor))
 
-        e_s_c, tape_c = nnet.forward(student, z_t, schedule_t, c)
         if ours:
-            e_s_u, _ = nnet.forward(student, z_t, schedule_t, student.null_id)
-            resid = cfg.gamma2 * (e_s_c - e_s_u) - target
-            c_loss = float(resid @ resid)
-            grads = nnet.backward(tape_c, 2.0 * cfg.gamma2 * resid)
-            e_s_u, tape_u = nnet.forward(student, z_t, schedule_t,
-                                         student.null_id)
-            p_resid = e_s_u - anchor
-            p_loss = float(p_resid @ p_resid)
-            grads.flat += cfg.lam * nnet.backward(tape_u, 2.0 * p_resid).flat
+            e_s_u, tape_u = oracles.forward(student, z_t, schedule_t,
+                                            student.null_id)
+            c_loss, grads = oracles.concept_loss(student, z_t, schedule_t, c,
+                                                 e_s_u, target, cfg.gamma2)
+            p_loss, p_grads = oracles.penalty_loss(tape_u, anchor)
+            grads.flat += cfg.lam * p_grads.flat
         else:
-            resid = e_s_c - target
-            c_loss, p_loss = float(resid @ resid), 0.0
-            grads = nnet.backward(tape_c, 2.0 * resid)
+            c_loss, grads = oracles.baseline_loss(student, z_t, schedule_t, c,
+                                                  target)
+            p_loss = 0.0
         student = nnet.adamw_step(student, grads, mask, state)
         losses.append((c_loss, p_loss))
     return student, losses, rows
@@ -594,8 +729,8 @@ class TestTeacherPassOracle:
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
         want, losses, _ = sequential_erase(base, cfg, sched)
         got, log = er.erase_finetune(base, cfg, sched, small_vocab())
-        # the penalty at iteration 1 was exactly 0 and is now of order
-        # 1e-33, so the losses are compared as one vector per kind
+        # a penalty near 0 can differ from the oracle's by more than its
+        # own size, so the losses are compared as one vector per kind
         got_losses = [(b.concept, b.penalty) for _, _, b in log.iterations]
         assert_rel_close(np.array(got_losses)[:, 0], np.array(losses)[:, 0])
         assert_rel_close(np.array(got_losses)[:, 1], np.array(losses)[:, 1])

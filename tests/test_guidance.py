@@ -58,8 +58,8 @@ class TestClassDirection:
             z = rng.standard_normal(2)
             t = int(rng.integers(1, 50))
             c = int(rng.integers(0, 4))
-            e_c, _ = nnet.forward(params, z, t, c)
-            e_u, _ = nnet.forward(params, z, t, params.null_id)
+            e_c, _ = oracles.forward(params, z, t, c)
+            e_u, _ = oracles.forward(params, z, t, params.null_id)
             lhs = oracles.class_direction(params, z, t, c)
             rhs = gd.cfg_compose(e_u, e_c, 1.0) - e_c
             np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
@@ -207,7 +207,7 @@ class TestGuidedEps:
             z = rng.standard_normal(2)
             t = int(rng.integers(1, 50))
             c = int(rng.integers(0, 4))
-            e_u, _ = nnet.forward(params, z, t, params.null_id)
+            e_u, _ = oracles.forward(params, z, t, params.null_id)
             out = gd.guided_eps(params, z, 20, t, c, gamma, [],
                                 default_warmup())
             np.testing.assert_allclose(
@@ -221,8 +221,8 @@ class TestGuidedEps:
             z = rng.standard_normal(2)
             t = int(rng.integers(1, 50))
             c = 1
-            e_c, _ = nnet.forward(params, z, t, c)
-            e_u, _ = nnet.forward(params, z, t, params.null_id)
+            e_c, _ = oracles.forward(params, z, t, c)
+            e_u, _ = oracles.forward(params, z, t, params.null_id)
             out = gd.guided_eps(params, z, 20, t, c, gamma, [],
                                 default_warmup())
             np.testing.assert_allclose(out, gd.cfg_compose(e_u, e_c, gamma - 1.0),

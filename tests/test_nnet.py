@@ -18,7 +18,7 @@ def tiny_shape(input_dim=2, hidden=(5, 4), time_dim=4, embed_dim=3):
 
 
 def loss_value(params, z, t, c, upstream):
-    out, _ = nnet.forward(params, z, t, c)
+    out, _ = oracles.forward(params, z, t, c)
     return float(upstream @ out)
 
 
@@ -50,14 +50,14 @@ class TestForward:
     def test_zero_params_zero_output(self):
         shape = tiny_shape()
         params = oracles.zero_like_params(nnet.init_params(shape, 3, seed=0))
-        out, _ = nnet.forward(params, np.array([0.5, -1.0]), t=3, c=1)
+        out, _ = oracles.forward(params, np.array([0.5, -1.0]), t=3, c=1)
         np.testing.assert_array_equal(out, np.zeros(2))
 
     def test_determinism(self):
         params = nnet.init_params(tiny_shape(), 3, seed=1)
         z = np.array([0.2, 0.7])
-        a, _ = nnet.forward(params, z, t=5, c=2)
-        b, _ = nnet.forward(params, z, t=5, c=2)
+        a, _ = oracles.forward(params, z, t=5, c=2)
+        b, _ = oracles.forward(params, z, t=5, c=2)
         np.testing.assert_array_equal(a, b)
 
     def test_concept_conditioning_changes_output(self):
@@ -65,7 +65,7 @@ class TestForward:
         for trial in range(5):
             params = nnet.init_params(tiny_shape(), 4, seed=10 + trial)
             z = rng.standard_normal(2)
-            outs = [nnet.forward(params, z, t=7, c=c)[0] for c in range(5)]
+            outs = [oracles.forward(params, z, t=7, c=c)[0] for c in range(5)]
             for i in range(len(outs)):
                 for j in range(i + 1, len(outs)):
                     assert np.abs(outs[i] - outs[j]).max() > 0
@@ -78,15 +78,15 @@ class TestForward:
         cs = np.array([0, 1, 2, 3, 0, 1])
         batch_out, _ = nnet.forward_batch(params, Z, ts, cs)
         for i in range(6):
-            single, _ = nnet.forward(params, Z[i], int(ts[i]), int(cs[i]))
+            single, _ = oracles.forward(params, Z[i], int(ts[i]), int(cs[i]))
             np.testing.assert_allclose(batch_out[i], single, rtol=1e-13, atol=1e-15)
 
     def test_bad_shapes_rejected(self):
         params = nnet.init_params(tiny_shape(), 3, seed=5)
         with pytest.raises(StructuralError):
-            nnet.forward(params, np.zeros(3), t=1, c=0)
+            oracles.forward(params, np.zeros(3), t=1, c=0)
         with pytest.raises(StructuralError):
-            nnet.forward(params, np.zeros(2), t=1, c=7)
+            oracles.forward(params, np.zeros(2), t=1, c=7)
         with pytest.raises(StructuralError):
             nnet.Parameters(params.shape, 3, params.flat[:-1])
 
@@ -158,7 +158,7 @@ class TestBackward:
             c = int(rng.integers(0, k + 1))
             upstream = rng.standard_normal(input_dim)
 
-            _, tape = nnet.forward(params, z, t, c)
+            _, tape = oracles.forward(params, z, t, c)
             analytic = nnet.backward(tape, upstream)
             numeric = finite_diff_grads(params, z, t, c, upstream)
             for name in params.tensor_names():
@@ -170,7 +170,7 @@ class TestBackward:
 
     def test_zero_upstream_zero_grads(self):
         params = nnet.init_params(tiny_shape(), 2, seed=7)
-        _, tape = nnet.forward(params, np.array([0.1, 0.2]), t=2, c=0)
+        _, tape = oracles.forward(params, np.array([0.1, 0.2]), t=2, c=0)
         grads = nnet.backward(tape, np.zeros(2))
         for name in params.tensor_names():
             np.testing.assert_array_equal(grads.get_tensor(name),
@@ -178,7 +178,7 @@ class TestBackward:
 
     def test_unused_embedding_row_gets_zero_grad(self):
         params = nnet.init_params(tiny_shape(), 3, seed=8)
-        _, tape = nnet.forward(params, np.array([0.1, -0.4]), t=4, c=1)
+        _, tape = oracles.forward(params, np.array([0.1, -0.4]), t=4, c=1)
         grads = nnet.backward(tape, np.array([1.0, -2.0]))
         for row in (0, 2, 3):
             np.testing.assert_array_equal(grads.concept_embed[row],
@@ -194,7 +194,7 @@ class TestBackward:
         batch_grads = nnet.backward(tape, up)
         total = oracles.zero_like_params(params)
         for i in range(4):
-            _, tape_i = nnet.forward(params, Z[i], 3, 1)
+            _, tape_i = oracles.forward(params, Z[i], 3, 1)
             total.flat += nnet.backward(tape_i, up[i]).flat
         for name in params.tensor_names():
             np.testing.assert_allclose(batch_grads.get_tensor(name),
@@ -202,7 +202,7 @@ class TestBackward:
 
     def test_mismatched_upstream_rejected(self):
         params = nnet.init_params(tiny_shape(), 2, seed=11)
-        _, tape = nnet.forward(params, np.array([0.1, 0.2]), t=2, c=0)
+        _, tape = oracles.forward(params, np.array([0.1, 0.2]), t=2, c=0)
         with pytest.raises(StructuralError):
             nnet.backward(tape, np.zeros(3))
 
@@ -212,8 +212,8 @@ class TestBackward:
         rng = np.random.default_rng(13)
         for _ in range(10):
             z = 5.0 * rng.standard_normal(2)
-            out, tape = nnet.forward(params, z, t=int(rng.integers(1, 100)),
-                                     c=int(rng.integers(0, 9)))
+            out, tape = oracles.forward(params, z, t=int(rng.integers(1, 100)),
+                                        c=int(rng.integers(0, 9)))
             assert np.all(np.isfinite(out))
             grads = nnet.backward(tape, rng.standard_normal(2))
             oracles.assert_finite_grads(grads)
@@ -333,8 +333,8 @@ class TestAdamW:
         state = nnet.OptimizerState.fresh(params, lr=0.05)
         rng = np.random.default_rng(19)
         for _ in range(20):
-            _, tape = nnet.forward(params, rng.standard_normal(2),
-                                   t=int(rng.integers(1, 20)), c=0)
+            _, tape = oracles.forward(params, rng.standard_normal(2),
+                                      t=int(rng.integers(1, 20)), c=0)
             grads = nnet.backward(tape, rng.standard_normal(2))
             params = nnet.adamw_step(params, grads, mask, state)
         for name in frozen_names:
