@@ -27,11 +27,15 @@ consistency_seeds = 0,1,2
 """
 
 # Erase runs beside the pipeline's own, on TINY_CONFIG with these keys
-# added to [erase]: run directory -> keys. They pin the esd target and the
-# explicit-replacement target, which the default erase run does not reach.
+# added to [erase]: run directory -> keys. They pin what the default erase
+# run does not reach: the esd, explicit-replacement and sdd targets, and the
+# sega warmup gate with decoupled weight decay on a partial AdamW mask.
 ERASE_VARIANTS = {
     "erased-esd": "loss_kind = esd\n",
     "erased-explicit": "replacement_mode = explicit\nreplacement = c2\n",
+    "erased-sdd": "loss_kind = sdd\n",
+    "erased-sega": "warmup_style = sega\nweight_decay = 0.01\n"
+                   "trainable = embed,w3,b3\n",
 }
 
 # Each command that writes --out: its run directory in the pipeline

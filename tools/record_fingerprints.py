@@ -4,9 +4,10 @@ Runs the tiny seeded points pipeline of tests/test_cli.py (run_pipeline) in
 a temporary directory and writes the numbers that
 TestFingerprints compares, plus each checkpoint's payload sha256 for
 information. Besides its default erase run, the pipeline erases the same
-base twice more (test_cli.ERASE_VARIANTS): once with the esd loss and once
-with an explicit replacement concept, so their loss.csv and payloads are
-recorded too. Run it from the repository root after a change that alters
+base four more times (test_cli.ERASE_VARIANTS): with the esd loss, with an
+explicit replacement concept, with the sdd loss, and with the sega warmup,
+weight decay and only embed, w3 and b3 trainable, so their loss.csv and
+payloads are recorded too. Run it from the repository root after a change that alters
 the arithmetic on purpose, and say in the change's notes how far each
 value moved:
 
