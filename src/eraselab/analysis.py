@@ -59,7 +59,7 @@ class MetricReport:
     consistency: dict
     sample_count: int
     seeds: tuple
-    threshold: float = 0.7
+    threshold: float
 
     def __post_init__(self):
         if self.sample_count <= 0:
@@ -90,7 +90,7 @@ class MetricReport:
 
 
 def erasure_rate(samples: np.ndarray, target: int,
-                 oracle: Callable[[np.ndarray], tuple], threshold: float = 0.7) -> float:
+                 oracle: Callable[[np.ndarray], tuple], threshold: float) -> float:
     """Fraction of samples the oracle assigns to target with confidence
     at or above the threshold. The oracle classifies the whole (n, d)
     batch in one call and returns (labels, confidences), one per row."""
@@ -126,7 +126,7 @@ def median_bandwidth(X: np.ndarray, Y: np.ndarray) -> float:
     return med
 
 
-def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec = KernelSpec()) -> float:
+def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec) -> float:
     """Unbiased MMD^2 estimate between two sample batches.
 
     Equal batch sizes use the paired U-statistic, whose summand cancels
@@ -187,7 +187,7 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray, window: int = 7) -> float:
 def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
                      sched: df.NoiseSchedule, sampler: df.SamplerConfig,
                      concepts: Sequence[int], seeds: Sequence[int],
-                     gamma: float = 7.5) -> dict:
+                     gamma: float) -> dict:
     """Per-concept mean similarity of same-seed samples from two models.
 
     Each seed fixes the initial latent, so differences come only from the
@@ -268,7 +268,7 @@ def _guided_score(params: nnet.Parameters, z: np.ndarray, t: int, c: int,
 
 def kl_chain_check(teacher: nnet.Parameters, student: nnet.Parameters,
                    sched: df.NoiseSchedule, probes: Sequence[tuple],
-                   gamma1: float = 7.5, gamma2: float = 7.5) -> KlChainReport:
+                   gamma1: float, gamma2: float) -> KlChainReport:
     """Verify the guided-transition KL equals the weighted score distance.
 
     Each probe is (z, t, c_teacher, c_student) with t >= 2. Path one

@@ -59,8 +59,8 @@ class NoiseSchedule:
         return 0.0 if t == 0 else float(self.sigma[t - 1])
 
 
-def make_linear_schedule(T_train: int = 100, beta_start: float = 1e-4,
-                         beta_end: float = 0.02) -> NoiseSchedule:
+def make_linear_schedule(T_train: int, beta_start: float,
+                         beta_end: float) -> NoiseSchedule:
     if T_train < 1:
         raise ConfigError(f"T_train must be >= 1, got {T_train}")
     if not 0 < beta_start <= beta_end < 1:
@@ -176,8 +176,8 @@ def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
 
 
 def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
-               steps: int, p_uncond: float, seed: int, lr: float = 1e-3,
-               batch_size: int = 64,
+               steps: int, p_uncond: float, seed: int, lr: float,
+               batch_size: int,
                loss_log: Optional[list] = None) -> nnet.Parameters:
     """Minibatch eps-matching with CFG label dropout.
 
@@ -200,7 +200,7 @@ def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
     rng = np.random.default_rng(seed)
     params = nnet.init_params(shape, dataset.n_concepts, seed=seed)
     mask = frozenset(params.tensor_names())
-    state = nnet.OptimizerState.fresh(params, lr=lr)
+    state = nnet.OptimizerState.fresh(params, lr=lr, weight_decay=0.0)
     n = len(dataset.labels)
 
     for step in range(steps):

@@ -46,21 +46,21 @@ REPLACEMENT_MODES = ("delta", "explicit")
 @dataclass(frozen=True)
 class EraseConfig:
     erase_set: tuple[int, ...]
-    instructions: tuple[gd.InstructionConcept, ...] = ()
-    replacement_mode: str = "delta"
-    replacement_id: Optional[int] = None
-    gamma1: float = 7.5
-    gamma2: float = 7.5
-    lam: float = 5.0
-    n_iters: int = 200
-    sampler_T: int = 35
-    warmup: gd.WarmupRule = field(default_factory=gd.WarmupRule)
-    loss_kind: str = "ours"
-    trainable: Optional[tuple[str, ...]] = None
-    lr: float = 2e-3
-    weight_decay: float = 0.0
-    snapshot_every: int = 10
-    seed: int = 0
+    instructions: tuple[gd.InstructionConcept, ...]
+    replacement_mode: str
+    replacement_id: Optional[int]
+    gamma1: float
+    gamma2: float
+    lam: float
+    n_iters: int
+    sampler_T: int
+    warmup: gd.WarmupRule
+    loss_kind: str
+    trainable: Optional[tuple[str, ...]]
+    lr: float
+    weight_decay: float
+    snapshot_every: int
+    seed: int
 
     def __post_init__(self):
         if len(self.erase_set) == 0:
@@ -80,14 +80,14 @@ class EraseConfig:
         if self.trainable is not None and len(self.trainable) == 0:
             raise ConfigError("at least one tensor must stay trainable")
 
-    def mask_for(self, params: nnet.Parameters) -> frozenset[str]:
+    def mask_for(self, names: Sequence[str]) -> frozenset[str]:
+        """The training mask over a model with these tensor names."""
         if self.trainable is None:
-            return frozenset(params.tensor_names())
-        known = set(params.tensor_names())
-        bad = [n for n in self.trainable if n not in known]
+            return frozenset(names)
+        bad = [n for n in self.trainable if n not in names]
         if bad:
             raise ConfigError(f"unknown trainable tensors {bad}; known: "
-                              f"{sorted(known)}")
+                              f"{sorted(names)}")
         return frozenset(self.trainable)
 
     def validate_ids(self, vocab: ConceptVocab) -> None:
@@ -273,7 +273,7 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
     # An AdamW step builds new parameters and never writes into old ones,
     # so the student may start as base itself and snapshots need no copy.
     student = base
-    mask = cfg.mask_for(student)
+    mask = cfg.mask_for(student.tensor_names())
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
                                       weight_decay=cfg.weight_decay)
     sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)

@@ -19,7 +19,7 @@ Rows may carry their own concept, sampler index and schedule timestep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,9 +39,10 @@ class InstructionConcept:
     kappa: float
 
     def __post_init__(self):
-        if not 0 <= self.t_high <= self.t_low:
-            raise ConfigError(f"need 0 <= t_high <= t_low, got "
-                              f"[{self.t_high}, {self.t_low}]")
+        # sampler indices run 1..T, so a window with t_low < 1 never opens
+        if not 0 <= self.t_high <= self.t_low or self.t_low < 1:
+            raise ConfigError(f"need 0 <= t_high <= t_low and t_low >= 1, "
+                              f"got [{self.t_high}, {self.t_low}]")
         if not 0.0 <= self.kappa <= 1.0:
             raise ConfigError(f"kappa must lie in [0, 1], got {self.kappa}")
         if not np.isfinite(self.g_c):
@@ -58,21 +59,19 @@ class WarmupRule:
 
     literal: active iff t >= t_warmup (the timestep-set reading).
     sega: active iff t <= sampler_T - t_warmup, i.e. the first t_warmup
-    reverse iterations are skipped; requires sampler_T.
+    reverse iterations are skipped.
     """
 
-    t_warmup: int = 5
-    style: str = "literal"
-    sampler_T: Optional[int] = None
+    t_warmup: int
+    style: str
+    sampler_T: int
 
     def __post_init__(self):
         if self.style not in ("literal", "sega"):
             raise ConfigError(f"unknown warmup style {self.style!r}")
         if self.t_warmup < 0:
             raise ConfigError(f"t_warmup must be >= 0, got {self.t_warmup}")
-        if self.style == "sega" and self.sampler_T is None:
-            raise ConfigError("sega-style warmup needs sampler_T")
-        if self.sampler_T is not None and self.t_warmup > self.sampler_T:
+        if self.t_warmup > self.sampler_T:
             raise ConfigError(f"t_warmup {self.t_warmup} exceeds sampler_T "
                               f"{self.sampler_T}")
 

@@ -37,7 +37,7 @@ from .errors import NumericalError, StructuralError
 @dataclass(frozen=True)
 class NetworkShape:
     input_dim: int
-    hidden: tuple[int, ...] = (128, 128, 128)
+    hidden: tuple[int, ...]
     time_embed_dim: int = 32
     concept_embed_dim: int = 16
 
@@ -401,8 +401,8 @@ class OptimizerState:
     step_count: int = 0
 
     @staticmethod
-    def fresh(params: Parameters, lr: float = 1e-5,
-              weight_decay: float = 0.0) -> "OptimizerState":
+    def fresh(params: Parameters, lr: float,
+              weight_decay: float) -> "OptimizerState":
         zeros = [Parameters(params.shape, params.n_concepts,
                             np.zeros_like(params.flat)) for _ in range(2)]
         chunk = min(_ADAMW_CHUNK, params.flat.size)

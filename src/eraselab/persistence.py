@@ -14,7 +14,11 @@ The header is self-describing and readable without touching the payload;
 the payload keeps values bit-exact. Run configuration is a flat INI-style
 text file. One table, _ROWS (and _INSTRUCTION_ROWS), gives each key its
 field, parser, default and range rule; it drives parsing, the rejection of
-unknown names, validation and snapshot_dict.
+unknown names, validation and snapshot_dict. It is the only home of the
+default operating point: the constructors load_config builds from
+(EraseConfig, WarmupRule, make_linear_schedule, NetworkShape) take every
+value explicitly, and RunConfig.network_shape names each mode's widths
+when [base] hidden is unset.
 """
 
 from __future__ import annotations
@@ -237,12 +241,10 @@ class RunConfig:
         return tw.MODE_DIMS[self.mode]
 
     def network_shape(self) -> nnet.NetworkShape:
-        if self.base_hidden is not None:
-            return nnet.NetworkShape(input_dim=self.input_dim(),
-                                     hidden=self.base_hidden)
-        if self.mode == "points2d":
-            return nnet.NetworkShape(input_dim=2)
-        return nnet.NetworkShape(input_dim=256, hidden=(1024,))
+        """[base] hidden, or the mode's widths when it is unset."""
+        hidden = self.base_hidden if self.base_hidden is not None else \
+            {"points2d": (128, 128, 128), "glyphs16": (1024,)}[self.mode]
+        return nnet.NetworkShape(input_dim=self.input_dim(), hidden=hidden)
 
     def schedule(self):
         return df.make_linear_schedule(self.t_train, self.beta_start,
@@ -447,5 +449,9 @@ def load_config(path) -> RunConfig:
     cfg = RunConfig(erase=_built(
         _keys("erase."), given, er.EraseConfig, instructions=tuple(instructions),
         sampler_T=run["sampler_T"], warmup=warmup, **kw["erase"]), **run)
-    _built(_keys("base_hidden"), given, cfg.network_shape)
+    shape = _built(_keys("base_hidden"), given, cfg.network_shape)
+    # a checkpoint read later is checked again (erase_finetune), since its
+    # shape need not be the config's
+    _built(_keys("erase.trainable", "base_hidden"), given, cfg.erase.mask_for,
+           nnet.tensor_layout(shape, cfg.vocab_and_spec()[0].size).names)
     return cfg

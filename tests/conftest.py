@@ -12,6 +12,8 @@ from eraselab import diffusion as df
 from eraselab import nnet
 from eraselab import toyworld as tw
 
+import oracles
+
 BETA_END = 0.04
 T_TRAIN = 100
 T_SAMPLE = 35
@@ -37,9 +39,9 @@ def points_world():
 @pytest.fixture(scope="session")
 def points_base(points_world, sched):
     _, _, dataset = points_world
-    shape = nnet.NetworkShape(input_dim=2)
+    shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
     return df.train_base(dataset, shape, sched, steps=8000, p_uncond=0.1,
-                         seed=1, lr=1e-3)
+                         seed=1, lr=1e-3, batch_size=64)
 
 
 @pytest.fixture(scope="session")
@@ -52,18 +54,18 @@ def gauss1_world():
 @pytest.fixture(scope="session")
 def gauss1_base(gauss1_world, sched):
     _, dataset = gauss1_world
-    shape = nnet.NetworkShape(input_dim=2)
+    shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
     return df.train_base(dataset, shape, sched, steps=2000, p_uncond=0.1,
-                         seed=2, lr=1e-3)
+                         seed=2, lr=1e-3, batch_size=64)
 
 
 @pytest.fixture(scope="session")
 def uncond_base(points_world, sched):
     """Model trained with p_uncond=1: labels never seen."""
     _, _, dataset = points_world
-    shape = nnet.NetworkShape(input_dim=2)
+    shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
     return df.train_base(dataset, shape, sched, steps=800, p_uncond=1.0,
-                         seed=3, lr=1e-3)
+                         seed=3, lr=1e-3, batch_size=64)
 
 
 @pytest.fixture(scope="session")

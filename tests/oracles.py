@@ -9,7 +9,10 @@ losses as separate batch-1 evaluations (erasure.student_step makes one
 two-row forward and one backward), the class direction evaluated on its
 own, the frozen-model eps columns and CFG closure as forward_batch calls,
 the nearest-rank percentile, and the exact score and Bayes rate of a
-Gaussian mixture.
+Gaussian mixture. Also the operating point that tests build configs from
+when a value does not matter to them: the package's constructors take every
+value explicitly, and the run-configuration table in persistence is the only
+default the package itself keeps.
 """
 
 from __future__ import annotations
@@ -23,9 +26,37 @@ from scipy.special import logsumexp
 from eraselab import nnet
 from eraselab.diffusion import (GuidanceFn, NoiseSchedule, SamplerConfig,
                                 conditional_eps, ddim_step)
+from eraselab.erasure import EraseConfig
 from eraselab.errors import ConfigError, NumericalError, StructuralError
-from eraselab.guidance import _nearest_rank, cfg_compose
+from eraselab.guidance import WarmupRule, _nearest_rank, cfg_compose
 from eraselab.toyworld import Dataset, PointMixtureSpec
+
+# ---------------------------------------------------------------------------
+# Configs
+# ---------------------------------------------------------------------------
+
+# The points net's widths ([base] hidden unset, mode points2d).
+POINTS_HIDDEN = (128, 128, 128)
+
+
+def warmup_rule(**fields) -> WarmupRule:
+    """A WarmupRule at t_warmup 5, literal, over 35 sampler steps; fields
+    override. A literal rule reads sampler_T only to bound t_warmup."""
+    return WarmupRule(**{"t_warmup": 5, "style": "literal", "sampler_T": 35,
+                         **fields})
+
+
+def erase_config(**fields) -> EraseConfig:
+    """An EraseConfig at the paper's scales (gamma1 = gamma2 = 7.5, lambda
+    5, 200 iterations over 35 sampler steps, lr 2e-3) with no instructions
+    and warmup_rule(); fields, erase_set among them, override."""
+    return EraseConfig(**{
+        "instructions": (), "replacement_mode": "delta", "replacement_id": None,
+        "gamma1": 7.5, "gamma2": 7.5, "lam": 5.0, "n_iters": 200,
+        "sampler_T": 35, "warmup": warmup_rule(), "loss_kind": "ours",
+        "trainable": None, "lr": 2e-3, "weight_decay": 0.0,
+        "snapshot_every": 10, "seed": 0, **fields})
+
 
 # ---------------------------------------------------------------------------
 # Network

@@ -64,12 +64,13 @@ def erase_run(points_base, points_world, sched):
     def get(loss_kind, trainable, lam, seed):
         key = (loss_kind, trainable, lam, seed)
         if key not in cache:
-            cfg = er.EraseConfig(erase_set=(0,),
-                                 instructions=POINT_INSTRUCTIONS,
-                                 lam=lam, n_iters=200, sampler_T=T_SAMPLE,
-                                 warmup=gd.WarmupRule(5, "literal"),
-                                 loss_kind=loss_kind, trainable=trainable,
-                                 lr=2e-3, seed=seed)
+            cfg = oracles.erase_config(erase_set=(0,),
+                                       instructions=POINT_INSTRUCTIONS,
+                                       lam=lam, n_iters=200, sampler_T=T_SAMPLE,
+                                       warmup=gd.WarmupRule(5, "literal",
+                                                            T_SAMPLE),
+                                       loss_kind=loss_kind, trainable=trainable,
+                                       lr=2e-3, seed=seed)
             cache[key] = er.erase_finetune(points_base, cfg, sched, vocab)[0]
         return cache[key]
 
@@ -135,7 +136,9 @@ def test_criterion_02_schedule_and_weight_identities(announce, sched):
 
 
 def test_criterion_03_cfg_identities(announce):
-    params = nnet.init_params(nnet.NetworkShape(input_dim=2), 8, seed=3)
+    params = nnet.init_params(nnet.NetworkShape(input_dim=2,
+                                                  hidden=oracles.POINTS_HIDDEN),
+                               8, seed=3)
     rng = np.random.default_rng(4)
     Z = rng.standard_normal((1000, 2))
     t, c = 17, 5
@@ -156,14 +159,14 @@ def test_criterion_04_erasing_signal_contract(announce):
     params = nnet.init_params(shape, 3, seed=5)
     rng = np.random.default_rng(6)
     Z = rng.standard_normal((40, 6))
-    warmup = gd.WarmupRule(1, "literal")
+    warmup = oracles.warmup_rule(t_warmup=1)
     ins = gd.InstructionConcept(0, -7.5, 5, 8, 0.5)
 
     empty_ok = np.array_equal(gd.delta((), Z, 6, 12, params, warmup),
                               np.zeros_like(Z))
     outside = all(np.array_equal(gd.delta((ins,), Z, idx, 12, params, warmup),
                                  np.zeros_like(Z)) for idx in (4, 9))
-    warm = gd.WarmupRule(7, "literal")
+    warm = oracles.warmup_rule(t_warmup=7)
     warm_ok = np.array_equal(gd.delta((ins,), Z, 6, 12, params, warm),
                              np.zeros_like(Z))
 
@@ -187,9 +190,10 @@ def test_criterion_05_stop_gradient_soundness(announce):
                               concept_embed_dim=4)
     teacher = nnet.init_params(shape, 3, seed=11)
     # lam = 0: the student step's gradient is the concept term's alone
-    cfg = er.EraseConfig(erase_set=(0,), sampler_T=10, lam=0.0,
-                         instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),
-                                       gd.InstructionConcept(1, 6.5, 1, 10, 0.5)))
+    cfg = oracles.erase_config(
+        erase_set=(0,), sampler_T=10, lam=0.0,
+        instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),
+                      gd.InstructionConcept(1, 6.5, 1, 10, 0.5)))
     sched = df.make_linear_schedule(20, 1e-4, 0.02)
     h = 1e-5
     worst = 0.0
@@ -239,8 +243,9 @@ def test_criterion_06_penalty_anchor_and_decomposition(announce):
                               concept_embed_dim=4)
     teacher = nnet.init_params(shape, 3, seed=21)
     rng = np.random.default_rng(22)
-    cfg = er.EraseConfig(erase_set=(0,), sampler_T=10,
-                         instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),))
+    cfg = oracles.erase_config(
+        erase_set=(0,), sampler_T=10,
+        instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),))
 
     def step(student, z, t_index, schedule_t, lam, gamma2):
         step_cfg = dataclasses.replace(cfg, lam=lam, gamma2=gamma2)
@@ -386,10 +391,11 @@ def test_criterion_10_lambda_tradeoff_ordering(announce, points_world, sched,
 def test_criterion_11_concept_purification(announce, glyphs_world, glyphs_base,
                                            sched, sampler):
     vocab, spec, dataset = glyphs_world
-    cfg = er.EraseConfig(erase_set=(0,), instructions=GLYPH_INSTRUCTIONS,
-                         lam=0.0, n_iters=200, sampler_T=T_SAMPLE,
-                         warmup=gd.WarmupRule(5, "literal"),
-                         loss_kind="ours", trainable=None, lr=2e-3, seed=0)
+    cfg = oracles.erase_config(erase_set=(0,), instructions=GLYPH_INSTRUCTIONS,
+                               lam=0.0, n_iters=200, sampler_T=T_SAMPLE,
+                               warmup=gd.WarmupRule(5, "literal", T_SAMPLE),
+                               loss_kind="ours", trainable=None, lr=2e-3,
+                               seed=0)
     erased, _ = er.erase_finetune(glyphs_base, cfg, sched, vocab)
     oracle = tw.template_oracle(spec)
 
@@ -451,7 +457,8 @@ def test_criterion_13_theory_verifiers(announce, sched):
     probes = [(rng.standard_normal(2), int(rng.integers(2, sched.T_train + 1)),
                int(rng.integers(0, 3)), int(rng.integers(0, 3)))
               for _ in range(16)]
-    chain = an.kl_chain_check(teacher, student, sched, probes)
+    chain = an.kl_chain_check(teacher, student, sched, probes,
+                              gamma1=7.5, gamma2=7.5)
 
     triangle = all(an.triangle_bound_holds(rng.standard_normal(4),
                                            rng.standard_normal(4))

@@ -31,7 +31,7 @@ class TestErasureRate:
     def test_no_target_hits_rate_zero(self):
         oracle = lambda X: (np.ones(len(X), dtype=int), np.ones(len(X)))
         batch = np.zeros((4, 2))
-        assert an.erasure_rate(batch, 0, oracle) == 0.0
+        assert an.erasure_rate(batch, 0, oracle, threshold=0.7) == 0.0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(0)
@@ -46,7 +46,8 @@ class TestErasureRate:
     def test_empty_batch_rejected(self):
         with pytest.raises(StructuralError):
             an.erasure_rate(np.zeros((0, 2)), 0,
-                            lambda X: (np.zeros(len(X), dtype=int), np.ones(len(X))))
+                            lambda X: (np.zeros(len(X), dtype=int), np.ones(len(X))),
+                            threshold=0.7)
 
 
 def mmd2_loops(X, Y, k):
@@ -112,9 +113,9 @@ class TestMmd2:
 
     def test_shape_errors(self):
         with pytest.raises(StructuralError):
-            an.mmd2(np.zeros((4, 2)), np.zeros((4, 3)))
+            an.mmd2(np.zeros((4, 2)), np.zeros((4, 3)), an.KernelSpec())
         with pytest.raises(StructuralError):
-            an.mmd2(np.zeros((1, 2)), np.zeros((4, 2)))
+            an.mmd2(np.zeros((1, 2)), np.zeros((4, 2)), an.KernelSpec())
 
     def test_kernel_spec_validation(self):
         with pytest.raises(ConfigError):
@@ -191,31 +192,32 @@ class TestSeedConsistency:
         sched, sampler = self.small_sampler()
         model = tiny_model()
         out = an.seed_consistency(model, model, sched, sampler,
-                                  concepts=(0, 1), seeds=(0, 1, 2))
+                                  concepts=(0, 1), seeds=(0, 1, 2), gamma=7.5)
         assert out == {0: 0.0, 1: 0.0}
 
     def test_identical_glyph_models_unit_ssim(self):
         sched, sampler = self.small_sampler()
         model = tiny_model(input_dim=256)
         out = an.seed_consistency(model, model, sched, sampler,
-                                  concepts=(0,), seeds=(3,))
+                                  concepts=(0,), seeds=(3,), gamma=7.5)
         assert out == {0: 1.0}
 
     def test_symmetric_and_deterministic(self):
         sched, sampler = self.small_sampler()
         a = tiny_model(seed=1)
         b = tiny_model(seed=2)
-        ab = an.seed_consistency(a, b, sched, sampler, (0, 2), (5, 6))
-        ba = an.seed_consistency(b, a, sched, sampler, (0, 2), (5, 6))
+        ab = an.seed_consistency(a, b, sched, sampler, (0, 2), (5, 6), 7.5)
+        ba = an.seed_consistency(b, a, sched, sampler, (0, 2), (5, 6), 7.5)
         assert ab == ba
-        assert ab == an.seed_consistency(a, b, sched, sampler, (0, 2), (5, 6))
+        assert ab == an.seed_consistency(a, b, sched, sampler, (0, 2), (5, 6),
+                                         7.5)
         assert all(v < 0 for v in ab.values())
 
     def test_mismatched_models_rejected(self):
         sched, sampler = self.small_sampler()
         with pytest.raises(ConfigError):
             an.seed_consistency(tiny_model(), tiny_model(n_concepts=4),
-                                sched, sampler, (0,), (0,))
+                                sched, sampler, (0,), (0,), 7.5)
 
 
 def per_seed_consistency(model_a, model_b, sched, sampler, concepts, seeds,
@@ -246,7 +248,8 @@ class TestSeedConsistencyMatchesPerSeed:
         sampler = df.SamplerConfig.uniform(5, 20)
         a = tiny_model(input_dim=input_dim, seed=1)
         b = tiny_model(input_dim=input_dim, seed=2)
-        got = an.seed_consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9))
+        got = an.seed_consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9),
+                                  7.5)
         want = per_seed_consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9))
         assert list(got) == list(want)
         for c in want:
@@ -255,7 +258,7 @@ class TestSeedConsistencyMatchesPerSeed:
 
 class TestLossWeights:
     def test_ratio_identity_across_default_schedule(self):
-        sched = df.make_linear_schedule()
+        sched = df.make_linear_schedule(100, 1e-4, 0.02)
         for t in range(2, sched.T_train + 1):
             w, w_prime = an.loss_weights(t, sched)
             a_t = float(sched.alpha[t - 1])
@@ -272,7 +275,7 @@ class TestLossWeights:
         np.testing.assert_allclose(w, 0.31111, rtol=1e-4)
 
     def test_out_of_range_rejected(self):
-        sched = df.make_linear_schedule(10)
+        sched = df.make_linear_schedule(10, 1e-4, 0.02)
         with pytest.raises(ConfigError):
             an.loss_weights(1, sched)
         with pytest.raises(ConfigError):
@@ -319,7 +322,8 @@ class TestKlChainCheck:
         model = tiny_model(seed=4)
         probes = [(np.array([0.1, -0.2]), t, c, c)
                   for t in (2, 7, 20) for c in (0, 1)]
-        report = an.kl_chain_check(model, model, sched, probes)
+        report = an.kl_chain_check(model, model, sched, probes,
+                                   gamma1=7.5, gamma2=7.5)
         assert report.max_rel_discrepancy == 0.0
         assert report.n_probes == 6
 
@@ -343,7 +347,8 @@ class TestKlChainCheck:
     def test_mismatched_models_rejected(self):
         sched = df.make_linear_schedule(20, 1e-4, 0.02)
         with pytest.raises(ConfigError):
-            an.kl_chain_check(tiny_model(), tiny_model(n_concepts=5), sched, [])
+            an.kl_chain_check(tiny_model(), tiny_model(n_concepts=5), sched, [],
+                              gamma1=7.5, gamma2=7.5)
 
 
 class TestTriangleBound:
@@ -365,7 +370,8 @@ class TestMetricReport:
         return an.MetricReport(erasure_rates={0: 0.05, 1: 0.9},
                                drift={0: 0.001, 1: 0.002},
                                consistency={0: -0.1, 1: -0.2},
-                               sample_count=100, seeds=(1, 2, 3))
+                               sample_count=100, seeds=(1, 2, 3),
+                               threshold=0.7)
 
     def test_json_round_trip(self):
         rep = self.report()
@@ -374,6 +380,6 @@ class TestMetricReport:
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            an.MetricReport({0: 1.5}, {}, {}, 10, (0,))
+            an.MetricReport({0: 1.5}, {}, {}, 10, (0,), 0.7)
         with pytest.raises(ConfigError):
-            an.MetricReport({0: 0.5}, {}, {}, 0, (0,))
+            an.MetricReport({0: 0.5}, {}, {}, 0, (0,), 0.7)

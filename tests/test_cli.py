@@ -333,6 +333,8 @@ class TestExitCodes:
         ("gen-data", "erase", "seed", "-1"),
         ("gen-data", "erase", "t_warmup", "99"),
         ("gen-data", "erase", "warmup_style", "foo"),
+        ("gen-data", "erase", "trainable", "w9"),
+        ("gen-data", "erase", "trainable", ""),
         ("gen-data", "sampler", "t_sample", "1000"),
         ("gen-data", "sampler", "t_sample", "0"),
         ("gen-data", "schedule", "t_train", "0"),

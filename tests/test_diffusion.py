@@ -22,7 +22,7 @@ class TestSchedule:
         np.testing.assert_allclose(sched.alpha_bar, [0.9, 0.72], rtol=1e-15)
 
     def test_default_terminal_alpha_bar_matches_product_loop(self):
-        sched = df.make_linear_schedule()
+        sched = df.make_linear_schedule(100, 1e-4, 0.02)
         betas = np.linspace(1e-4, 0.02, 100)
         prod = 1.0
         for b in betas:
@@ -133,7 +133,7 @@ class TestDdimStep:
 class TestTrainBase:
     def test_validation_loss_decreases(self, points_world, points_base, sched):
         _, _, dataset = points_world
-        shape = nnet.NetworkShape(input_dim=2)
+        shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
         fresh = nnet.init_params(shape, dataset.n_concepts, seed=1)
         before = oracles.validation_eps_loss(fresh, dataset, sched, seed=99)
         after = oracles.validation_eps_loss(points_base, dataset, sched, seed=99)
@@ -169,8 +169,11 @@ class TestTrainBase:
         dataset = tw.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
                              mode="points2d", n_concepts=2)
         with pytest.raises(ConfigError):
-            df.train_base(dataset, nnet.NetworkShape(input_dim=2), sched,
-                          steps=1, p_uncond=0.1, seed=0)
+            df.train_base(dataset,
+                          nnet.NetworkShape(input_dim=2,
+                                            hidden=oracles.POINTS_HIDDEN),
+                          sched, steps=1, p_uncond=0.1, seed=0, lr=1e-3,
+                          batch_size=64)
 
 
 class TestSample:

@@ -32,7 +32,7 @@ def small_vocab(n=3):
 def run_config(**overrides):
     base = dict(erase_set=(0,), sampler_T=10, n_iters=4, seed=5)
     base.update(overrides)
-    return er.EraseConfig(**base)
+    return oracles.erase_config(**base)
 
 
 def window_instructions(kappa=0.5):
@@ -79,43 +79,43 @@ def baseline_loss(kind, student, teacher, z, schedule_t, c, gamma):
 class TestEraseConfig:
     def test_empty_erase_set_rejected(self):
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=())
+            oracles.erase_config(erase_set=())
 
     def test_unknown_mode_and_kind_rejected(self):
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=(0,), replacement_mode="swap")
+            oracles.erase_config(erase_set=(0,), replacement_mode="swap")
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=(0,), loss_kind="mystery")
+            oracles.erase_config(erase_set=(0,), loss_kind="mystery")
 
     def test_explicit_mode_needs_replacement_id(self):
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=(0,), replacement_mode="explicit")
-        er.EraseConfig(erase_set=(0,), replacement_mode="explicit",
-                       replacement_id=1)
+            oracles.erase_config(erase_set=(0,), replacement_mode="explicit")
+        oracles.erase_config(erase_set=(0,), replacement_mode="explicit",
+                             replacement_id=1)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=(0,), lam=-0.5)
+            oracles.erase_config(erase_set=(0,), lam=-0.5)
 
     def test_iteration_counts_must_be_positive(self):
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=(0,), n_iters=0)
+            oracles.erase_config(erase_set=(0,), n_iters=0)
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=(0,), sampler_T=0)
+            oracles.erase_config(erase_set=(0,), sampler_T=0)
 
     def test_empty_trainable_tuple_rejected(self):
         with pytest.raises(ConfigError):
-            er.EraseConfig(erase_set=(0,), trainable=())
+            oracles.erase_config(erase_set=(0,), trainable=())
 
     def test_unknown_trainable_tensor_rejected(self):
         params, _ = tiny_setup()
         cfg = run_config(trainable=("embed", "w9"))
         with pytest.raises(ConfigError):
-            cfg.mask_for(params)
+            cfg.mask_for(params.tensor_names())
 
     def test_default_mask_covers_everything(self):
         params, _ = tiny_setup()
-        mask = run_config().mask_for(params)
+        mask = run_config().mask_for(params.tensor_names())
         assert all(n in mask for n in params.tensor_names())
 
     def test_id_validation_against_vocab(self):
@@ -616,7 +616,7 @@ def sequential_erase(base, cfg, sched):
     student, the loss rows and each iteration's (t_index, c, z_t, target,
     anchor)."""
     teacher, student = base.copy(), base.copy()
-    mask = cfg.mask_for(student)
+    mask = cfg.mask_for(student.tensor_names())
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
                                       weight_decay=cfg.weight_decay)
     sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)

@@ -17,7 +17,7 @@ def small_params(n_concepts=4, input_dim=2, seed=0):
 
 
 def default_warmup():
-    return gd.WarmupRule(t_warmup=5, style="literal")
+    return gd.WarmupRule(t_warmup=5, style="literal", sampler_T=35)
 
 
 class TestCfgCompose:
@@ -102,9 +102,17 @@ class TestPercentileThreshold:
             oracles.percentile_threshold(np.array([]), 0.5)
 
 
+class TestInstructionConcept:
+    def test_window_must_reach_a_sampler_index(self):
+        gd.InstructionConcept(0, -7.5, 0, 1, 0.5)
+        for t_high, t_low in ((0, 0), (2, 1), (-1, 3)):
+            with pytest.raises(ConfigError):
+                gd.InstructionConcept(0, -7.5, t_high, t_low, 0.5)
+
+
 class TestWarmupRule:
     def test_literal_gate(self):
-        rule = gd.WarmupRule(t_warmup=5, style="literal")
+        rule = gd.WarmupRule(t_warmup=5, style="literal", sampler_T=35)
         assert not rule.active(4)
         assert rule.active(5)
         assert rule.active(35)
@@ -115,9 +123,11 @@ class TestWarmupRule:
         assert not rule.active(31)
         assert rule.active(1)
 
-    def test_sega_requires_T(self):
-        with pytest.raises(ConfigError):
-            gd.WarmupRule(t_warmup=5, style="sega")
+    def test_warmup_longer_than_the_sampler_rejected(self):
+        for style in ("literal", "sega"):
+            gd.WarmupRule(t_warmup=35, style=style, sampler_T=35)
+            with pytest.raises(ConfigError):
+                gd.WarmupRule(t_warmup=36, style=style, sampler_T=35)
 
 
 class TestDelta:
@@ -173,7 +183,7 @@ class TestDelta:
             params = small_params(input_dim=d, seed=14)
             ins = gd.InstructionConcept(0, 1.0, 1, 35, kappa)
             rng = np.random.default_rng(15)
-            warmup = gd.WarmupRule(t_warmup=0)
+            warmup = gd.WarmupRule(t_warmup=0, style="literal", sampler_T=35)
             kept_bound = d - (int(np.ceil(kappa * d)) - 1)
             for _ in range(10):
                 z = rng.standard_normal(d)

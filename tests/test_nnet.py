@@ -207,7 +207,7 @@ class TestBackward:
             nnet.backward(tape, np.zeros(3))
 
     def test_finiteness_on_default_shape(self):
-        shape = nnet.NetworkShape(input_dim=2)
+        shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
         params = nnet.init_params(shape, 8, seed=12)
         rng = np.random.default_rng(13)
         for _ in range(10):
@@ -224,7 +224,7 @@ class TestAdamW:
         params = nnet.init_params(tiny_shape(), 2, seed=14)
         grads = oracles.zero_like_params(params)
         grads.weights[0] += 1.0
-        state = nnet.OptimizerState.fresh(params, lr=0.1)
+        state = nnet.OptimizerState.fresh(params, lr=0.1, weight_decay=0.0)
         out = nnet.adamw_step(params, grads, frozenset(), state)
         for name in params.tensor_names():
             assert out.get_tensor(name) is params.get_tensor(name)
@@ -265,7 +265,7 @@ class TestAdamW:
         params = nnet.init_params(tiny_shape(), 2, seed=17)
         grads = oracles.zero_like_params(params)
         grads.weights[0][0, 0] = np.nan
-        state = nnet.OptimizerState.fresh(params, lr=0.1)
+        state = nnet.OptimizerState.fresh(params, lr=0.1, weight_decay=0.0)
         before = params.copy()
         with pytest.raises(NumericalError):
             nnet.adamw_step(params, grads, frozenset(params.tensor_names()), state)
@@ -313,7 +313,7 @@ class TestAdamW:
         grads = oracles.zero_like_params(params)
         grads.get_tensor(bad).flat[-1] = np.inf
         grads.get_tensor(bad).flat[0] = np.nan
-        state = nnet.OptimizerState.fresh(params, lr=0.1)
+        state = nnet.OptimizerState.fresh(params, lr=0.1, weight_decay=0.0)
         before = params.flat.copy()
         if raises:
             with pytest.raises(NumericalError, match=f"tensor {bad}$"):
@@ -330,7 +330,7 @@ class TestAdamW:
         frozen_names = [n for n in params.tensor_names() if n not in ("w0", "embed")]
         before = {n: params.get_tensor(n).copy() for n in params.tensor_names()}
         mask = frozenset(["w0", "embed"])
-        state = nnet.OptimizerState.fresh(params, lr=0.05)
+        state = nnet.OptimizerState.fresh(params, lr=0.05, weight_decay=0.0)
         rng = np.random.default_rng(19)
         for _ in range(20):
             _, tape = oracles.forward(params, rng.standard_normal(2),
@@ -416,7 +416,7 @@ def ref_adamw_step(params, grads, mask, state):
     return out
 
 
-POINTS_SHAPE = nnet.NetworkShape(input_dim=2)
+POINTS_SHAPE = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
 GLYPH_SHAPE = nnet.NetworkShape(input_dim=256, hidden=(1024,))
 
 

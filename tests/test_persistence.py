@@ -17,6 +17,8 @@ from eraselab import toyworld as tw
 from eraselab.errors import (ConfigError, CorruptionError, FormatError,
                              UnsupportedVersionError)
 
+import oracles
+
 FIXED_LEN = struct.calcsize("<4sHI")
 
 
@@ -60,7 +62,7 @@ class TestCheckpoint:
             assert_array_equal(loaded.get_tensor(name), params.get_tensor(name))
 
     @pytest.mark.parametrize("shape,sha256", [
-        (nnet.NetworkShape(input_dim=2),
+        (nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN),
          "bfc4d5cd53a6eeaa9a868697dd013448991727e46a62b154091c57259c13a9c1"),
         (nnet.NetworkShape(input_dim=256, hidden=(1024,)),
          "feda6fca88a3b23ef9b340dea515500940eb3afa8d61684a807a409143385b4b"),
@@ -434,6 +436,20 @@ class TestLoadConfig:
         ins = persistence.load_config(path).erase.instructions[0]
         assert (ins.t_high, ins.t_low) == (1, 35)
 
+    def test_window_flooring_below_index_one_rejected(self, tmp_path):
+        # both edges floor to 0 of 35, a window no sampler index reaches
+        path = write_config(tmp_path, "[instruction.a]\nname = c0\n"
+                                      "t_high = 0.01\nt_low = 0.02\n")
+        with pytest.raises(ConfigError, match=r"\[instruction.a\] t_low:"):
+            persistence.load_config(path)
+
+    def test_high_edge_may_floor_to_zero(self, tmp_path):
+        path = write_config(tmp_path, "[sampler]\nt_sample = 2\n"
+                                      "[erase]\nt_warmup = 1\n")
+        cfg = persistence.load_config(path)
+        assert [(i.t_high, i.t_low) for i in cfg.erase.instructions] \
+            == [(0, 2), (0, 2)]
+
     def test_fraction_outside_unit_interval_rejected(self, tmp_path):
         path = write_config(tmp_path, "[instruction.a]\nname = c0\n"
                                       "t_high = 1.5\n")
@@ -480,6 +496,22 @@ class TestLoadConfig:
         assert e.trainable == ("embed", "w0")
         assert e.lr == 1e-2 and e.seed == 9
 
+    @pytest.mark.parametrize("text,keys", [
+        ("[erase]\ntrainable = w9\n", r"\[erase\] trainable"),
+        ("[erase]\ntrainable =\n", r"\[erase\] trainable"),
+        ("[base]\nhidden = 8\n[erase]\ntrainable = embed,w3\n",
+         r"\[base\] hidden, \[erase\] trainable"),
+    ], ids=["unknown", "empty", "fewer-layers"])
+    def test_trainable_names_checked_at_load(self, tmp_path, text, keys):
+        with pytest.raises(ConfigError, match=keys + ": unknown trainable"):
+            persistence.load_config(write_config(tmp_path, text))
+
+    def test_trainable_names_follow_the_hidden_widths(self, tmp_path):
+        path = write_config(tmp_path, "[base]\nhidden = 8\n"
+                                      "[erase]\ntrainable = embed,w1,b1\n")
+        cfg = persistence.load_config(path)
+        assert cfg.erase.trainable == ("embed", "w1", "b1")
+
     def test_explicit_replacement_resolves_name(self, tmp_path):
         path = write_config(tmp_path,
                             "[erase]\nreplacement_mode = explicit\n"
@@ -518,8 +550,8 @@ class TestLoadConfig:
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         example = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
         cfg = persistence.load_config(write_config(tmp_path, example))
-        assert cfg.mode == "points2d" and cfg.base_hidden is None
-        assert [i.g_c for i in cfg.erase.instructions] == [-7.5, 6.5]
+        # the README spells out the whole default operating point
+        assert json.loads(json.dumps(cfg.snapshot_dict())) == DEFAULT_SNAPSHOT
 
 
 EVERY_KEY_CONFIG = """\
