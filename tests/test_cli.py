@@ -38,6 +38,13 @@ ERASE_VARIANTS = {
                    "trainable = embed,w3,b3\n",
 }
 
+# The same pipeline on glyphs16 with a narrow net, run under glyphs/. It
+# pins the glyph-only paths: the glyph generator and its 256-column CSV,
+# the template oracle, the SSIM branch of seed consistency and glyph
+# inversion.
+GLYPH_CONFIG = "[run]\nmode = glyphs16\n" + TINY_CONFIG.replace(
+    "[base]\n", "[base]\nhidden = 64\n")
+
 # Each command that writes --out: its run directory in the pipeline
 # fixture and the keys of its manifest's seeds.
 MANIFESTS = [
@@ -51,18 +58,17 @@ MANIFESTS = [
     ("verify-theory", "theory", {"probe"}),
     ("report", "report", set()),
 ]
+# The run directories of _core_commands.
+GLYPH_RUNS = ("data", "base", "erased", "eval", "sample", "invert")
 
 
-def run_pipeline(root):
-    """Write TINY_CONFIG under root and run every command on it once, each
-    into its own run directory; returns the paths by key."""
-    config = root / "run.ini"
-    config.write_text(TINY_CONFIG)
-    paths = {"root": root, "config": config,
-             **{key: root / key for _, key, _ in MANIFESTS}}
+def _core_commands(config, paths, concept):
+    """gen-data, train-base, erase, eval, sample (of concept, from the
+    erased model) and invert (by the base) on config, each into its run
+    directory in paths."""
     base, erased = paths["base"] / "base.ssrg", paths["erased"] / "erased.ssrg"
     conf = ["--config", str(config)]
-    commands = [
+    return [
         ["gen-data", *conf, "--out", str(paths["data"]), "--n", "20"],
         ["train-base", *conf, "--data", str(paths["data"] / "dataset.csv"),
          "--out", str(paths["base"])],
@@ -70,14 +76,27 @@ def run_pipeline(root):
         ["eval", *conf, "--base", str(base), "--model", str(erased),
          "--out", str(paths["eval"]), "--n", "30", "--drift-n", "20",
          "--timeline-n", "20"],
-        ["sample", *conf, "--model", str(erased), "--concept", "c1",
+        ["sample", *conf, "--model", str(erased), "--concept", concept,
          "--n", "4", "--out", str(paths["sample"])],
         ["invert", *conf, "--model", str(base),
          "--data", str(paths["sample"] / "samples.csv"),
          "--out", str(paths["invert"])],
-        ["sweep-lambda", *conf, "--base", str(base), "--values", "5",
-         "--n", "10", "--out", str(paths["sweep"])],
-        ["verify-theory", *conf, "--out", str(paths["theory"])],
+    ]
+
+
+def run_pipeline(root):
+    """Write TINY_CONFIG under root and run every command on it once, each
+    into its own run directory, then the core commands on GLYPH_CONFIG
+    under root/glyphs; returns the paths by key."""
+    config = root / "run.ini"
+    config.write_text(TINY_CONFIG)
+    paths = {"root": root, "config": config,
+             **{key: root / key for _, key, _ in MANIFESTS}}
+    base = paths["base"] / "base.ssrg"
+    commands = _core_commands(config, paths, "c1") + [
+        ["sweep-lambda", "--config", str(config), "--base", str(base),
+         "--values", "5", "--n", "10", "--out", str(paths["sweep"])],
+        ["verify-theory", "--config", str(config), "--out", str(paths["theory"])],
         ["report", "--runs", str(paths["eval"]), "--out", str(paths["report"])],
     ]
     for key, keys in ERASE_VARIANTS.items():
@@ -86,6 +105,11 @@ def run_pipeline(root):
         paths[key] = root / key
         commands.append(["erase", "--config", str(variant), "--base", str(base),
                          "--out", str(paths[key])])
+    glyphs = root / "glyphs"
+    glyphs.mkdir()
+    (glyphs / "run.ini").write_text(GLYPH_CONFIG)
+    commands += _core_commands(glyphs / "run.ini", {
+        key: glyphs / key for key in GLYPH_RUNS}, "circle")
     for argv in commands:
         code = cli.main(argv)
         assert code == 0, f"{argv[0]} exited {code}"
@@ -102,12 +126,19 @@ def pipeline(tmp_path_factory):
 # report.write_csv prints 6 significant digits, so these compare as printed.
 PRINTED_CSVS = ("base/train_loss.csv", "erased/loss.csv", "sweep/sweep.csv",
                 "invert/recon.csv", "theory/theory.csv",
-                *(f"{key}/loss.csv" for key in ERASE_VARIANTS))
-FINGERPRINTED = PRINTED_CSVS + ("sample/samples.csv", "eval/metrics.json")
+                *(f"{key}/loss.csv" for key in ERASE_VARIANTS),
+                "glyphs/base/train_loss.csv", "glyphs/erased/loss.csv",
+                "glyphs/invert/recon.csv")
+SAMPLE_CSVS = ("sample/samples.csv", "glyphs/sample/samples.csv")
+METRICS = ("eval/metrics.json", "glyphs/eval/metrics.json")
+FINGERPRINTED = PRINTED_CSVS + SAMPLE_CSVS + METRICS
 CHECKPOINTS = ("base/base.ssrg", "erased/erased.ssrg",
                "erased/checkpoints/iter_0004.ssrg",
                "erased/checkpoints/iter_0008.ssrg", "sweep/lambda_5.ssrg",
-               *(f"{key}/erased.ssrg" for key in ERASE_VARIANTS))
+               *(f"{key}/erased.ssrg" for key in ERASE_VARIANTS),
+               "glyphs/base/base.ssrg", "glyphs/erased/erased.ssrg",
+               "glyphs/erased/checkpoints/iter_0004.ssrg",
+               "glyphs/erased/checkpoints/iter_0008.ssrg")
 FINGERPRINTS = Path(__file__).with_name("fingerprints.json")
 
 
@@ -131,12 +162,13 @@ def pipeline_fingerprints(root):
     for name in PRINTED_CSVS:
         with open(root / name, newline="") as fh:
             artifacts[name] = list(csv.reader(fh))
-    with open(root / "sample/samples.csv", newline="") as fh:
-        header, *rows = csv.reader(fh)
-    artifacts["sample/samples.csv"] = [header] + [
-        [int(label)] + [float(v) for v in values] for label, *values in rows]
-    artifacts["eval/metrics.json"] = json.loads(
-        (root / "eval/metrics.json").read_text())
+    for name in SAMPLE_CSVS:
+        with open(root / name, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        artifacts[name] = [header] + [
+            [int(label)] + [float(v) for v in values] for label, *values in rows]
+    for name in METRICS:
+        artifacts[name] = json.loads((root / name).read_text())
     return {"artifacts": artifacts,
             "payload_sha256": {name: payload_sha256(root / name)
                                for name in CHECKPOINTS}}
