@@ -1,7 +1,7 @@
 """Evaluation metrics and closed-form verifiers.
 
-Metrics: oracle-based erasure rate, unbiased kernel MMD^2 as the
-distribution-drift measure, windowed SSIM for glyph similarity, and
+Metrics: oracle-based erasure rate, unbiased MMD^2 under the KID kernel
+as the distribution-drift measure, 7x7-windowed SSIM for glyph similarity, and
 same-seed cross-checkpoint consistency. Verifiers: the timestep loss
 weights w/w', the isotropic-Gaussian KL closed form, and the chain that
 rewrites a guided reverse-transition KL as a weighted score distance;
@@ -11,7 +11,7 @@ theory_checks runs them all as one seeded suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,35 +20,6 @@ from . import diffusion as df
 from . import guidance as gd
 from . import nnet
 from .errors import ConfigError, StructuralError
-
-KERNEL_KINDS = ("linear", "polynomial", "rbf")
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Kernel for the two-sample MMD^2 drift estimate.
-
-    polynomial uses k(x, y) = (x.y/d + coef)^degree, the KID form on raw
-    vectors; rbf uses exp(-||x-y||^2 / (2 bandwidth^2)) with a pooled
-    median-distance bandwidth when none is given.
-    """
-
-    kind: str = "polynomial"
-    degree: int = 3
-    coef: float = 1.0
-    bandwidth: Optional[float] = None
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_KINDS:
-            raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "polynomial":
-            if self.degree < 1:
-                raise ConfigError(f"degree must be >= 1, got {self.degree}")
-            if self.coef < 0:
-                raise ConfigError(f"coef must be >= 0, got {self.coef}")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise ConfigError(f"bandwidth must be > 0, got {self.bandwidth}")
-
 
 @dataclass
 class MetricReport:
@@ -103,31 +74,9 @@ def erasure_rate(samples: np.ndarray, target: int,
     return int(hits) / samples.shape[0]
 
 
-def _gram(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec,
-          bandwidth: Optional[float]) -> np.ndarray:
-    if kernel.kind == "linear":
-        return X @ Y.T
-    if kernel.kind == "polynomial":
-        return (X @ Y.T / X.shape[1] + kernel.coef) ** kernel.degree
-    sq = (np.sum(X * X, axis=1)[:, None] + np.sum(Y * Y, axis=1)[None, :]
-          - 2.0 * X @ Y.T)
-    return np.exp(-np.maximum(sq, 0.0) / (2.0 * bandwidth * bandwidth))
-
-
-def median_bandwidth(X: np.ndarray, Y: np.ndarray) -> float:
-    """Median pairwise distance over the pooled sample."""
-    pooled = np.vstack([X, Y])
-    sq = (np.sum(pooled * pooled, axis=1)[:, None]
-          + np.sum(pooled * pooled, axis=1)[None, :] - 2.0 * pooled @ pooled.T)
-    iu = np.triu_indices(pooled.shape[0], k=1)
-    med = float(np.sqrt(np.maximum(np.median(sq[iu]), 0.0)))
-    if med == 0.0:
-        raise ConfigError("median-heuristic bandwidth is zero (degenerate data)")
-    return med
-
-
-def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec) -> float:
-    """Unbiased MMD^2 estimate between two sample batches.
+def mmd2(X: np.ndarray, Y: np.ndarray) -> float:
+    """Unbiased MMD^2 estimate between two sample batches under the KID
+    kernel k(x, y) = (x.y/d + 1)^3 on raw vectors.
 
     Equal batch sizes use the paired U-statistic, whose summand cancels
     exactly when X and Y coincide; unequal sizes fall back to the
@@ -141,12 +90,9 @@ def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec) -> float:
     m, n = X.shape[0], Y.shape[0]
     if m < 2 or n < 2:
         raise StructuralError(f"need at least 2 samples per batch, got {m} and {n}")
-    bandwidth = kernel.bandwidth
-    if kernel.kind == "rbf" and bandwidth is None:
-        bandwidth = median_bandwidth(X, Y)
-    k_xx = _gram(X, X, kernel, bandwidth)
-    k_yy = _gram(Y, Y, kernel, bandwidth)
-    k_xy = _gram(X, Y, kernel, bandwidth)
+    d = X.shape[1]
+    k_xx, k_yy, k_xy = ((A @ B.T / d + 1.0) ** 3
+                        for A, B in ((X, X), (Y, Y), (X, Y)))
     if m == n:
         paired = k_xx + k_yy - k_xy - k_xy.T
         np.fill_diagonal(paired, 0.0)
@@ -156,19 +102,20 @@ def mmd2(X: np.ndarray, Y: np.ndarray, kernel: KernelSpec) -> float:
     return float(off_xx + off_yy - 2.0 * k_xy.mean())
 
 
-def ssim(img_a: np.ndarray, img_b: np.ndarray, window: int = 7) -> float:
-    """Mean structural similarity over all valid window positions.
+def ssim(img_a: np.ndarray, img_b: np.ndarray) -> float:
+    """Mean structural similarity over all valid 7x7 window positions.
 
     Dynamic range is taken as 1 (images live in [0, 1]); window moments
     use the biased variance so SSIM(A, A) is exactly 1.
     """
+    window = 7
     a = np.asarray(img_a, dtype=np.float64)
     b = np.asarray(img_b, dtype=np.float64)
     if a.shape != b.shape:
         raise StructuralError(f"image shapes differ: {a.shape} vs {b.shape}")
     if a.ndim != 2:
         raise StructuralError(f"expected 2-D images, got shape {a.shape}")
-    if not 1 <= window <= min(a.shape):
+    if window > min(a.shape):
         raise ConfigError(f"window {window} does not fit image {a.shape}")
     c1 = 0.01 ** 2
     c2 = 0.03 ** 2

@@ -105,9 +105,11 @@ def _read_checkpoint(cfg, path):
 
 
 def _oracle(cfg):
+    """The mode's oracle: a batch (n, d) -> (labels, confidences)."""
     _, spec = cfg.vocab_and_spec()
-    oracle = tw.bayes_oracle if cfg.mode == "points2d" else tw.template_oracle
-    return oracle(spec)
+    if cfg.mode == "points2d":
+        return tw.bayes_oracle(spec)
+    return lambda X: tw.template_classify(spec, X)
 
 
 def _sample_batch(model, cfg, concept, n, seed, gamma):
@@ -246,14 +248,13 @@ def cmd_eval(args) -> int:
         for c in erase_set:
             X = _sample_batch(model, cfg, c, n, cfg.seed, cfg.eval_gamma)
             rates[c] = an.erasure_rate(X, c, oracle, cfg.threshold)
-        kernel = an.KernelSpec()
         drift = {}
         for c in non_targets:
             Xb = _sample_batch(base, cfg, c, args.drift_n, cfg.seed + c,
                                cfg.eval_gamma)
             Xm = _sample_batch(model, cfg, c, args.drift_n,
                                cfg.seed + c + 10_000, cfg.eval_gamma)
-            drift[c] = an.mmd2(Xb, Xm, kernel)
+            drift[c] = an.mmd2(Xb, Xm)
         consistency = an.seed_consistency(base, model, sched, sampler,
                                           concepts=non_targets,
                                           seeds=cfg.consistency_seeds,

@@ -157,13 +157,13 @@ def sample_final_batch(params: nnet.Parameters, sched: NoiseSchedule,
 
 def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
                 sampler: SamplerConfig, c: int) -> np.ndarray:
-    """Run the deterministic DDIM map upward from clean data to z_T.
+    """Run the deterministic DDIM map upward from clean data x0 (n, d) to
+    z_T; c is one concept id or one per row.
 
     Each ascent step evaluates eps at the target timestep, so descending
     from the result approximately reconstructs x0.
     """
-    Z = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    single = np.asarray(x0).ndim == 1
+    Z = np.asarray(x0, dtype=np.float64)
     for i in range(0, sampler.T):
         t_from = sampler.schedule_t(i)
         t_to = sampler.schedule_t(i + 1)
@@ -172,7 +172,7 @@ def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
         if not np.all(np.isfinite(Z)):
             raise NumericalError(f"non-finite state inverting step "
                                  f"{i} -> {i + 1} (t={t_from} -> {t_to})")
-    return Z[0] if single else Z
+    return Z
 
 
 def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,

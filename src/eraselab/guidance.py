@@ -7,13 +7,13 @@ largest-magnitude coordinates. Windows and warmup live in sampler-index
 space (1..T of the subsampled DDIM sequence); the network itself is always
 evaluated at the corresponding schedule timestep.
 
-The rollout composition is eps_hat = eps_uncond + gamma*(eps_cond -
-eps_uncond) + delta. Note the convention gap against cfg_compose:
-guided_eps(gamma) without instructions equals cfg_compose at gamma - 1.
+The rollout closure composes eps_hat = eps_uncond + gamma*(eps_cond -
+eps_uncond) + delta. Note the convention gap against cfg_compose: without
+instructions, the rollout closure at gamma equals cfg_compose at gamma - 1.
 
-guided_eps, delta and the CFG closure sit on nnet.eps_columns, which
-evaluates every distinct concept of every row once, in one tape-free pass.
-Rows may carry their own concept, sampler index and schedule timestep.
+delta and both closures sit on nnet.eps_columns, which evaluates every
+distinct concept of every row once, in one tape-free pass. Rows may carry
+their own concept, sampler index and schedule timestep.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def _guided_terms(params: nnet.Parameters, Z: np.ndarray, sampler_index,
 def delta(instructions: Sequence[InstructionConcept], Z: np.ndarray,
           sampler_index, schedule_t, params: nnet.Parameters,
           warmup: WarmupRule) -> np.ndarray:
-    """Erasing signal for state(s) Z of shape (n, d) or (d,).
+    """Erasing signal for states Z of shape (n, d).
 
     sum over instructions of g_c * mask * (eps(z, c'') - eps(z, null)),
     where mask keeps coordinates with |direction| at or above the kappa
@@ -151,26 +151,8 @@ def delta(instructions: Sequence[InstructionConcept], Z: np.ndarray,
     active. The network is evaluated at schedule_t. sampler_index and
     schedule_t may be one per row.
     """
-    Z_arr = np.atleast_2d(np.asarray(Z, dtype=np.float64))
-    out = _guided_terms(params, Z_arr, sampler_index, schedule_t,
-                        params.null_id, instructions, warmup)[2]
-    return out[0] if np.asarray(Z).ndim == 1 else out
-
-
-def guided_eps(params: nnet.Parameters, z: np.ndarray, sampler_index: int,
-               schedule_t: int, c, gamma: float,
-               instructions: Sequence[InstructionConcept],
-               warmup: WarmupRule) -> np.ndarray:
-    """Rollout prediction eps_uncond + gamma*(eps_cond - eps_uncond) + delta.
-
-    c may be one concept id per row."""
-    Z_arr = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    e_u, e_c, signal = _guided_terms(params, Z_arr, sampler_index, schedule_t,
-                                     c, instructions, warmup)
-    out = e_u + gamma * (e_c - e_u)
-    if instructions:
-        out = out + signal
-    return out[0] if np.asarray(z).ndim == 1 else out
+    return _guided_terms(params, np.asarray(Z, dtype=np.float64), sampler_index,
+                         schedule_t, params.null_id, instructions, warmup)[2]
 
 
 def cfg_guidance(params: nnet.Parameters, gamma: float) -> GuidanceFn:
@@ -184,8 +166,14 @@ def cfg_guidance(params: nnet.Parameters, gamma: float) -> GuidanceFn:
 def rollout_guidance(params: nnet.Parameters, gamma1: float,
                      instructions: Sequence[InstructionConcept],
                      warmup: WarmupRule) -> GuidanceFn:
-    """Sampling closure for the erasure rollout (guided_eps composition)."""
+    """Sampling closure for the erasure rollout: eps_uncond + gamma1 *
+    (eps_cond - eps_uncond) + delta, with c one concept id per row or one
+    for all."""
     def guid(Z, sampler_index, schedule_t, c):
-        return guided_eps(params, Z, sampler_index, schedule_t, c, gamma1,
-                          instructions, warmup)
+        e_u, e_c, signal = _guided_terms(params, Z, sampler_index, schedule_t,
+                                         c, instructions, warmup)
+        out = e_u + gamma1 * (e_c - e_u)
+        if instructions:
+            out = out + signal
+        return out
     return guid

@@ -342,14 +342,11 @@ def eps_columns(params: Parameters, Z: np.ndarray, t, columns) -> np.ndarray:
 def backward(tape: Tape, upstream: np.ndarray) -> Parameters:
     """Exact gradient of <upstream, eps_hat> w.r.t. every parameter tensor.
 
-    Batched tapes take an (n, d) upstream and accumulate the gradient of
-    sum_i <upstream_i, eps_hat_i>. The gradient is a Parameters over a
-    fresh vector.
+    The upstream has the tape output's shape (n, d), and the gradient is
+    that of sum_i <upstream_i, eps_hat_i>, a Parameters over a fresh vector.
     """
     params = tape.params
     up = np.asarray(upstream, dtype=np.float64)
-    if up.ndim == 1:
-        up = up[None, :]
     if up.shape != tape.output.shape:
         raise StructuralError(f"upstream shape {up.shape} does not match tape "
                               f"output {tape.output.shape}")

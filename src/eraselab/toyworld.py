@@ -259,20 +259,15 @@ def gen_glyphs(spec: GlyphSpec, n_per_concept: int, seed: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def bayes_classify(spec: PointMixtureSpec, x: np.ndarray) -> tuple:
-    """Posterior over components at each row of x; argmax ids, ties broken
-    by lowest id. x of shape (n, 2) gives (labels (n,), posteriors (n, K));
-    a single point (2,) gives (label, posterior)."""
-    X = np.asarray(x, dtype=np.float64)
+    """Posterior over components at each row of x (n, 2); argmax ids, ties
+    broken by lowest id. Gives (labels (n,), posteriors (n, K))."""
     means, var = spec.mean_array(), spec.sigma ** 2
-    diff = np.atleast_2d(X)[:, None, :] - means        # (n, K, 2)
+    diff = np.asarray(x, dtype=np.float64)[:, None, :] - means   # (n, K, 2)
     log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
     log_comp = log_w - (diff ** 2).sum(axis=2) / (2.0 * var)
     posterior = np.exp(log_comp - log_comp.max(axis=1, keepdims=True))
     posterior /= posterior.sum(axis=1, keepdims=True)
-    labels = np.argmax(posterior, axis=1)
-    if X.ndim == 1:
-        return int(labels[0]), posterior[0]
-    return labels, posterior
+    return np.argmax(posterior, axis=1), posterior
 
 
 TEMPLATE_SEARCH_RADIUS = 2
@@ -305,17 +300,16 @@ def template_classify(spec: GlyphSpec, image: np.ndarray) -> tuple:
     so position jitter does not defeat recognition; ties go to the first
     in (concept, sy, sx) order. Confidence rescales the winning NCC from
     [-1,1] to [0,1]; degenerate (constant) images get label 0 and
-    confidence 0 so evaluation loops stay total. A batch (n, 256) is
-    classified with one matmul and gives (labels (n,), confidences (n,));
-    one flattened image gives (label, confidence).
+    confidence 0 so evaluation loops stay total. The batch of flattened
+    images (n, 256) is classified with one matmul and gives (labels (n,),
+    confidences (n,)).
     """
     images = np.asarray(image, dtype=np.float64)
     dim = spec.resolution ** 2
-    if images.ndim not in (1, 2) or images.shape[-1] != dim:
-        raise StructuralError(f"expected flattened {spec.resolution}x{spec.resolution} "
-                              f"images, got shape {images.shape}")
-    centered = np.atleast_2d(images)
-    centered = centered - centered.mean(axis=1, keepdims=True)
+    if images.ndim != 2 or images.shape[1] != dim:
+        raise StructuralError(f"expected a batch of flattened {spec.resolution}x"
+                              f"{spec.resolution} images, got shape {images.shape}")
+    centered = images - images.mean(axis=1, keepdims=True)
     norm = np.linalg.norm(centered, axis=1)
     ncc = centered @ _template_bank(spec).T
     best = np.argmax(ncc, axis=1)
@@ -323,27 +317,15 @@ def template_classify(spec: GlyphSpec, image: np.ndarray) -> tuple:
     best[flat] = 0
     conf = (ncc[np.arange(len(best)), best] / np.where(flat, 1.0, norm) + 1.0) / 2.0
     conf[flat] = 0.0
-    labels = best // (2 * TEMPLATE_SEARCH_RADIUS + 1) ** 2
-    if images.ndim == 1:
-        return int(labels[0]), float(conf[0])
-    return labels, conf
+    return best // (2 * TEMPLATE_SEARCH_RADIUS + 1) ** 2, conf
 
 
 def bayes_oracle(spec: PointMixtureSpec) -> Callable[[np.ndarray], tuple]:
-    """Classifier closure returning (label, max-posterior confidence), per
-    row for a batch."""
-    def classify(x: np.ndarray) -> tuple:
-        labels, posterior = bayes_classify(spec, np.atleast_2d(x))
-        conf = posterior[np.arange(len(labels)), labels]
-        if np.asarray(x).ndim == 1:
-            return int(labels[0]), float(conf[0])
-        return labels, conf
-    return classify
-
-
-def template_oracle(spec: GlyphSpec) -> Callable[[np.ndarray], tuple]:
-    def classify(image: np.ndarray) -> tuple:
-        return template_classify(spec, image)
+    """Classifier closure returning (labels, max-posterior confidences),
+    one per row of a batch."""
+    def classify(X: np.ndarray) -> tuple:
+        labels, posterior = bayes_classify(spec, X)
+        return labels, posterior[np.arange(len(labels)), labels]
     return classify
 
 

@@ -193,7 +193,7 @@ def concept_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
     from a batch-1 forward of the conditional row; e_s_u is a constant."""
     e_s_c, tape_c = forward(student, z_t, schedule_t, c)
     resid = gamma2 * (e_s_c - e_s_u) - target
-    return float(resid @ resid), nnet.backward(tape_c, 2.0 * gamma2 * resid)
+    return float(resid @ resid), nnet.backward(tape_c, 2.0 * gamma2 * resid[None])
 
 
 def penalty_loss(tape_u: nnet.Tape,
@@ -201,7 +201,7 @@ def penalty_loss(tape_u: nnet.Tape,
     """||eps_s(z, null) - anchor||^2 and its gradient; tape_u is the tape of
     the student's batch-1 null-token forward."""
     resid = tape_u.output[0] - anchor
-    return float(resid @ resid), nnet.backward(tape_u, 2.0 * resid)
+    return float(resid @ resid), nnet.backward(tape_u, 2.0 * resid[None])
 
 
 def baseline_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
@@ -210,7 +210,7 @@ def baseline_loss(student: nnet.Parameters, z_t: np.ndarray, schedule_t: int,
     from a batch-1 forward."""
     e_s_c, tape_c = forward(student, z_t, schedule_t, c)
     resid = e_s_c - target
-    return float(resid @ resid), nnet.backward(tape_c, 2.0 * resid)
+    return float(resid @ resid), nnet.backward(tape_c, 2.0 * resid[None])
 
 
 # ---------------------------------------------------------------------------

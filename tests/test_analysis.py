@@ -24,7 +24,7 @@ def tiny_model(input_dim=2, n_concepts=3, seed=0):
 class TestErasureRate:
     def test_canonical_target_glyphs_rate_one(self):
         _, spec = tw.default_glyph_vocab()
-        oracle = tw.template_oracle(spec)
+        oracle = lambda X: tw.template_classify(spec, X)
         batch = np.stack([tw.canonical_template(spec, 2).ravel()] * 5)
         assert an.erasure_rate(batch, 2, oracle, threshold=0.7) == 1.0
 
@@ -68,27 +68,30 @@ def mmd2_loops(X, Y, k):
     return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2 * xy / (m * n)
 
 
+def kid_kernel(a, b):
+    return (float(a @ b) / len(a) + 1.0) ** 3
+
+
 class TestMmd2:
     def test_identical_batches_near_zero(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 3))
-        assert abs(an.mmd2(X, X, an.KernelSpec("linear"))) <= 1e-10
+        assert abs(an.mmd2(X, X)) <= 1e-10
 
-    def test_matches_double_loop_linear(self):
+    def test_matches_double_loop_paired(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((12, 2))
         Y = rng.standard_normal((12, 2)) + 0.5
-        got = an.mmd2(X, Y, an.KernelSpec("linear"))
-        want = mmd2_loops(X, Y, lambda a, b: float(a @ b))
+        got = an.mmd2(X, Y)
+        want = mmd2_loops(X, Y, kid_kernel)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_matches_double_loop_polynomial_unequal_sizes(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((10, 4))
         Y = rng.standard_normal((15, 4)) + 0.3
-        spec = an.KernelSpec("polynomial", degree=3, coef=1.0)
-        got = an.mmd2(X, Y, spec)
-        want = mmd2_loops(X, Y, lambda a, b: (float(a @ b) / 4 + 1.0) ** 3)
+        got = an.mmd2(X, Y)
+        want = mmd2_loops(X, Y, kid_kernel)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_permutation_null_has_zero_mean(self):
@@ -97,33 +100,16 @@ class TestMmd2:
         vals = []
         for _ in range(100):
             perm = rng.permutation(60)
-            vals.append(an.mmd2(pooled[perm[:30]], pooled[perm[30:]],
-                                an.KernelSpec("linear")))
+            vals.append(an.mmd2(pooled[perm[:30]], pooled[perm[30:]]))
         vals = np.array(vals)
         se = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean()) <= 3 * se
 
-    def test_rbf_increases_with_mean_offset(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((2000, 2))
-        base = rng.standard_normal((2000, 2))
-        vals = [an.mmd2(X, base + off, an.KernelSpec("rbf"))
-                for off in (0.0, 0.5, 1.0, 1.5, 2.0)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
     def test_shape_errors(self):
         with pytest.raises(StructuralError):
-            an.mmd2(np.zeros((4, 2)), np.zeros((4, 3)), an.KernelSpec())
+            an.mmd2(np.zeros((4, 2)), np.zeros((4, 3)))
         with pytest.raises(StructuralError):
-            an.mmd2(np.zeros((1, 2)), np.zeros((4, 2)), an.KernelSpec())
-
-    def test_kernel_spec_validation(self):
-        with pytest.raises(ConfigError):
-            an.KernelSpec("cubic")
-        with pytest.raises(ConfigError):
-            an.KernelSpec("polynomial", degree=0)
-        with pytest.raises(ConfigError):
-            an.KernelSpec("rbf", bandwidth=0.0)
+            an.mmd2(np.zeros((1, 2)), np.zeros((4, 2)))
 
 
 def ssim_loops(a, b, window):
@@ -161,13 +147,9 @@ class TestSsim:
 
     def test_matches_per_window_loops(self):
         rng = np.random.default_rng(9)
-        a = rng.uniform(0, 1, size=(3, 3))
-        b = rng.uniform(0, 1, size=(3, 3))
-        np.testing.assert_allclose(an.ssim(a, b, window=2),
-                                   ssim_loops(a, b, 2), atol=1e-12)
         a16 = rng.uniform(0, 1, size=(16, 16))
         b16 = rng.uniform(0, 1, size=(16, 16))
-        np.testing.assert_allclose(an.ssim(a16, b16, window=7),
+        np.testing.assert_allclose(an.ssim(a16, b16),
                                    ssim_loops(a16, b16, 7), atol=1e-12)
 
     def test_stays_in_range(self):
@@ -181,7 +163,7 @@ class TestSsim:
         with pytest.raises(StructuralError):
             an.ssim(np.zeros((16, 16)), np.zeros((8, 8)))
         with pytest.raises(ConfigError):
-            an.ssim(np.zeros((4, 4)), np.zeros((4, 4)), window=5)
+            an.ssim(np.zeros((6, 6)), np.zeros((6, 6)))
 
 
 class TestSeedConsistency:
@@ -258,13 +240,15 @@ class TestSeedConsistencyMatchesPerSeed:
 
 class TestLossWeights:
     def test_ratio_identity_across_default_schedule(self):
-        sched = df.make_linear_schedule(100, 1e-4, 0.02)
-        for t in range(2, sched.T_train + 1):
-            w, w_prime = an.loss_weights(t, sched)
-            a_t = float(sched.alpha[t - 1])
-            np.testing.assert_allclose(w, w_prime * (1 - a_t) ** 2 / a_t,
-                                       rtol=1e-12)
-            assert w > 0 and w_prime > 0
+        # 0.04 is the configured beta_end, 0.02 the common textbook one
+        for beta_end in (0.02, 0.04):
+            sched = df.make_linear_schedule(100, 1e-4, beta_end)
+            for t in range(2, sched.T_train + 1):
+                w, w_prime = an.loss_weights(t, sched)
+                a_t = float(sched.alpha[t - 1])
+                np.testing.assert_allclose(w, w_prime * (1 - a_t) ** 2 / a_t,
+                                           rtol=1e-12)
+                assert w > 0 and w_prime > 0
 
     def test_worked_value(self):
         # alpha_1 = 0.8, alpha_2 = 0.9 gives abar_2 = 0.72

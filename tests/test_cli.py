@@ -698,8 +698,8 @@ class TestInvertMatchesPerSample:
         guid = df.conditional_eps(model)
         for i in range(len(picked)):
             x0, c = full.samples[picked[i]], int(full.labels[picked[i]])
-            z_T = df.ddim_invert(x0, model, sched, sampler, c)
-            out = df.descend(z_T[None, :], sampler, sched, c, guid, 0)
+            z_T = df.ddim_invert(x0[None], model, sched, sampler, c)[0]
+            out = df.descend(z_T[None], sampler, sched, c, guid, 0)
             rel = float(np.linalg.norm(out[0] - x0)) / float(np.linalg.norm(x0))
             assert latents.labels[i] == c and recon[i]["label"] == str(c)
             assert np.abs(latents.samples[i] - z_T).max() \

@@ -147,7 +147,7 @@ class TestConceptLoss:
         rng = np.random.default_rng(2)
         for _ in range(5):
             z = rng.standard_normal(2)
-            sig = gd.delta(cfg.instructions, z, 7, 14, params, cfg.warmup)
+            sig = gd.delta(cfg.instructions, z[None], 7, 14, params, cfg.warmup)[0]
             assert sig @ sig > 0
             loss, _ = concept_loss(params, params, z, 7, 14, 0, cfg)
             assert loss == sig @ sig
@@ -186,7 +186,8 @@ class TestConceptLoss:
             e_t_c, _ = oracles.forward(teacher, z, schedule_t, c)
             e_t_u, _ = oracles.forward(teacher, z, schedule_t, teacher.null_id)
             target = cfg.gamma1 * (e_t_c - e_t_u) + gd.delta(
-                cfg.instructions, z, t_index, schedule_t, teacher, cfg.warmup)
+                cfg.instructions, z[None], t_index, schedule_t, teacher,
+                cfg.warmup)[0]
 
             def frozen_loss(p):
                 e_c, _ = oracles.forward(p, z, schedule_t, c)

@@ -133,27 +133,27 @@ class TestWarmupRule:
 class TestDelta:
     def test_empty_instructions_zero(self):
         params = small_params()
-        out = gd.delta([], np.array([0.1, 0.2]), 20, 57, params,
+        out = gd.delta([], np.array([[0.1, 0.2]]), 20, 57, params,
                        default_warmup())
-        np.testing.assert_array_equal(out, np.zeros(2))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_outside_window_zero(self):
         params = small_params(seed=8)
         ins = gd.InstructionConcept(concept_id=0, g_c=-7.5, t_high=12,
                                     t_low=35, kappa=0.95)
         warmup = default_warmup()
-        z = np.array([0.4, -0.1])
+        Z = np.array([[0.4, -0.1]])
         for t in (1, 4, 11):
-            out = gd.delta([ins], z, t, 30, params, warmup)
-            np.testing.assert_array_equal(out, np.zeros(2))
+            out = gd.delta([ins], Z, t, 30, params, warmup)
+            np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_warmup_blocks_low_indices(self):
         params = small_params(seed=9)
         ins = gd.InstructionConcept(concept_id=1, g_c=1.0, t_high=1,
                                     t_low=35, kappa=0.0)
-        out = gd.delta([ins], np.array([0.2, 0.3]), 4, 12, params,
+        out = gd.delta([ins], np.array([[0.2, 0.3]]), 4, 12, params,
                        default_warmup())
-        np.testing.assert_array_equal(out, np.zeros(2))
+        np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_kappa_zero_in_window_is_direction(self):
         params = small_params(seed=10)
@@ -161,7 +161,7 @@ class TestDelta:
                                     t_low=35, kappa=0.0)
         rng = np.random.default_rng(11)
         z = rng.standard_normal(2)
-        out = gd.delta([ins], z, 20, 57, params, default_warmup())
+        out = gd.delta([ins], z[None], 20, 57, params, default_warmup())[0]
         expect = oracles.class_direction(params, z, 57, 2)
         np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-15)
 
@@ -174,8 +174,8 @@ class TestDelta:
         scaled = [gd.InstructionConcept(0, -7.5 * 3.0, 12, 35, 0.95),
                   gd.InstructionConcept(1, 6.5 * 3.0, 12, 35, 0.95)]
         warmup = default_warmup()
-        a = gd.delta(base, z, 20, 57, params, warmup)
-        b = gd.delta(scaled, z, 20, 57, params, warmup)
+        a = gd.delta(base, z[None], 20, 57, params, warmup)
+        b = gd.delta(scaled, z[None], 20, 57, params, warmup)
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-12, atol=1e-15)
 
     def test_sparsity_bound_per_instruction(self):
@@ -187,14 +187,14 @@ class TestDelta:
             kept_bound = d - (int(np.ceil(kappa * d)) - 1)
             for _ in range(10):
                 z = rng.standard_normal(d)
-                out = gd.delta([ins], z, 20, 57, params, warmup)
+                out = gd.delta([ins], z[None], 20, 57, params, warmup)
                 assert np.count_nonzero(out) <= kept_bound
 
     def test_invalid_instruction_id_rejected(self):
         params = small_params(n_concepts=2)
         ins = gd.InstructionConcept(5, 1.0, 1, 35, 0.5)
         with pytest.raises(ConfigError):
-            gd.delta([ins], np.zeros(2), 20, 57, params, default_warmup())
+            gd.delta([ins], np.zeros((1, 2)), 20, 57, params, default_warmup())
 
     def test_batch_matches_single(self):
         params = small_params(input_dim=8, seed=16)
@@ -205,11 +205,14 @@ class TestDelta:
         warmup = default_warmup()
         batch = gd.delta(ins, Z, 20, 57, params, warmup)
         for i in range(5):
-            single = gd.delta(ins, Z[i], 20, 57, params, warmup)
+            single = gd.delta(ins, Z[i][None], 20, 57, params, warmup)[0]
             np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-14)
 
 
 class TestGuidedEps:
+    """The rollout closure's guided eps: eps_uncond + gamma * (eps_cond -
+    eps_uncond) + delta."""
+
     def test_decomposition_identity(self):
         params = small_params(seed=18)
         rng = np.random.default_rng(19)
@@ -218,8 +221,8 @@ class TestGuidedEps:
             t = int(rng.integers(1, 50))
             c = int(rng.integers(0, 4))
             e_u, _ = oracles.forward(params, z, t, params.null_id)
-            out = gd.guided_eps(params, z, 20, t, c, gamma, [],
-                                default_warmup())
+            guid = gd.rollout_guidance(params, gamma, [], default_warmup())
+            out = guid(z[None], 20, t, c)[0]
             np.testing.assert_allclose(
                 out - e_u, gamma * oracles.class_direction(params, z, t, c),
                 rtol=1e-12, atol=1e-14)
@@ -233,8 +236,8 @@ class TestGuidedEps:
             c = 1
             e_c, _ = oracles.forward(params, z, t, c)
             e_u, _ = oracles.forward(params, z, t, params.null_id)
-            out = gd.guided_eps(params, z, 20, t, c, gamma, [],
-                                default_warmup())
+            guid = gd.rollout_guidance(params, gamma, [], default_warmup())
+            out = guid(z[None], 20, t, c)[0]
             np.testing.assert_allclose(out, gd.cfg_compose(e_u, e_c, gamma - 1.0),
                                        rtol=1e-12, atol=1e-14)
 
@@ -244,10 +247,10 @@ class TestGuidedEps:
                gd.InstructionConcept(1, 6.5, 12, 35, 0.95)]
         warmup = default_warmup()
         rng = np.random.default_rng(23)
-        z = rng.standard_normal(16)
-        with_delta = gd.guided_eps(params, z, 20, 57, 2, 7.5, ins, warmup)
-        without = gd.guided_eps(params, z, 20, 57, 2, 7.5, [], warmup)
-        d = gd.delta(ins, z, 20, 57, params, warmup)
+        Z = rng.standard_normal((1, 16))
+        with_delta = gd.rollout_guidance(params, 7.5, ins, warmup)(Z, 20, 57, 2)
+        without = gd.rollout_guidance(params, 7.5, [], warmup)(Z, 20, 57, 2)
+        d = gd.delta(ins, Z, 20, 57, params, warmup)
         np.testing.assert_allclose(with_delta, without + d, rtol=1e-12,
                                    atol=1e-14)
 
@@ -263,7 +266,7 @@ class TestGuidedEps:
         for t in (12, 20, 35):
             z = rng.standard_normal(d)
             for single in ins:
-                out = gd.delta([single], z, t, 57, params, warmup)
+                out = gd.delta([single], z[None], t, 57, params, warmup)
                 assert np.count_nonzero(out) <= bound
 
 

@@ -159,7 +159,7 @@ class TestBackward:
             upstream = rng.standard_normal(input_dim)
 
             _, tape = oracles.forward(params, z, t, c)
-            analytic = nnet.backward(tape, upstream)
+            analytic = nnet.backward(tape, upstream[None])
             numeric = finite_diff_grads(params, z, t, c, upstream)
             for name in params.tensor_names():
                 a = analytic.get_tensor(name)
@@ -171,7 +171,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         params = nnet.init_params(tiny_shape(), 2, seed=7)
         _, tape = oracles.forward(params, np.array([0.1, 0.2]), t=2, c=0)
-        grads = nnet.backward(tape, np.zeros(2))
+        grads = nnet.backward(tape, np.zeros((1, 2)))
         for name in params.tensor_names():
             np.testing.assert_array_equal(grads.get_tensor(name),
                                           np.zeros_like(params.get_tensor(name)))
@@ -179,7 +179,7 @@ class TestBackward:
     def test_unused_embedding_row_gets_zero_grad(self):
         params = nnet.init_params(tiny_shape(), 3, seed=8)
         _, tape = oracles.forward(params, np.array([0.1, -0.4]), t=4, c=1)
-        grads = nnet.backward(tape, np.array([1.0, -2.0]))
+        grads = nnet.backward(tape, np.array([[1.0, -2.0]]))
         for row in (0, 2, 3):
             np.testing.assert_array_equal(grads.concept_embed[row],
                                           np.zeros_like(grads.concept_embed[row]))
@@ -195,7 +195,7 @@ class TestBackward:
         total = oracles.zero_like_params(params)
         for i in range(4):
             _, tape_i = oracles.forward(params, Z[i], 3, 1)
-            total.flat += nnet.backward(tape_i, up[i]).flat
+            total.flat += nnet.backward(tape_i, up[i][None]).flat
         for name in params.tensor_names():
             np.testing.assert_allclose(batch_grads.get_tensor(name),
                                        total.get_tensor(name), rtol=1e-12, atol=1e-14)
@@ -203,8 +203,9 @@ class TestBackward:
     def test_mismatched_upstream_rejected(self):
         params = nnet.init_params(tiny_shape(), 2, seed=11)
         _, tape = oracles.forward(params, np.array([0.1, 0.2]), t=2, c=0)
-        with pytest.raises(StructuralError):
-            nnet.backward(tape, np.zeros(3))
+        for upstream in (np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(StructuralError):
+                nnet.backward(tape, upstream)
 
     def test_finiteness_on_default_shape(self):
         shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
@@ -215,7 +216,7 @@ class TestBackward:
             out, tape = oracles.forward(params, z, t=int(rng.integers(1, 100)),
                                         c=int(rng.integers(0, 9)))
             assert np.all(np.isfinite(out))
-            grads = nnet.backward(tape, rng.standard_normal(2))
+            grads = nnet.backward(tape, rng.standard_normal((1, 2)))
             oracles.assert_finite_grads(grads)
 
 
@@ -335,7 +336,7 @@ class TestAdamW:
         for _ in range(20):
             _, tape = oracles.forward(params, rng.standard_normal(2),
                                       t=int(rng.integers(1, 20)), c=0)
-            grads = nnet.backward(tape, rng.standard_normal(2))
+            grads = nnet.backward(tape, rng.standard_normal((1, 2)))
             params = nnet.adamw_step(params, grads, mask, state)
         for name in frozen_names:
             assert np.linalg.norm(params.get_tensor(name) - before[name]) == 0.0
@@ -373,8 +374,6 @@ def ref_backward(tape, upstream):
     """Zero-then-add backward that recomputes the sigmoid from pre_acts."""
     params = tape.params
     up = np.asarray(upstream, dtype=np.float64)
-    if up.ndim == 1:
-        up = up[None, :]
     grads = oracles.zero_like_params(params)
     delta = up
     n_layers = len(params.weights)

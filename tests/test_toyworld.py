@@ -150,21 +150,21 @@ class TestMixtureScore:
 class TestBayesClassify:
     def test_component_mean_high_posterior(self):
         vocab, spec = tw.default_points_vocab()
+        labels, posteriors = tw.bayes_classify(spec, spec.mean_array())
         for k in range(spec.n_components):
-            label, posterior = tw.bayes_classify(spec, spec.mean_array()[k])
-            assert label == k
-            assert posterior[k] > 0.99
+            assert labels[k] == k
+            assert posteriors[k, k] > 0.99
 
     def test_posterior_normalized(self):
         spec = make_mixture([(1, 0), (-1, 0), (0, 1)], sigma=0.5)
         rng = np.random.default_rng(1)
         for _ in range(30):
-            _, posterior = tw.bayes_classify(spec, rng.uniform(-2, 2, size=2))
+            _, posterior = tw.bayes_classify(spec, rng.uniform(-2, 2, size=(1, 2)))
             np.testing.assert_allclose(posterior.sum(), 1.0, atol=1e-12)
 
     def test_tie_breaks_to_lowest_id(self):
         spec = make_mixture([(1.0, 0.0), (-1.0, 0.0)], sigma=0.3)
-        label, posterior = tw.bayes_classify(spec, np.array([0.0, 0.5]))
+        (label,), (posterior,) = tw.bayes_classify(spec, np.array([[0.0, 0.5]]))
         np.testing.assert_allclose(posterior[0], posterior[1], atol=1e-12)
         assert label == 0
 
@@ -172,44 +172,43 @@ class TestBayesClassify:
         vocab, spec = tw.default_points_vocab()
         rate = oracles.bayes_rate_quadrature(spec)
         ds = tw.gen_points2d(spec, 1250, seed=17)   # 8 * 1250 = 10^4
-        hits = sum(tw.bayes_classify(spec, x)[0] == l
-                   for x, l in zip(ds.samples, ds.labels))
+        hits = np.count_nonzero(tw.bayes_classify(spec, ds.samples)[0] == ds.labels)
         assert abs(hits / len(ds.labels) - rate) <= 0.02
 
 
 class TestTemplateClassify:
     def test_self_match(self):
         spec = tw.default_glyph_vocab()[1]
-        for cid in range(spec.n_concepts):
-            label, conf = tw.template_classify(spec, tw.canonical_template(spec, cid))
-            assert label == cid
-            assert conf >= 0.99
+        canon = [tw.canonical_template(spec, cid) for cid in range(spec.n_concepts)]
+        labels, confs = tw.template_classify(spec, np.array(canon))
+        assert list(labels) == list(range(spec.n_concepts))
+        assert np.all(confs >= 0.99)
 
     def test_zero_image_degenerate(self):
         spec = tw.default_glyph_vocab()[1]
-        label, conf = tw.template_classify(spec, np.zeros(256))
-        assert conf == 0.0
+        labels, confs = tw.template_classify(spec, np.zeros((1, 256)))
+        assert confs[0] == 0.0
 
     def test_confidence_decreases_with_noise(self):
         spec = tw.default_glyph_vocab()[1]
         tmpl = tw.canonical_template(spec, 0)
         rng = np.random.default_rng(23)
         noise = rng.standard_normal(256)
-        confs = []
-        for amp in (0.0, 0.3, 0.8, 2.0, 6.0):
-            confs.append(tw.template_classify(spec, tmpl + amp * noise)[1])
+        X = np.array([tmpl + amp * noise for amp in (0.0, 0.3, 0.8, 2.0, 6.0)])
+        _, confs = tw.template_classify(spec, X)
         assert all(a > b for a, b in zip(confs, confs[1:]))
 
     def test_wrong_length_rejected(self):
         spec = tw.default_glyph_vocab()[1]
         with pytest.raises(StructuralError):
-            tw.template_classify(spec, np.zeros(100))
+            tw.template_classify(spec, np.zeros((1, 100)))
+        with pytest.raises(StructuralError):
+            tw.template_classify(spec, np.zeros(256))
 
     def test_jittered_data_recognized(self):
         vocab, spec = tw.default_glyph_vocab()
         ds = tw.gen_glyphs(spec, 40, seed=31)
-        hits = sum(tw.template_classify(spec, x)[0] == l
-                   for x, l in zip(ds.samples, ds.labels))
+        hits = np.count_nonzero(tw.template_classify(spec, ds.samples)[0] == ds.labels)
         assert hits / len(ds.labels) >= 0.97
 
 
@@ -373,13 +372,13 @@ class TestBatchedOraclesMatchPerRow:
             assert abs(conf - want_conf) <= 1e-9
         assert confs[-1] == 0.0 and labels[-1] == 0
 
-    def test_template_single_image_returns_scalars(self):
+    def test_template_one_row_batch(self):
         spec, X = self.glyph_batch()
-        label, conf = tw.template_classify(spec, X[7])
+        (label,), (conf,) = tw.template_classify(spec, X[7][None])
         want_label, want_conf = per_row_template(spec, X[7])
         assert label == want_label and abs(conf - want_conf) <= 1e-9
-        assert isinstance(label, int) and isinstance(conf, float)
-        assert tw.template_oracle(spec)(X[-1]) == (0, 0.0)
+        labels, confs = tw.template_classify(spec, X[-1][None])
+        assert list(labels) == [0] and list(confs) == [0.0]
 
     def test_bayes_batch_matches_per_row(self):
         _, spec = tw.default_points_vocab()
@@ -394,8 +393,8 @@ class TestBatchedOraclesMatchPerRow:
             assert label == o_label == want_label
             np.testing.assert_allclose(post, want_post, rtol=0, atol=1e-9)
             assert abs(o_conf - want_post[want_label]) <= 1e-9
-        label, conf = tw.bayes_oracle(spec)(X[0])
-        assert isinstance(label, int) and isinstance(conf, float)
+        labels, confs = tw.bayes_oracle(spec)(X[:1])
+        assert labels.shape == confs.shape == (1,)
 
     def test_bayes_softmax_matches_logsumexp(self):
         """The max-shifted softmax against scipy's logsumexp, as the batched
