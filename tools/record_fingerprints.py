@@ -1,6 +1,6 @@
 """Re-record tests/fingerprints.json from a fresh run of the test pipeline.
 
-Runs the tiny seeded points pipeline of tests/test_cli.py (run_pipeline) in
+Runs the tiny seeded pipeline of tests/test_cli.py (run_pipeline) in
 a temporary directory and writes the numbers that
 TestFingerprints compares, plus each checkpoint's payload sha256 for
 information. Besides its default erase run, the pipeline erases the same
