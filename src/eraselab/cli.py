@@ -151,26 +151,54 @@ def cmd_train_base(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _staging_dir(out):
+    """A directory in out for a run's files until they are moved into place;
+    it is removed when the block ends, whether or not it raised."""
+    stage = os.path.join(out, f"staging.{os.getpid()}.tmp")
+    os.makedirs(stage, exist_ok=True)
+    try:
+        yield stage
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def cmd_erase(args) -> int:
     cfg, vocab, [(base, _)] = _load(args, "base")
     ecfg = cfg.erase if args.seed is None \
         else dataclasses.replace(cfg.erase, seed=args.seed)
-    with _out_dir(args, cfg, {"erase": ecfg.seed}) as out:
-        model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab)
-        meta = _checkpoint_meta(cfg, "erased", {
-            "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed,
-            "base": os.fspath(args.base)})
-        ps.write_checkpoint(model, meta, os.path.join(out, "erased.ssrg"))
-        ckpt_dir = os.path.join(out, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
-        for iteration, snapshot in log.snapshots:
+    meta = _checkpoint_meta(cfg, "erased", {
+        "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed,
+        "base": os.fspath(args.base)})
+    with _out_dir(args, cfg, {"erase": ecfg.seed}) as out, \
+            _staging_dir(out) as stage:
+        snapshots = []
+
+        def write_snapshot(iteration, snapshot):
+            snapshots.append(f"iter_{iteration:04d}.ssrg")
             ps.write_checkpoint(snapshot, dict(meta, iteration=iteration),
-                                os.path.join(ckpt_dir, f"iter_{iteration:04d}.ssrg"))
-        rp.write_csv(os.path.join(out, "loss.csv"),
+                                os.path.join(stage, snapshots[-1]))
+
+        model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab,
+                                       write_snapshot)
+        ps.write_checkpoint(model, meta, os.path.join(stage, "erased.ssrg"))
+        rp.write_csv(os.path.join(stage, "loss.csv"),
                      ("iteration", "t_index", "concept", "penalty", "total"),
                      [(str(it), str(t), loss.concept, loss.penalty, loss.total)
                       for it, t, loss in log.iterations])
-    print(f"wrote {out}/erased.ssrg, {len(log.snapshots)} checkpoints, "
+        # The run's files move into place only once all are written, so
+        # checkpoints/ holds exactly this run's snapshots and a failed run
+        # leaves --out as it was.
+        ckpt_dir = os.path.join(out, "checkpoints")
+        os.makedirs(ckpt_dir, exist_ok=True)
+        for name in os.listdir(ckpt_dir):
+            if name.endswith(".ssrg") and name not in snapshots:
+                os.remove(os.path.join(ckpt_dir, name))
+        for name in snapshots:
+            os.replace(os.path.join(stage, name), os.path.join(ckpt_dir, name))
+        for name in ("erased.ssrg", "loss.csv"):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
+    print(f"wrote {out}/erased.ssrg, {len(snapshots)} checkpoints, "
           f"loss.csv ({ecfg.n_iters} iterations)")
     return 0
 
@@ -306,7 +334,8 @@ def cmd_sweep_lambda(args) -> int:
         rows = []
         for lam in values:
             ecfg = dataclasses.replace(cfg.erase, lam=lam)
-            model, _ = er.erase_finetune(base, ecfg, sched, vocab)
+            model, _ = er.erase_finetune(base, ecfg, sched, vocab,
+                                         lambda iteration, snapshot: None)
             meta = _checkpoint_meta(cfg, "erased", {
                 "loss_kind": ecfg.loss_kind, "lambda": lam, "seed": ecfg.seed})
             ps.write_checkpoint(model, meta, os.path.join(out, f"lambda_{lam:g}.ssrg"))

@@ -24,12 +24,16 @@ computes the teacher's side of every iteration first: all rollouts as one
 batched descent, then the targets at every rollout state. The descent keeps
 one state per iteration, taken as it passes that iteration's t, and no
 trajectory. The sequential loop keeps only the student step and AdamW.
+
+Each snapshot goes to the caller's on_snapshot when the loop takes it, and
+the loop keeps no list of them, so a run holds one student at a time
+however many snapshots it takes (cli erase writes each one to disk at once).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -116,7 +120,6 @@ class LossBreakdown:
 @dataclass
 class EraseRunLog:
     iterations: list = field(default_factory=list)   # (iter, t_index, LossBreakdown)
-    snapshots: list = field(default_factory=list)    # (iter, Parameters)
 
 
 def _null_and_concept(params: nnet.Parameters, z: np.ndarray, t,
@@ -251,16 +254,20 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
 
 
 def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
-                   sched: df.NoiseSchedule,
-                   vocab: ConceptVocab) -> tuple[nnet.Parameters, EraseRunLog]:
+                   sched: df.NoiseSchedule, vocab: ConceptVocab,
+                   on_snapshot: Callable[[int, nnet.Parameters], None]
+                   ) -> tuple[nnet.Parameters, EraseRunLog]:
     """Guided fine-tuning loop.
 
     Per iteration: t ~ U{1..T} in sampler-index space, c ~ erase set, fresh
     x_T ~ N(0, I); the frozen teacher rolls down to x_t under guided
     prediction, the student's losses and their gradient are evaluated at x_t
     (student_step), and the student takes one AdamW step. The teacher's side
-    of all iterations is computed up front (_teacher_pass). Snapshots are
-    taken every cfg.snapshot_every iterations.
+    of all iterations is computed up front (_teacher_pass). Every
+    cfg.snapshot_every iterations the loop calls on_snapshot(iteration,
+    student) and keeps nothing of the snapshot, so the caller decides
+    whether to write it, keep it (the parameters are never written again)
+    or drop it.
     """
     cfg.validate_ids(vocab)
     if vocab.size != base.n_concepts:
@@ -271,7 +278,8 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
                           f"but the sampler has {cfg.sampler_T} steps")
 
     # An AdamW step builds new parameters and never writes into old ones,
-    # so the student may start as base itself and snapshots need no copy.
+    # so the student may start as base itself and on_snapshot may keep the
+    # student it is handed without a copy.
     student = base
     mask = cfg.mask_for(student.tensor_names())
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
@@ -292,5 +300,5 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
             raise NumericalError(f"iteration {it}: {exc}") from exc
         log.iterations.append((it, int(teacher.t_index[k]), breakdown))
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
-            log.snapshots.append((it, student))
+            on_snapshot(it, student)
     return student, log

@@ -8,7 +8,6 @@ mixture and a template-correlation classifier for glyphs.
 
 from __future__ import annotations
 
-import csv
 import functools
 import warnings
 from dataclasses import dataclass, field
@@ -334,14 +333,15 @@ def bayes_oracle(spec: PointMixtureSpec) -> Callable[[np.ndarray], tuple]:
 # ---------------------------------------------------------------------------
 
 def dataset_to_csv(dataset: Dataset, path) -> None:
-    """Write the dataset atomically, each value as the repr of its double."""
+    """Write the dataset atomically, each value as the repr of its double,
+    comma-separated with \\r\\n line ends (the bytes of csv.writer)."""
     from .persistence import _atomic_open  # persistence imports this module
 
     with _atomic_open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"x{i}" for i in range(dataset.dim)])
-        for label, row in zip(dataset.labels, dataset.samples):
-            writer.writerow([int(label)] + [repr(float(v)) for v in row])
+        fh.write(",".join(["label"] + [f"x{i}" for i in range(dataset.dim)])
+                 + "\r\n")
+        for label, row in zip(dataset.labels.tolist(), dataset.samples):
+            fh.write(",".join(map(repr, [label, *row.tolist()])) + "\r\n")
 
 
 def _first_bad_row(path):

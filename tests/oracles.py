@@ -8,15 +8,18 @@ validation loss, zero parameter and gradient buffers, the three erase
 losses as separate batch-1 evaluations (erasure.student_step makes one
 two-row forward and one backward), the class direction evaluated on its
 own, the frozen-model eps columns and CFG closure as forward_batch calls,
-the nearest-rank percentile, and the exact score and Bayes rate of a
-Gaussian mixture. Also the operating point that tests build configs from
-when a value does not matter to them: the package's constructors take every
-value explicitly, and the run-configuration table in persistence is the only
-default the package itself keeps.
+the nearest-rank percentile, the exact score and Bayes rate of a Gaussian
+mixture, and the dataset CSV writer through csv.writer. Also the operating
+point that tests build configs from when a value does not matter to them,
+and a snapshot callback for erase runs whose snapshots do not matter: the
+package's constructors take every value explicitly, and the
+run-configuration table in persistence is the only default the package
+itself keeps.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +59,10 @@ def erase_config(**fields) -> EraseConfig:
         "sampler_T": 35, "warmup": warmup_rule(), "loss_kind": "ours",
         "trainable": None, "lr": 2e-3, "weight_decay": 0.0,
         "snapshot_every": 10, "seed": 0, **fields})
+
+
+def drop_snapshot(iteration, student) -> None:
+    """An on_snapshot for erasure.erase_finetune that keeps nothing."""
 
 
 # ---------------------------------------------------------------------------
@@ -317,3 +324,16 @@ def bayes_rate_quadrature(spec: PointMixtureSpec, extent: float = 2.5,
         d2 = ((grid - means[k]) ** 2).sum(axis=1)
         dens[k] = weights[k] * np.exp(-d2 / (2 * var)) / (2 * np.pi * var)
     return float(dens.max(axis=0).sum() * h * h)
+
+
+# ---------------------------------------------------------------------------
+# Datasets
+# ---------------------------------------------------------------------------
+
+def dataset_to_csv(dataset: Dataset, path) -> None:
+    """toyworld.dataset_to_csv through csv.writer, one float() per value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"x{i}" for i in range(dataset.dim)])
+        for label, row in zip(dataset.labels, dataset.samples):
+            writer.writerow([int(label)] + [repr(float(v)) for v in row])

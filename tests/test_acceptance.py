@@ -71,7 +71,8 @@ def erase_run(points_base, points_world, sched):
                                                             T_SAMPLE),
                                        loss_kind=loss_kind, trainable=trainable,
                                        lr=2e-3, seed=seed)
-            cache[key] = er.erase_finetune(points_base, cfg, sched, vocab)[0]
+            cache[key] = er.erase_finetune(points_base, cfg, sched, vocab,
+                                           oracles.drop_snapshot)[0]
         return cache[key]
 
     return get
@@ -396,7 +397,8 @@ def test_criterion_11_concept_purification(announce, glyphs_world, glyphs_base,
                                warmup=gd.WarmupRule(5, "literal", T_SAMPLE),
                                loss_kind="ours", trainable=None, lr=2e-3,
                                seed=0)
-    erased, _ = er.erase_finetune(glyphs_base, cfg, sched, vocab)
+    erased, _ = er.erase_finetune(glyphs_base, cfg, sched, vocab,
+                                  oracles.drop_snapshot)
 
     def flip_fraction(model):
         cond = df.conditional_eps(model)

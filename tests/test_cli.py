@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import shutil
 import struct
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from eraselab import cli, nnet, persistence
 from eraselab import diffusion as df
 from eraselab import toyworld as tw
 from eraselab.analysis import MetricReport
+from eraselab.errors import NumericalError
 
 TINY_CONFIG = """\
 [base]
@@ -249,6 +251,64 @@ class TestPipelineArtifacts:
             assert float(row["total"]) >= 0.0
         ckpts = sorted((pipeline["erased"] / "checkpoints").iterdir())
         assert [p.name for p in ckpts] == ["iter_0004.ssrg", "iter_0008.ssrg"]
+
+    def test_erase_rerun_replaces_earlier_snapshots(self, pipeline, tmp_path):
+        """A second erase into the same --out leaves only its own snapshots,
+        so eval's timeline holds none of the first run's."""
+        base = str(pipeline["base"] / "base.ssrg")
+        out = tmp_path / "er"
+        for every in (5, 10):
+            config = tmp_path / f"every{every}.ini"
+            config.write_text(TINY_CONFIG.replace(
+                "n_iters = 8\nsnapshot_every = 4\n",
+                f"n_iters = 20\nsnapshot_every = {every}\n"))
+            assert cli.main(["erase", "--config", str(config), "--base", base,
+                             "--out", str(out)]) == 0
+        assert sorted(p.name for p in (out / "checkpoints").iterdir()) == \
+            ["iter_0010.ssrg", "iter_0020.ssrg"]
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["checkpoints", "erased.ssrg", "loss.csv", "manifest.json"]
+        assert cli.main(["eval", "--config", str(config), "--base", base,
+                         "--model", str(out / "erased.ssrg"),
+                         "--out", str(tmp_path / "eval"), "--n", "10",
+                         "--drift-n", "4", "--timeline-n", "4"]) == 0
+        metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+        assert metrics["timeline"]["iterations"] == [10, 20]
+
+    def test_failed_erase_leaves_an_earlier_run_untouched(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        """An erase that fails after its first snapshot was written leaves
+        every file of the run already in --out byte for byte as it was."""
+        out = tmp_path / "o"
+        shutil.copytree(pipeline["erased"], out)
+        tree = sorted(out.rglob("*"))
+        before = {p: p.read_bytes() for p in tree if p.is_file()}
+        steps, written = [], []
+        adamw_step = nnet.adamw_step
+        write_checkpoint = persistence.write_checkpoint
+
+        def failing_step(*args):
+            steps.append(len(steps) + 1)
+            if len(steps) == 5:
+                raise NumericalError("non-finite parameters")
+            return adamw_step(*args)
+
+        def recorded_write(params, meta, path):
+            written.append(meta.get("iteration"))
+            write_checkpoint(params, meta, path)
+
+        monkeypatch.setattr(nnet, "adamw_step", failing_step)
+        monkeypatch.setattr(persistence, "write_checkpoint", recorded_write)
+        code = cli.main(["erase", "--config", str(pipeline["config"]),
+                         "--base", str(pipeline["base"] / "base.ssrg"),
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: iteration 5: ")
+        assert err.count("\n") == 1
+        assert written == [4]
+        assert sorted(out.rglob("*")) == tree
+        assert {p: p.read_bytes() for p in tree if p.is_file()} == before
 
     def test_eval_metrics_round_trip(self, pipeline):
         payload = json.loads((pipeline["eval"] / "metrics.json").read_text())

@@ -469,7 +469,8 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         vocab = small_vocab()
         cfg = run_config(n_iters=1, lr=0.0)
-        student, _ = er.erase_finetune(base, cfg, sched, vocab)
+        student, _ = er.erase_finetune(base, cfg, sched, vocab,
+                                       oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(student.get_tensor(name),
                                           base.get_tensor(name))
@@ -478,7 +479,8 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         snapshot = base.copy()
         cfg = run_config(n_iters=5, instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, small_vocab())
+        er.erase_finetune(base, cfg, sched, small_vocab(),
+                          oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(base.get_tensor(name),
                                           snapshot.get_tensor(name))
@@ -487,7 +489,8 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=5, trainable=("embed",),
                          instructions=window_instructions())
-        student, _ = er.erase_finetune(base, cfg, sched, small_vocab())
+        student, _ = er.erase_finetune(base, cfg, sched, small_vocab(),
+                                       oracles.drop_snapshot)
         for name in base.tensor_names():
             if name == "embed":
                 assert np.abs(student.get_tensor(name)
@@ -499,8 +502,10 @@ class TestEraseFinetune:
     def test_same_seed_same_result(self):
         base, sched = tiny_setup()
         cfg = run_config(n_iters=6, instructions=window_instructions())
-        a, _ = er.erase_finetune(base, cfg, sched, small_vocab())
-        b, _ = er.erase_finetune(base, cfg, sched, small_vocab())
+        a, _ = er.erase_finetune(base, cfg, sched, small_vocab(),
+                                 oracles.drop_snapshot)
+        b, _ = er.erase_finetune(base, cfg, sched, small_vocab(),
+                                 oracles.drop_snapshot)
         for name in a.tensor_names():
             np.testing.assert_array_equal(a.get_tensor(name), b.get_tensor(name))
 
@@ -508,9 +513,12 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=12, snapshot_every=5, lam=5.0,
                          instructions=window_instructions())
-        _, log = er.erase_finetune(base, cfg, sched, small_vocab())
+        snapshots = []
+        _, log = er.erase_finetune(
+            base, cfg, sched, small_vocab(),
+            lambda it, student: snapshots.append((it, student.flat.copy())))
         assert len(log.iterations) == 12
-        assert [it for it, _ in log.snapshots] == [5, 10]
+        assert [it for it, _ in snapshots] == [5, 10]
         for it, t_index, breakdown in log.iterations:
             assert 1 <= t_index <= cfg.sampler_T
             assert breakdown.total == breakdown.concept + 5.0 * breakdown.penalty
@@ -519,22 +527,26 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         for kind in ("esd", "sdd"):
             cfg = run_config(n_iters=3, loss_kind=kind)
-            _, log = er.erase_finetune(base, cfg, sched, small_vocab())
+            _, log = er.erase_finetune(base, cfg, sched, small_vocab(),
+                                       oracles.drop_snapshot)
             assert all(b.penalty == 0.0 for _, _, b in log.iterations)
 
     def test_sega_warmup_must_match_sampler_length(self):
         base, sched = tiny_setup()
         cfg = run_config(n_iters=3, instructions=window_instructions(),
                          warmup=gd.WarmupRule(2, "sega", sampler_T=10))
-        er.erase_finetune(base, cfg, sched, small_vocab())
+        er.erase_finetune(base, cfg, sched, small_vocab(),
+                          oracles.drop_snapshot)
         bad = run_config(n_iters=3, warmup=gd.WarmupRule(2, "sega", sampler_T=35))
         with pytest.raises(ConfigError):
-            er.erase_finetune(base, bad, sched, small_vocab())
+            er.erase_finetune(base, bad, sched, small_vocab(),
+                              oracles.drop_snapshot)
 
     def test_vocab_size_mismatch_rejected(self):
         base, sched = tiny_setup()
         with pytest.raises(ConfigError):
-            er.erase_finetune(base, run_config(), sched, small_vocab(5))
+            er.erase_finetune(base, run_config(), sched, small_vocab(5),
+                              oracles.drop_snapshot)
 
     @pytest.mark.parametrize("kind", ["ours", "esd"])
     def test_one_two_row_forward_per_target_and_per_step(self, kind,
@@ -558,7 +570,8 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=5, loss_kind=kind,
                          instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, small_vocab())
+        er.erase_finetune(base, cfg, sched, small_vocab(),
+                          oracles.drop_snapshot)
         assert rows == [2] * 10
         assert backwards == [2] * 5
 
@@ -729,7 +742,8 @@ class TestTeacherPassOracle:
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
         want, losses, _ = sequential_erase(base, cfg, sched)
-        got, log = er.erase_finetune(base, cfg, sched, small_vocab())
+        got, log = er.erase_finetune(base, cfg, sched, small_vocab(),
+                                     oracles.drop_snapshot)
         # a penalty near 0 can differ from the oracle's by more than its
         # own size, so the losses are compared as one vector per kind
         got_losses = [(b.concept, b.penalty) for _, _, b in log.iterations]
@@ -758,3 +772,25 @@ def test_teacher_pass_holds_no_trajectory(tmp_path):
         tracemalloc.stop()
     kept = got.z_t.nbytes + got.target.nbytes + got.anchor.nbytes
     assert peak < 10 * kept, (peak, kept)
+
+
+def test_erase_memory_does_not_grow_with_snapshots(tmp_path):
+    """erase_finetune hands each snapshot on and keeps none: with a snapshot
+    at every one of 40 iterations on a glyph-input net, its peak stays far
+    below the 40 models that a list of snapshots would hold."""
+    config = tmp_path / "run.ini"
+    config.write_text("[run]\nmode = glyphs16\n[base]\nhidden = 64\n"
+                      "[erase]\nn_iters = 40\nsnapshot_every = 1\n")
+    cfg = persistence.load_config(config)
+    vocab, _ = cfg.vocab_and_spec()
+    base = nnet.init_params(cfg.network_shape(), vocab.size, seed=0)
+    taken = []
+    tracemalloc.start()
+    try:
+        er.erase_finetune(base, cfg.erase, cfg.schedule(), vocab,
+                          lambda it, student: taken.append(it))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == list(range(1, 41))
+    assert peak < 20 * base.flat.nbytes, (peak, base.flat.nbytes)

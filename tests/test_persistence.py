@@ -1,6 +1,5 @@
 """Checkpoint byte format and run-configuration parsing."""
 
-import csv
 import hashlib
 import json
 import re
@@ -26,6 +25,34 @@ def small_params(seed=3):
     shape = nnet.NetworkShape(input_dim=2, hidden=(6, 5), time_embed_dim=4,
                               concept_embed_dim=4)
     return nnet.init_params(shape, n_concepts=3, seed=seed)
+
+
+def fail_writes_after(monkeypatch, n):
+    """Make each file that persistence opens raise OSError("disk full") on
+    every write after its first n."""
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > n:
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(persistence, "open",
+                        lambda *a, **k: FailingFile(open(*a, **k)),
+                        raising=False)
 
 
 def repack(src, dst, mutate_header=None, version=None, header=None,
@@ -183,30 +210,8 @@ class TestCheckpoint:
         path = tmp_path / "model.ssrg"
         persistence.write_checkpoint(small_params(seed=3), {"v": 1}, path)
         before = path.read_bytes()
-
-        class FailingPayload:
-            # passes the fixed header and the JSON header, fails on the payload
-            def __init__(self, fh):
-                self.fh, self.writes = fh, 0
-
-            def write(self, data):
-                self.writes += 1
-                if self.writes > 2:
-                    raise OSError("disk full")
-                return self.fh.write(data)
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-        monkeypatch.setattr(persistence, "open",
-                            lambda *a, **k: FailingPayload(open(*a, **k)),
-                            raising=False)
+        # passes the fixed header and the JSON header, fails on the payload
+        fail_writes_after(monkeypatch, 2)
         with pytest.raises(OSError, match="disk full"):
             persistence.write_checkpoint(small_params(seed=4), {"v": 2}, path)
         monkeypatch.undo()
@@ -250,19 +255,8 @@ class TestCheckpoint:
         write(fail=False)
         before = path.read_bytes()
         if writer == "dataset_to_csv":
-            real = csv.writer
-
-            class FailingWriter:
-                def __init__(self, fh):
-                    self.inner, self.rows = real(fh), 0
-
-                def writerow(self, row):
-                    if self.rows == 2:
-                        raise OSError("disk full")
-                    self.rows += 1
-                    self.inner.writerow(row)
-
-            monkeypatch.setattr(csv, "writer", FailingWriter)
+            # passes the header and the first row, fails on the second
+            fail_writes_after(monkeypatch, 2)
         with pytest.raises(OSError, match="disk full"):
             write(fail=True)
         monkeypatch.undo()

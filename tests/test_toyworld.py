@@ -237,6 +237,28 @@ class TestDatasetCsv:
         assert np.array_equal(back.labels, ds.labels)
         assert back.samples.flags.c_contiguous
 
+    @pytest.mark.parametrize("case", ["glyphs", "points", "extremes",
+                                      "no-columns"])
+    def test_bytes_match_csv_writer_oracle(self, tmp_path, case):
+        if case == "glyphs":
+            vocab, spec = tw.default_glyph_vocab()
+            ds = tw.gen_glyphs(spec, 1000 // vocab.size, seed=3)
+        elif case == "points":
+            _, spec = tw.default_points_vocab()
+            ds = tw.gen_points2d(spec, 500, seed=3)
+        elif case == "extremes":
+            row = [1e-300, -0.0, 1e16, np.inf, -np.inf, np.nan, 5e-324,
+                   np.finfo(np.float64).max, 0.1, -1.5e-7]
+            ds = tw.Dataset(np.array([row, row[::-1]]), np.array([0, 7]),
+                            mode="points2d", n_concepts=8)
+        else:
+            ds = tw.Dataset(np.empty((3, 0)), np.array([2, 0, 1]),
+                            mode="points2d", n_concepts=3)
+        tw.dataset_to_csv(ds, tmp_path / "fast.csv")
+        oracles.dataset_to_csv(ds, tmp_path / "oracle.csv")
+        assert (tmp_path / "fast.csv").read_bytes() == \
+            (tmp_path / "oracle.csv").read_bytes()
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("foo,bar\n1,2\n")
