@@ -2,7 +2,8 @@
 
 Every command but inspect writes its artifacts under --out together with
 a manifest.json (command, resolved config snapshot, seeds, version). A
-command reads and checks all of its inputs before it creates --out.
+command reads and checks all of its inputs before it creates --out, and
+its files move into --out together, only once all of them are written.
 Exit codes: 0 ok, 1 config, 2 io, 3 numerical, 4 format.
 """
 
@@ -46,27 +47,40 @@ def _load(args, *checkpoint_flags):
 @contextlib.contextmanager
 def _out_dir(args, cfg, seeds):
     """The prologue's writes: create --out, which a command enters only
-    once every input is read, and write manifest.json (command, config
-    snapshot, seeds, version) after the command's artifacts. If the body
-    raises, the directories this call created for --out are removed again;
-    what existed before is left as it was."""
+    once every input is read, and yield a staging directory in it for the
+    command's artifacts. When the body returns, manifest.json (command,
+    config snapshot, seeds, version) is written there too, and each staged
+    entry replaces the one of its name in --out; a directory is replaced as
+    a whole. If the body raises, --out is left as it was, and the
+    directories this call created for it are removed again."""
     created, path = None, os.path.abspath(args.out)
     while not os.path.exists(path):
         created, path = path, os.path.dirname(path)
-    os.makedirs(args.out, exist_ok=True)
+    # only a killed run with this process id can have left a stage here
+    stage = os.path.join(args.out, f"staging.{os.getpid()}.tmp")
+    shutil.rmtree(stage, ignore_errors=True)
+    os.makedirs(stage)
     try:
-        yield args.out
+        yield stage
+        ps.write_json(os.path.join(stage, "manifest.json"), {
+            "command": args.command,
+            "version": f"eraselab-{__version__}",
+            "created_utc": ps._utc_stamp(),
+            "seeds": seeds,
+            "config": cfg.snapshot_dict() if cfg is not None else None,
+        })
+        # manifest.json moves last, after the artifacts it describes
+        for name in sorted(os.listdir(stage), key="manifest.json".__eq__):
+            target = os.path.join(args.out, name)
+            if os.path.isdir(target):
+                os.replace(target, os.path.join(stage, f"{name}.old"))
+            os.replace(os.path.join(stage, name), target)
     except BaseException:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         raise
-    ps.write_json(os.path.join(args.out, "manifest.json"), {
-        "command": args.command,
-        "version": f"eraselab-{__version__}",
-        "created_utc": ps._utc_stamp(),
-        "seeds": seeds,
-        "config": cfg.snapshot_dict() if cfg is not None else None,
-    })
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
 
 
 def _checkpoint_meta(cfg, kind, extra=None) -> dict:
@@ -124,7 +138,7 @@ def cmd_gen_data(args) -> int:
     dataset = _generate(cfg, args.n, seed)
     with _out_dir(args, cfg, {"dataset": seed}) as out:
         tw.dataset_to_csv(dataset, os.path.join(out, "dataset.csv"))
-    print(f"wrote {len(dataset.labels)} samples to {out}/dataset.csv")
+    print(f"wrote {len(dataset.labels)} samples to {args.out}/dataset.csv")
     return 0
 
 
@@ -147,20 +161,8 @@ def cmd_train_base(args) -> int:
         ps.write_checkpoint(model, meta, os.path.join(out, "base.ssrg"))
         rp.write_csv(os.path.join(out, "train_loss.csv"), ("step", "loss"),
                      [(str(step), loss) for step, loss in loss_log])
-    print(f"wrote {out}/base.ssrg after {cfg.base_steps} steps")
+    print(f"wrote {args.out}/base.ssrg after {cfg.base_steps} steps")
     return 0
-
-
-@contextlib.contextmanager
-def _staging_dir(out):
-    """A directory in out for a run's files until they are moved into place;
-    it is removed when the block ends, whether or not it raised."""
-    stage = os.path.join(out, f"staging.{os.getpid()}.tmp")
-    os.makedirs(stage, exist_ok=True)
-    try:
-        yield stage
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
 
 
 def cmd_erase(args) -> int:
@@ -170,35 +172,24 @@ def cmd_erase(args) -> int:
     meta = _checkpoint_meta(cfg, "erased", {
         "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed,
         "base": os.fspath(args.base)})
-    with _out_dir(args, cfg, {"erase": ecfg.seed}) as out, \
-            _staging_dir(out) as stage:
-        snapshots = []
+    with _out_dir(args, cfg, {"erase": ecfg.seed}) as out:
+        ckpt_dir = os.path.join(out, "checkpoints")
+        os.mkdir(ckpt_dir)
 
         def write_snapshot(iteration, snapshot):
-            snapshots.append(f"iter_{iteration:04d}.ssrg")
+            name = f"iter_{iteration:04d}.ssrg"
             ps.write_checkpoint(snapshot, dict(meta, iteration=iteration),
-                                os.path.join(stage, snapshots[-1]))
+                                os.path.join(ckpt_dir, name))
 
         model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab,
                                        write_snapshot)
-        ps.write_checkpoint(model, meta, os.path.join(stage, "erased.ssrg"))
-        rp.write_csv(os.path.join(stage, "loss.csv"),
+        ps.write_checkpoint(model, meta, os.path.join(out, "erased.ssrg"))
+        rp.write_csv(os.path.join(out, "loss.csv"),
                      ("iteration", "t_index", "concept", "penalty", "total"),
                      [(str(it), str(t), loss.concept, loss.penalty, loss.total)
                       for it, t, loss in log.iterations])
-        # The run's files move into place only once all are written, so
-        # checkpoints/ holds exactly this run's snapshots and a failed run
-        # leaves --out as it was.
-        ckpt_dir = os.path.join(out, "checkpoints")
-        os.makedirs(ckpt_dir, exist_ok=True)
-        for name in os.listdir(ckpt_dir):
-            if name.endswith(".ssrg") and name not in snapshots:
-                os.remove(os.path.join(ckpt_dir, name))
-        for name in snapshots:
-            os.replace(os.path.join(stage, name), os.path.join(ckpt_dir, name))
-        for name in ("erased.ssrg", "loss.csv"):
-            os.replace(os.path.join(stage, name), os.path.join(out, name))
-    print(f"wrote {out}/erased.ssrg, {len(snapshots)} checkpoints, "
+    print(f"wrote {args.out}/erased.ssrg, "
+          f"{ecfg.n_iters // ecfg.snapshot_every} checkpoints, "
           f"loss.csv ({ecfg.n_iters} iterations)")
     return 0
 
@@ -214,7 +205,7 @@ def cmd_sample(args) -> int:
                              n_concepts=vocab.size)
         tw.dataset_to_csv(dataset, os.path.join(out, "samples.csv"))
     print(f"wrote {args.n} samples of {args.concept!r} "
-          f"(gamma={gamma:g}) to {out}/samples.csv")
+          f"(gamma={gamma:g}) to {args.out}/samples.csv")
     return 0
 
 
@@ -303,28 +294,29 @@ def cmd_eval(args) -> int:
                        "timeline": timeline})
     worst = max(rates.values())
     print(f"method={method} max target rate={worst:.3f} over {n} samples; "
-          f"metrics.json written to {out}")
+          f"metrics.json written to {args.out}")
     return 0
 
 
 def cmd_sweep_lambda(args) -> int:
     try:
-        values = [float(v) for v in args.values.split(",") if v.strip()]
+        values = [float(v) + 0.0 for v in args.values.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: need at least one lambda")
     # Each value names its checkpoint lambda_{:g}.ssrg, so two values with
-    # one name would overwrite each other's checkpoint; 0 and -0 are one run.
+    # one name would overwrite each other's checkpoint; adding 0.0 above
+    # turns -0 into 0, so the two are one run.
     names = set()
     for lam in values:
         if not (np.isfinite(lam) and lam >= 0):
             raise ConfigError(f"--values: lambda must be finite and >= 0, "
                               f"got {lam!r}")
-        if f"{abs(lam):g}" in names:
+        if f"{lam:g}" in names:
             raise ConfigError(f"--values: {lam!r} repeats the checkpoint name "
-                              f"lambda_{abs(lam):g}.ssrg")
-        names.add(f"{abs(lam):g}")
+                              f"lambda_{lam:g}.ssrg")
+        names.add(f"{lam:g}")
     cfg, vocab, [(base, _)] = _load(args, "base")
     with _out_dir(args, cfg, {"erase": cfg.erase.seed}) as out:
         sched, sampler = cfg.schedule(), cfg.sampler()
@@ -378,7 +370,7 @@ def cmd_report(args) -> int:
     with _out_dir(args, None, {}) as out:
         written = rp.emit_report(records, out)
     for path in written:
-        print(f"wrote {path}")
+        print(f"wrote {os.path.join(args.out, os.path.basename(path))}")
     return 0
 
 

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 import struct
 from pathlib import Path
@@ -86,6 +87,18 @@ def _core_commands(config, paths, concept):
     ]
 
 
+def _points_commands(paths):
+    """Each command of MANIFESTS once, in its order, on paths["config"],
+    each into its run directory in paths."""
+    config, base = paths["config"], paths["base"] / "base.ssrg"
+    return _core_commands(config, paths, "c1") + [
+        ["sweep-lambda", "--config", str(config), "--base", str(base),
+         "--values", "5", "--n", "10", "--out", str(paths["sweep"])],
+        ["verify-theory", "--config", str(config), "--out", str(paths["theory"])],
+        ["report", "--runs", str(paths["eval"]), "--out", str(paths["report"])],
+    ]
+
+
 def run_pipeline(root):
     """Write TINY_CONFIG under root and run every command on it once, each
     into its own run directory, then the core commands on GLYPH_CONFIG
@@ -95,12 +108,7 @@ def run_pipeline(root):
     paths = {"root": root, "config": config,
              **{key: root / key for _, key, _ in MANIFESTS}}
     base = paths["base"] / "base.ssrg"
-    commands = _core_commands(config, paths, "c1") + [
-        ["sweep-lambda", "--config", str(config), "--base", str(base),
-         "--values", "5", "--n", "10", "--out", str(paths["sweep"])],
-        ["verify-theory", "--config", str(config), "--out", str(paths["theory"])],
-        ["report", "--runs", str(paths["eval"]), "--out", str(paths["report"])],
-    ]
+    commands = _points_commands(paths)
     for key, keys in ERASE_VARIANTS.items():
         variant = root / f"{key}.ini"
         variant.write_text(TINY_CONFIG.replace("[erase]\n", "[erase]\n" + keys))
@@ -217,6 +225,8 @@ class TestPipelineArtifacts:
         assert manifest["command"] == command
         assert set(manifest["seeds"]) == seeds
         assert (manifest["config"] is None) == (command == "report")
+        assert not [p for p in pipeline[key].iterdir()
+                    if p.name.startswith("staging.")]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--config", "c.ini", "--base", "b.ssrg", "--model", "m.ssrg",
@@ -257,13 +267,18 @@ class TestPipelineArtifacts:
         so eval's timeline holds none of the first run's."""
         base = str(pipeline["base"] / "base.ssrg")
         out = tmp_path / "er"
-        for every in (5, 10):
+
+        def erase(every):
             config = tmp_path / f"every{every}.ini"
             config.write_text(TINY_CONFIG.replace(
                 "n_iters = 8\nsnapshot_every = 4\n",
                 f"n_iters = 20\nsnapshot_every = {every}\n"))
             assert cli.main(["erase", "--config", str(config), "--base", base,
                              "--out", str(out)]) == 0
+            return config
+
+        erase(5)
+        config = erase(10)
         assert sorted(p.name for p in (out / "checkpoints").iterdir()) == \
             ["iter_0010.ssrg", "iter_0020.ssrg"]
         assert sorted(p.name for p in out.iterdir()) == \
@@ -274,6 +289,9 @@ class TestPipelineArtifacts:
                          "--drift-n", "4", "--timeline-n", "4"]) == 0
         metrics = json.loads((tmp_path / "eval" / "metrics.json").read_text())
         assert metrics["timeline"]["iterations"] == [10, 20]
+        # a run that takes no snapshot leaves checkpoints/ empty
+        erase(100)
+        assert list((out / "checkpoints").iterdir()) == []
 
     def test_failed_erase_leaves_an_earlier_run_untouched(
             self, pipeline, tmp_path, monkeypatch, capsys):
@@ -309,6 +327,47 @@ class TestPipelineArtifacts:
         assert written == [4]
         assert sorted(out.rglob("*")) == tree
         assert {p: p.read_bytes() for p in tree if p.is_file()} == before
+
+    @pytest.mark.parametrize("command,key", [(c, k) for c, k, _ in MANIFESTS],
+                             ids=[command for command, _, _ in MANIFESTS])
+    def test_failed_last_write_leaves_an_earlier_run_untouched(
+            self, pipeline, tmp_path, monkeypatch, capsys, command, key):
+        """A command whose manifest.json, its last write, fails leaves every
+        file of an earlier run in --out as it was, and no staging entry."""
+        out = tmp_path / "o"
+        for path in pipeline[key].rglob("*"):
+            if path.is_file():
+                earlier = out / path.relative_to(pipeline[key])
+                earlier.parent.mkdir(parents=True, exist_ok=True)
+                earlier.write_bytes(b"earlier run")
+        tree = sorted(out.rglob("*"))
+        argv = next(a for a in _points_commands(pipeline) if a[0] == command)
+        argv[argv.index("--out") + 1] = str(out)
+        write_json = persistence.write_json
+
+        def failing_write_json(path, payload):
+            if Path(path).name == "manifest.json":
+                raise OSError(28, "No space left on device", str(path))
+            write_json(path, payload)
+
+        monkeypatch.setattr(persistence, "write_json", failing_write_json)
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("io error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(out.rglob("*")) == tree
+        assert {p.read_bytes() for p in tree if p.is_file()} == {b"earlier run"}
+
+    def test_stage_left_by_a_killed_run_is_not_committed(self, pipeline,
+                                                          tmp_path):
+        out = tmp_path / "o"
+        stale = out / f"staging.{os.getpid()}.tmp"
+        stale.mkdir(parents=True)
+        (stale / "stale.csv").write_text("stale")
+        assert cli.main(["gen-data", "--config", str(pipeline["config"]),
+                         "--out", str(out), "--n", "2"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["dataset.csv", "manifest.json"]
 
     def test_eval_metrics_round_trip(self, pipeline):
         payload = json.loads((pipeline["eval"] / "metrics.json").read_text())
@@ -379,15 +438,36 @@ class TestPipelineArtifacts:
         assert len(rows) >= 5
         assert {r["status"] for r in rows} == {"pass"}
 
+    def test_failing_verify_theory_still_writes_its_report(
+            self, pipeline, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli.an, "theory_checks",
+                            lambda *args: [("probe_identity", 0.5, 1e-9, False)])
+        code = cli.main(["verify-theory", "--config", str(pipeline["config"]),
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == \
+            "numerical error: theory checks failed: probe_identity\n"
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == \
+            ["manifest.json", "theory.csv"]
+        assert read_rows(tmp_path / "o" / "theory.csv") == [
+            {"check": "probe_identity", "value": "0.5", "tolerance": "1e-09",
+             "status": "fail"}]
+
     def test_sweep_lambda_writes_per_value_rows(self, pipeline, tmp_path):
-        assert cli.main(["sweep-lambda", "--config", str(pipeline["config"]),
-                         "--base", str(pipeline["base"] / "base.ssrg"),
-                         "--values", "0,5", "--n", "20",
-                         "--out", str(tmp_path)]) == 0
-        rows = read_rows(tmp_path / "sweep.csv")
-        assert [float(r["lambda"]) for r in rows] == [0.0, 5.0]
-        assert (tmp_path / "lambda_0.ssrg").exists()
-        assert (tmp_path / "lambda_5.ssrg").exists()
+        # -0 is the run of 0: its row, checkpoint name and meta say 0
+        for values in ("0,5", "-0,5"):
+            out = tmp_path / values
+            assert cli.main(["sweep-lambda", "--config", str(pipeline["config"]),
+                             "--base", str(pipeline["base"] / "base.ssrg"),
+                             f"--values={values}", "--n", "20",
+                             "--out", str(out)]) == 0
+            rows = read_rows(out / "sweep.csv")
+            assert [r["lambda"] for r in rows] == ["0", "5"]
+            assert sorted(p.name for p in out.glob("*.ssrg")) == \
+                ["lambda_0.ssrg", "lambda_5.ssrg"]
+            meta = persistence.read_checkpoint_header(
+                out / "lambda_0.ssrg")["meta"]
+            assert math.copysign(1.0, meta["lambda"]) == 1.0
 
 
 class TestFingerprints:
