@@ -131,38 +131,44 @@ def ssim(img_a: np.ndarray, img_b: np.ndarray) -> float:
     return float((num / den).mean())
 
 
-def seed_consistency(model_a: nnet.Parameters, model_b: nnet.Parameters,
-                     sched: df.NoiseSchedule, sampler: df.SamplerConfig,
-                     concepts: Sequence[int], seeds: Sequence[int],
-                     gamma: float) -> dict:
-    """Per-concept mean similarity of same-seed samples from two models.
+def consistency_endpoints(model: nnet.Parameters, sched: df.NoiseSchedule,
+                          sampler: df.SamplerConfig, concepts: Sequence[int],
+                          seeds: Sequence[int], gamma: float) -> np.ndarray:
+    """Same-seed CFG endpoints, shape (len(concepts), len(seeds), d).
 
-    Each seed fixes the initial latent, so differences come only from the
-    checkpoints. All (concept, seed) rows descend together, one batch per
-    model. Glyph-sized models (input 256) compare endpoints by SSIM
-    on the 16x16 reshape; anything else by negative endpoint L2. Higher
-    is always more similar.
+    Each seed fixes the initial latent z_T, so the endpoints of two models
+    differ only through the checkpoints. All (concept, seed) rows descend
+    together, in one batch.
     """
-    if model_a.shape != model_b.shape or model_a.n_concepts != model_b.n_concepts:
-        raise ConfigError("models disagree on shape or concept count")
-    glyphs = model_a.shape.input_dim == 256
     concepts = [int(c) for c in concepts]
-    d = model_a.shape.input_dim
+    d = model.shape.input_dim
     # one row per (concept, seed); each seed fixes its own draw of z_T
     Z = np.array([np.random.default_rng(seed).standard_normal(d)
                   for _ in concepts for seed in seeds]).reshape(-1, d)
-    sims = []
     if len(Z):
-        c_rows = np.repeat(concepts, len(seeds))
-        x_a, x_b = (df.descend(Z, sampler, sched, c_rows,
-                               gd.cfg_guidance(model, gamma))
-                    for model in (model_a, model_b))
-        for a, b in zip(x_a, x_b):
-            sims.append(ssim(a.reshape(16, 16), b.reshape(16, 16))
-                        if glyphs else -float(np.linalg.norm(a - b)))
-    n = len(seeds)
-    return {c: float(np.mean(sims[k * n:(k + 1) * n]))
-            for k, c in enumerate(concepts)}
+        Z = df.descend(Z, sampler, sched, np.repeat(concepts, len(seeds)),
+                       gd.cfg_guidance(model, gamma))
+    return Z.reshape(len(concepts), len(seeds), d)
+
+
+def seed_consistency(ends_a: np.ndarray, ends_b: np.ndarray,
+                     concepts: Sequence[int]) -> dict:
+    """Per-concept mean similarity of two models' consistency_endpoints
+    over these concepts. Glyph-sized rows (256 wide) compare by SSIM on
+    the 16x16 reshape; anything else by negative L2. Higher is always more
+    similar.
+    """
+    if ends_a.shape != ends_b.shape:
+        raise StructuralError(f"endpoint shapes differ: {ends_a.shape} vs "
+                              f"{ends_b.shape}")
+    glyphs = ends_a.shape[-1] == 256
+    out = {}
+    for c, rows_a, rows_b in zip(concepts, ends_a, ends_b):
+        sims = [ssim(a.reshape(16, 16), b.reshape(16, 16)) if glyphs
+                else -float(np.linalg.norm(a - b))
+                for a, b in zip(rows_a, rows_b)]
+        out[int(c)] = float(np.mean(sims))
+    return out
 
 
 def loss_weights(t: int, sched: df.NoiseSchedule) -> tuple[float, float]:

@@ -132,6 +132,28 @@ def _sample_batch(model, cfg, concept, n, seed, gamma):
                                  n, seed)
 
 
+def _rate(model, cfg, oracle, concept, n):
+    """The erasure rate of concept in n of model's samples at the seed."""
+    X = _sample_batch(model, cfg, concept, n, cfg.seed, cfg.eval_gamma)
+    return an.erasure_rate(X, concept, oracle, cfg.threshold)
+
+
+def _scorer(cfg, vocab, base):
+    """(oracle, non-target concepts, consistency(model) against base), the
+    base's consistency endpoints descended here, once for all models."""
+    non_targets = tuple(c for c in range(vocab.size)
+                        if c not in cfg.erase.erase_set)
+
+    def endpoints(model):
+        return an.consistency_endpoints(model, cfg.schedule(), cfg.sampler(),
+                                        non_targets, cfg.consistency_seeds,
+                                        cfg.eval_gamma)
+
+    base_ends = endpoints(base)
+    return _oracle(cfg), non_targets, lambda model: an.seed_consistency(
+        base_ends, endpoints(model), non_targets)
+
+
 def cmd_gen_data(args) -> int:
     cfg, _, _ = _load(args)
     seed = cfg.seed if args.seed is None else args.seed
@@ -187,7 +209,7 @@ def cmd_erase(args) -> int:
         rp.write_csv(os.path.join(out, "loss.csv"),
                      ("iteration", "t_index", "concept", "penalty", "total"),
                      [(str(it), str(t), loss.concept, loss.penalty, loss.total)
-                      for it, t, loss in log.iterations])
+                      for it, t, loss in log])
     print(f"wrote {args.out}/erased.ssrg, "
           f"{ecfg.n_iters // ecfg.snapshot_every} checkpoints, "
           f"loss.csv ({ecfg.n_iters} iterations)")
@@ -232,17 +254,6 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _timeline(cfg, paths, concept, n, seed):
-    iterations, rates = [], []
-    oracle = _oracle(cfg)
-    for path in paths:
-        snapshot, meta = _read_checkpoint(cfg, path)
-        X = _sample_batch(snapshot, cfg, concept, n, seed, cfg.eval_gamma)
-        iterations.append(int(meta.get("iteration", len(iterations))))
-        rates.append(an.erasure_rate(X, concept, oracle, cfg.threshold))
-    return {"iterations": iterations, "rates": rates}
-
-
 def cmd_eval(args) -> int:
     cfg, vocab, [(base, _), (model, model_meta)] = _load(args, "base", "model")
     ckpt_dir = args.checkpoints
@@ -257,16 +268,10 @@ def cmd_eval(args) -> int:
         _check_meta(cfg, path, ps.read_checkpoint_header(path)["meta"])
     with _out_dir(args, cfg, {"eval": cfg.seed}) as out:
         method = args.method or model_meta.get("loss_kind", "ours")
-        oracle = _oracle(cfg)
-        sched, sampler = cfg.schedule(), cfg.sampler()
+        oracle, non_targets, consistency = _scorer(cfg, vocab, base)
         n = cfg.n_samples if args.n is None else args.n
         erase_set = cfg.erase.erase_set
-        non_targets = tuple(c for c in range(vocab.size) if c not in erase_set)
-
-        rates = {}
-        for c in erase_set:
-            X = _sample_batch(model, cfg, c, n, cfg.seed, cfg.eval_gamma)
-            rates[c] = an.erasure_rate(X, c, oracle, cfg.threshold)
+        rates = {c: _rate(model, cfg, oracle, c, n) for c in erase_set}
         drift = {}
         for c in non_targets:
             Xb = _sample_batch(base, cfg, c, args.drift_n, cfg.seed + c,
@@ -274,19 +279,20 @@ def cmd_eval(args) -> int:
             Xm = _sample_batch(model, cfg, c, args.drift_n,
                                cfg.seed + c + 10_000, cfg.eval_gamma)
             drift[c] = an.mmd2(Xb, Xm)
-        consistency = an.seed_consistency(base, model, sched, sampler,
-                                          concepts=non_targets,
-                                          seeds=cfg.consistency_seeds,
-                                          gamma=cfg.eval_gamma)
         metrics = an.MetricReport(erasure_rates=rates, drift=drift,
-                                  consistency=consistency, sample_count=n,
+                                  consistency=consistency(model),
+                                  sample_count=n,
                                   seeds=cfg.consistency_seeds,
                                   threshold=cfg.threshold)
 
         timeline = None
         if snapshots is not None:
-            timeline = _timeline(cfg, snapshots, erase_set[0],
-                                 args.timeline_n, cfg.seed)
+            timeline = {"iterations": [], "rates": []}
+            for k, path in enumerate(snapshots):
+                snapshot, meta = _read_checkpoint(cfg, path)
+                timeline["iterations"].append(int(meta.get("iteration", k)))
+                timeline["rates"].append(_rate(snapshot, cfg, oracle,
+                                               erase_set[0], args.timeline_n))
 
         ps.write_json(os.path.join(out, "metrics.json"),
                       {"method": method,
@@ -305,42 +311,34 @@ def cmd_sweep_lambda(args) -> int:
         raise ConfigError(f"--values: {exc}") from exc
     if not values:
         raise ConfigError("--values: need at least one lambda")
+    cfg, vocab, [(base, _)] = _load(args, "base")
     # Each value names its checkpoint lambda_{:g}.ssrg, so two values with
     # one name would overwrite each other's checkpoint; adding 0.0 above
     # turns -0 into 0, so the two are one run.
-    names = set()
+    runs = {}
     for lam in values:
-        if not (np.isfinite(lam) and lam >= 0):
-            raise ConfigError(f"--values: lambda must be finite and >= 0, "
-                              f"got {lam!r}")
-        if f"{lam:g}" in names:
+        try:
+            ecfg = dataclasses.replace(cfg.erase, lam=lam)
+        except ConfigError as exc:
+            raise ConfigError(f"--values: {exc}") from exc
+        if f"{lam:g}" in runs:
             raise ConfigError(f"--values: {lam!r} repeats the checkpoint name "
                               f"lambda_{lam:g}.ssrg")
-        names.add(f"{lam:g}")
-    cfg, vocab, [(base, _)] = _load(args, "base")
+        runs[f"{lam:g}"] = ecfg
     with _out_dir(args, cfg, {"erase": cfg.erase.seed}) as out:
-        sched, sampler = cfg.schedule(), cfg.sampler()
-        oracle = _oracle(cfg)
-        erase_set = cfg.erase.erase_set
-        non_targets = tuple(c for c in range(vocab.size) if c not in erase_set)
+        oracle, _, consistency = _scorer(cfg, vocab, base)
         rows = []
-        for lam in values:
-            ecfg = dataclasses.replace(cfg.erase, lam=lam)
-            model, _ = er.erase_finetune(base, ecfg, sched, vocab,
+        for name, ecfg in runs.items():
+            model, _ = er.erase_finetune(base, ecfg, cfg.schedule(), vocab,
                                          lambda iteration, snapshot: None)
             meta = _checkpoint_meta(cfg, "erased", {
-                "loss_kind": ecfg.loss_kind, "lambda": lam, "seed": ecfg.seed})
-            ps.write_checkpoint(model, meta, os.path.join(out, f"lambda_{lam:g}.ssrg"))
-            X = _sample_batch(model, cfg, erase_set[0], args.n, cfg.seed,
-                              cfg.eval_gamma)
-            rate = an.erasure_rate(X, erase_set[0], oracle, cfg.threshold)
-            cons = an.seed_consistency(base, model, sched, sampler,
-                                       concepts=non_targets,
-                                       seeds=cfg.consistency_seeds,
-                                       gamma=cfg.eval_gamma)
-            rows.append((lam, rate, float(np.mean(list(cons.values())))))
-            print(f"lambda={lam:g}: erasure rate={rate:.3f} "
-                  f"consistency={rows[-1][2]:.4f}")
+                "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed})
+            ps.write_checkpoint(model, meta, os.path.join(out, f"lambda_{name}.ssrg"))
+            rate = _rate(model, cfg, oracle, ecfg.erase_set[0], args.n)
+            cons = float(np.mean(list(consistency(model).values())))
+            rows.append((ecfg.lam, rate, cons))
+            print(f"lambda={name}: erasure rate={rate:.3f} "
+                  f"consistency={cons:.4f}")
         rp.write_csv(os.path.join(out, "sweep.csv"),
                      ("lambda", "erasure_rate", "consistency"), rows)
     return 0
@@ -435,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep-lambda", cmd_sweep_lambda, "erase at several lambda values")
     p.add_argument("--base", required=True, help="base checkpoint")
     p.add_argument("--values", default="0,0.5,1,1.5,5",
-                   help="comma-separated lambda values")
+                   help="comma-separated lambda values; a list that starts "
+                        "with '-' needs the --values=-0,5 form")
     p.add_argument("--n", type=int, default=200,
                    help="samples for the per-lambda erasure rate")
 

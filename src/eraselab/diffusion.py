@@ -15,7 +15,7 @@ with Z of shape (n, d); plain conditional prediction is the gamma=0 case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -177,15 +177,15 @@ def ddim_invert(x0: np.ndarray, params: nnet.Parameters, sched: NoiseSchedule,
 
 def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
                steps: int, p_uncond: float, seed: int, lr: float,
-               batch_size: int,
-               loss_log: Optional[list] = None) -> nnet.Parameters:
+               batch_size: int, loss_log: list) -> nnet.Parameters:
     """Minibatch eps-matching with CFG label dropout.
 
     Each step draws rows, per-row t ~ U{1..T_train} and eps ~ N(0, I),
     replaces labels by the null token with probability p_uncond, and takes
     one AdamW step on mean_i ||eps_i - eps_theta(z_t_i, c_i, t_i)||^2.
     lr decays to zero on a cosine; the final calibration of the eps field
-    (and with it DDIM inversion quality) depends on it.
+    (and with it DDIM inversion quality) depends on it. Every 50th step's
+    and the last step's (step, loss) are appended to loss_log.
     """
     if len(dataset.labels) == 0:
         raise ConfigError("dataset is empty")
@@ -221,6 +221,6 @@ def train_base(dataset: Dataset, shape: nnet.NetworkShape, sched: NoiseSchedule,
             raise NumericalError(f"non-finite training loss at step {step}")
         grads = nnet.backward(tape, 2.0 * resid / batch_size)
         params = nnet.adamw_step(params, grads, mask, state)
-        if loss_log is not None and (step % 50 == 0 or step == steps - 1):
+        if step % 50 == 0 or step == steps - 1:
             loss_log.append((step, loss))
     return params

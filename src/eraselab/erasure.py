@@ -32,7 +32,7 @@ however many snapshots it takes (cli erase writes each one to disk at once).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,11 +115,6 @@ class LossBreakdown:
             raise NumericalError(f"non-finite loss breakdown {vals}")
         if self.concept < 0 or self.penalty < 0:
             raise NumericalError(f"negative squared loss {vals}")
-
-
-@dataclass
-class EraseRunLog:
-    iterations: list = field(default_factory=list)   # (iter, t_index, LossBreakdown)
 
 
 def _null_and_concept(params: nnet.Parameters, z: np.ndarray, t,
@@ -256,7 +251,7 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
 def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
                    sched: df.NoiseSchedule, vocab: ConceptVocab,
                    on_snapshot: Callable[[int, nnet.Parameters], None]
-                   ) -> tuple[nnet.Parameters, EraseRunLog]:
+                   ) -> tuple[nnet.Parameters, list]:
     """Guided fine-tuning loop.
 
     Per iteration: t ~ U{1..T} in sampler-index space, c ~ erase set, fresh
@@ -267,7 +262,8 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
     cfg.snapshot_every iterations the loop calls on_snapshot(iteration,
     student) and keeps nothing of the snapshot, so the caller decides
     whether to write it, keep it (the parameters are never written again)
-    or drop it.
+    or drop it. Returns the student and one (iteration, t_index,
+    LossBreakdown) row per iteration.
     """
     cfg.validate_ids(vocab)
     if vocab.size != base.n_concepts:
@@ -286,7 +282,7 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
                                       weight_decay=cfg.weight_decay)
     sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
     teacher = _teacher_pass(base, cfg, sched, sampler)
-    log = EraseRunLog()
+    log = []
 
     for k in range(cfg.n_iters):
         it, z_t = k + 1, teacher.z_t[k]
@@ -298,7 +294,7 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
             student = nnet.adamw_step(student, grads, mask, state)
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
-        log.iterations.append((it, int(teacher.t_index[k]), breakdown))
+        log.append((it, int(teacher.t_index[k]), breakdown))
         if cfg.snapshot_every and it % cfg.snapshot_every == 0:
             on_snapshot(it, student)
     return student, log

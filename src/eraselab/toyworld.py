@@ -20,6 +20,14 @@ from .errors import ConfigError, StructuralError
 GLYPH_RESOLUTION = 16
 GLYPH_DIM = GLYPH_RESOLUTION * GLYPH_RESOLUTION
 
+# Glyph jitter: position offsets in [-GLYPH_JITTER_POS, GLYPH_JITTER_POS]
+# pixels, scale factors in [1 - GLYPH_JITTER_SCALE, 1 + GLYPH_JITTER_SCALE]
+# and intensity in [GLYPH_INTENSITY_LOW, GLYPH_INTENSITY_HIGH].
+GLYPH_JITTER_POS = 1.0
+GLYPH_JITTER_SCALE = 0.10
+GLYPH_INTENSITY_LOW = 0.75
+GLYPH_INTENSITY_HIGH = 1.0
+
 # Sample width of each data world.
 MODE_DIMS = {"points2d": 2, "glyphs16": GLYPH_DIM}
 
@@ -105,28 +113,16 @@ class PointMixtureSpec:
 
 @dataclass(frozen=True)
 class GlyphSpec:
-    """16x16 glyph renderer config: one shape kind per concept.
-
-    Jitter ranges are symmetric: position offsets in [-jitter_pos, jitter_pos]
-    pixels, scale factors in [1-jitter_scale, 1+jitter_scale]. Rendered
-    intensity is drawn uniformly from [intensity_low, intensity_high].
-    """
+    """16x16 glyph renderer config: one shape kind per concept, jittered
+    by the GLYPH_* constants."""
 
     shape_kinds: tuple[str, ...]
-    jitter_pos: float = 1.0
-    jitter_scale: float = 0.10
-    intensity_low: float = 0.75
-    intensity_high: float = 1.0
     resolution = GLYPH_RESOLUTION    # fixed; not a field
 
     def __post_init__(self):
         for kind in self.shape_kinds:
             if kind not in KNOWN_SHAPES:
                 raise ConfigError(f"unknown shape kind {kind!r}; known: {KNOWN_SHAPES}")
-        if not 0.0 <= self.intensity_low <= self.intensity_high <= 1.0:
-            raise ConfigError("intensity range must satisfy 0 <= low <= high <= 1")
-        if self.jitter_pos < 0 or self.jitter_scale < 0:
-            raise ConfigError("jitter ranges must be non-negative")
 
     @property
     def n_concepts(self) -> int:
@@ -227,7 +223,7 @@ def canonical_template(spec: GlyphSpec, concept_id: int) -> np.ndarray:
         raise ConfigError(f"concept id {concept_id} out of range")
     center = (spec.resolution - 1) / 2.0
     mask = _shape_mask(spec.shape_kinds[concept_id], center, center, 1.0, spec.resolution)
-    return (spec.intensity_high * mask).reshape(-1)
+    return (GLYPH_INTENSITY_HIGH * mask).reshape(-1)
 
 
 def gen_glyphs(spec: GlyphSpec, n_per_concept: int, seed: int) -> Dataset:
@@ -242,9 +238,9 @@ def gen_glyphs(spec: GlyphSpec, n_per_concept: int, seed: int) -> Dataset:
     row = 0
     for i in range(k):
         for _ in range(n_per_concept):
-            dx, dy = rng.uniform(-spec.jitter_pos, spec.jitter_pos, size=2)
-            scale = rng.uniform(1.0 - spec.jitter_scale, 1.0 + spec.jitter_scale)
-            amp = rng.uniform(spec.intensity_low, spec.intensity_high)
+            dx, dy = rng.uniform(-GLYPH_JITTER_POS, GLYPH_JITTER_POS, size=2)
+            scale = rng.uniform(1.0 - GLYPH_JITTER_SCALE, 1.0 + GLYPH_JITTER_SCALE)
+            amp = rng.uniform(GLYPH_INTENSITY_LOW, GLYPH_INTENSITY_HIGH)
             mask = _shape_mask(spec.shape_kinds[i], center + dx, center + dy,
                                scale, spec.resolution)
             samples[row] = np.clip(amp * mask, 0.0, 1.0).reshape(-1)

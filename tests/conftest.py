@@ -41,7 +41,7 @@ def points_base(points_world, sched):
     _, _, dataset = points_world
     shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
     return df.train_base(dataset, shape, sched, steps=8000, p_uncond=0.1,
-                         seed=1, lr=1e-3, batch_size=64)
+                         seed=1, lr=1e-3, batch_size=64, loss_log=[])
 
 
 @pytest.fixture(scope="session")
@@ -56,7 +56,7 @@ def gauss1_base(gauss1_world, sched):
     _, dataset = gauss1_world
     shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
     return df.train_base(dataset, shape, sched, steps=2000, p_uncond=0.1,
-                         seed=2, lr=1e-3, batch_size=64)
+                         seed=2, lr=1e-3, batch_size=64, loss_log=[])
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +65,7 @@ def uncond_base(points_world, sched):
     _, _, dataset = points_world
     shape = nnet.NetworkShape(input_dim=2, hidden=oracles.POINTS_HIDDEN)
     return df.train_base(dataset, shape, sched, steps=800, p_uncond=1.0,
-                         seed=3, lr=1e-3, batch_size=64)
+                         seed=3, lr=1e-3, batch_size=64, loss_log=[])
 
 
 @pytest.fixture(scope="session")
@@ -80,4 +80,4 @@ def glyphs_base(glyphs_world, sched):
     _, _, dataset = glyphs_world
     shape = nnet.NetworkShape(input_dim=256, hidden=(1024,))
     return df.train_base(dataset, shape, sched, steps=12000, p_uncond=0.1,
-                         seed=1, lr=1e-3, batch_size=128)
+                         seed=1, lr=1e-3, batch_size=128, loss_log=[])

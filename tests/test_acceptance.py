@@ -48,10 +48,25 @@ def guided_rate(model, spec, sched, sampler, concept, n=250, seed=1234,
     return an.erasure_rate(X, concept, tw.bayes_oracle(spec), threshold)
 
 
-def mean_consistency(base, model, sched, sampler):
-    vals = an.seed_consistency(base, model, sched, sampler,
-                               concepts=tuple(range(1, 8)),
-                               seeds=tuple(range(8)), gamma=7.5)
+CONSISTENCY_CONCEPTS = tuple(range(1, 8))
+
+
+def consistency_endpoints(model, sched, sampler):
+    return an.consistency_endpoints(model, sched, sampler,
+                                    concepts=CONSISTENCY_CONCEPTS,
+                                    seeds=tuple(range(8)), gamma=7.5)
+
+
+@pytest.fixture(scope="module")
+def base_endpoints(points_base, sched, sampler):
+    """The points base model's consistency endpoints, descended once."""
+    return consistency_endpoints(points_base, sched, sampler)
+
+
+def mean_consistency(base_ends, model, sched, sampler):
+    vals = an.seed_consistency(base_ends,
+                               consistency_endpoints(model, sched, sampler),
+                               CONSISTENCY_CONCEPTS)
     return float(np.mean(list(vals.values())))
 
 
@@ -370,15 +385,16 @@ def test_criterion_09_erasure_reproduction(announce, points_world, points_base,
 
 
 def test_criterion_10_lambda_tradeoff_ordering(announce, points_world, sched,
-                                               sampler, points_base, erase_run):
+                                               sampler, base_endpoints,
+                                               erase_run):
     _, spec, _ = points_world
     wins = 0
     details = []
     for seed in range(5):
         m5 = erase_run("ours", ("embed", "w3", "b3"), 5.0, seed)
         m0 = erase_run("ours", ("embed", "w3", "b3"), 0.0, seed)
-        c5 = mean_consistency(points_base, m5, sched, sampler)
-        c0 = mean_consistency(points_base, m0, sched, sampler)
+        c5 = mean_consistency(base_endpoints, m5, sched, sampler)
+        c0 = mean_consistency(base_endpoints, m0, sched, sampler)
         r5 = guided_rate(m5, spec, sched, sampler, 0, n=200)
         r0 = guided_rate(m0, spec, sched, sampler, 0, n=200)
         win = c5 >= c0 and r5 >= r0
@@ -419,7 +435,7 @@ def test_criterion_11_concept_purification(announce, glyphs_world, glyphs_base,
 
 
 def test_criterion_12_baseline_contrast(announce, points_world, sched, sampler,
-                                        points_base, erase_run):
+                                        base_endpoints, erase_run):
     _, spec, _ = points_world
     wins = 0
     details = []
@@ -428,8 +444,8 @@ def test_criterion_12_baseline_contrast(announce, points_world, sched, sampler,
         esd = erase_run("esd", None, 5.0, seed)
         r_ours = guided_rate(ours, spec, sched, sampler, 0, n=200)
         r_esd = guided_rate(esd, spec, sched, sampler, 0, n=200)
-        c_ours = mean_consistency(points_base, ours, sched, sampler)
-        c_esd = mean_consistency(points_base, esd, sched, sampler)
+        c_ours = mean_consistency(base_endpoints, ours, sched, sampler)
+        c_esd = mean_consistency(base_endpoints, esd, sched, sampler)
         win = r_ours <= 0.10 and r_esd <= 0.10 and c_ours > c_esd
         wins += win
         details.append(f"s{seed}:{'+' if win else '-'}")

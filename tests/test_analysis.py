@@ -166,6 +166,15 @@ class TestSsim:
             an.ssim(np.zeros((6, 6)), np.zeros((6, 6)))
 
 
+def consistency(model_a, model_b, sched, sampler, concepts, seeds,
+                gamma=7.5):
+    """seed_consistency over the two models' consistency_endpoints."""
+    ends_a, ends_b = (an.consistency_endpoints(m, sched, sampler, concepts,
+                                               seeds, gamma)
+                      for m in (model_a, model_b))
+    return an.seed_consistency(ends_a, ends_b, concepts)
+
+
 class TestSeedConsistency:
     def small_sampler(self):
         return df.make_linear_schedule(20, 1e-4, 0.02), df.SamplerConfig.uniform(5, 20)
@@ -173,33 +182,39 @@ class TestSeedConsistency:
     def test_identical_models_zero_distance(self):
         sched, sampler = self.small_sampler()
         model = tiny_model()
-        out = an.seed_consistency(model, model, sched, sampler,
-                                  concepts=(0, 1), seeds=(0, 1, 2), gamma=7.5)
+        out = consistency(model, model, sched, sampler,
+                          concepts=(0, 1), seeds=(0, 1, 2))
         assert out == {0: 0.0, 1: 0.0}
 
     def test_identical_glyph_models_unit_ssim(self):
         sched, sampler = self.small_sampler()
         model = tiny_model(input_dim=256)
-        out = an.seed_consistency(model, model, sched, sampler,
-                                  concepts=(0,), seeds=(3,), gamma=7.5)
+        out = consistency(model, model, sched, sampler, concepts=(0,),
+                          seeds=(3,))
         assert out == {0: 1.0}
 
     def test_symmetric_and_deterministic(self):
         sched, sampler = self.small_sampler()
         a = tiny_model(seed=1)
         b = tiny_model(seed=2)
-        ab = an.seed_consistency(a, b, sched, sampler, (0, 2), (5, 6), 7.5)
-        ba = an.seed_consistency(b, a, sched, sampler, (0, 2), (5, 6), 7.5)
+        ab = consistency(a, b, sched, sampler, (0, 2), (5, 6), 7.5)
+        ba = consistency(b, a, sched, sampler, (0, 2), (5, 6), 7.5)
         assert ab == ba
-        assert ab == an.seed_consistency(a, b, sched, sampler, (0, 2), (5, 6),
-                                         7.5)
+        assert ab == consistency(a, b, sched, sampler, (0, 2), (5, 6), 7.5)
         assert all(v < 0 for v in ab.values())
 
-    def test_mismatched_models_rejected(self):
+    def test_mismatched_endpoint_shapes_rejected(self):
         sched, sampler = self.small_sampler()
-        with pytest.raises(ConfigError):
-            an.seed_consistency(tiny_model(), tiny_model(n_concepts=4),
-                                sched, sampler, (0,), (0,), 7.5)
+
+        def ends(model, seeds):
+            return an.consistency_endpoints(model, sched, sampler, (0,),
+                                            seeds, 7.5)
+
+        a = ends(tiny_model(), (0, 1))
+        for b in (ends(tiny_model(input_dim=3), (0, 1)),    # another width
+                  ends(tiny_model(), (0,))):                  # fewer seeds
+            with pytest.raises(StructuralError):
+                an.seed_consistency(a, b, (0,))
 
 
 def per_seed_consistency(model_a, model_b, sched, sampler, concepts, seeds,
@@ -230,8 +245,7 @@ class TestSeedConsistencyMatchesPerSeed:
         sampler = df.SamplerConfig.uniform(5, 20)
         a = tiny_model(input_dim=input_dim, seed=1)
         b = tiny_model(input_dim=input_dim, seed=2)
-        got = an.seed_consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9),
-                                  7.5)
+        got = consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9), 7.5)
         want = per_seed_consistency(a, b, sched, sampler, (0, 2, 1), (5, 6, 9))
         assert list(got) == list(want)
         for c in want:

@@ -17,6 +17,7 @@ from eraselab import diffusion as df
 from eraselab import toyworld as tw
 from eraselab.analysis import MetricReport
 from eraselab.errors import NumericalError
+from eraselab.report import fmt6
 
 TINY_CONFIG = """\
 [base]
@@ -469,6 +470,38 @@ class TestPipelineArtifacts:
                 out / "lambda_0.ssrg")["meta"]
             assert math.copysign(1.0, meta["lambda"]) == 1.0
 
+    def test_eval_scores_a_sweep_checkpoint_as_the_sweep_did(self, pipeline,
+                                                             tmp_path):
+        assert cli.main(["eval", "--config", str(pipeline["config"]),
+                         "--base", str(pipeline["base"] / "base.ssrg"),
+                         "--model", str(pipeline["sweep"] / "lambda_5.ssrg"),
+                         "--out", str(tmp_path), "--n", "10",
+                         "--drift-n", "2"]) == 0
+        report = json.loads((tmp_path / "metrics.json").read_text())["report"]
+        [row] = read_rows(pipeline["sweep"] / "sweep.csv")
+        assert row["erasure_rate"] == fmt6(report["erasure_rates"]["0"])
+        assert row["consistency"] == fmt6(
+            float(np.mean(list(report["consistency"].values()))))
+
+    def test_sweep_lambda_descends_the_base_once(self, pipeline, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        endpoints = cli.an.consistency_endpoints
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return endpoints(*args, **kwargs)
+
+        monkeypatch.setattr(cli.an, "consistency_endpoints", counted)
+        assert cli.main(["sweep-lambda", "--config", str(pipeline["config"]),
+                         "--base", str(pipeline["base"] / "base.ssrg"),
+                         "--values", "0,1,5", "--n", "10",
+                         "--out", str(tmp_path)]) == 0
+        # the base once, then each lambda's model
+        assert len(calls) == 4
+        base, _ = persistence.read_checkpoint(pipeline["base"] / "base.ssrg")
+        assert np.array_equal(calls[0].flat, base.flat)
+
 
 class TestFingerprints:
     """The pipeline's numbers, recorded in tests/fingerprints.json by
@@ -668,7 +701,7 @@ class TestExitCodes:
             raise AssertionError("eval sampled before checking its snapshots")
 
         monkeypatch.setattr(cli, "_sample_batch", no_sampling)
-        monkeypatch.setattr(cli.an, "seed_consistency", no_sampling)
+        monkeypatch.setattr(cli.an, "consistency_endpoints", no_sampling)
         assert cli.main(["eval", "--config", str(pipeline["config"]),
                          "--base", str(pipeline["base"] / "base.ssrg"),
                          "--model", str(pipeline["erased"] / "erased.ssrg"),

@@ -174,7 +174,7 @@ class TestTrainBase:
                           nnet.NetworkShape(input_dim=2,
                                             hidden=oracles.POINTS_HIDDEN),
                           sched, steps=1, p_uncond=0.1, seed=0, lr=1e-3,
-                          batch_size=64)
+                          batch_size=64, loss_log=[])
 
 
 class TestSample:

@@ -517,9 +517,9 @@ class TestEraseFinetune:
         _, log = er.erase_finetune(
             base, cfg, sched, small_vocab(),
             lambda it, student: snapshots.append((it, student.flat.copy())))
-        assert len(log.iterations) == 12
+        assert len(log) == 12
         assert [it for it, _ in snapshots] == [5, 10]
-        for it, t_index, breakdown in log.iterations:
+        for it, t_index, breakdown in log:
             assert 1 <= t_index <= cfg.sampler_T
             assert breakdown.total == breakdown.concept + 5.0 * breakdown.penalty
 
@@ -529,7 +529,7 @@ class TestEraseFinetune:
             cfg = run_config(n_iters=3, loss_kind=kind)
             _, log = er.erase_finetune(base, cfg, sched, small_vocab(),
                                        oracles.drop_snapshot)
-            assert all(b.penalty == 0.0 for _, _, b in log.iterations)
+            assert all(b.penalty == 0.0 for _, _, b in log)
 
     def test_sega_warmup_must_match_sampler_length(self):
         base, sched = tiny_setup()
@@ -746,7 +746,7 @@ class TestTeacherPassOracle:
                                      oracles.drop_snapshot)
         # a penalty near 0 can differ from the oracle's by more than its
         # own size, so the losses are compared as one vector per kind
-        got_losses = [(b.concept, b.penalty) for _, _, b in log.iterations]
+        got_losses = [(b.concept, b.penalty) for _, _, b in log]
         assert_rel_close(np.array(got_losses)[:, 0], np.array(losses)[:, 0])
         assert_rel_close(np.array(got_losses)[:, 1], np.array(losses)[:, 1])
         for name in base.tensor_names():

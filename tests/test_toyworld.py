@@ -79,9 +79,12 @@ class TestGenPoints2d:
 
 
 class TestGenGlyphs:
-    def test_zero_jitter_matches_canonical_template(self):
-        spec = tw.GlyphSpec(shape_kinds=tw.KNOWN_SHAPES, jitter_pos=0.0,
-                            jitter_scale=0.0, intensity_low=1.0, intensity_high=1.0)
+    def test_zero_jitter_matches_canonical_template(self, monkeypatch):
+        for name, value in (("GLYPH_JITTER_POS", 0.0), ("GLYPH_JITTER_SCALE", 0.0),
+                            ("GLYPH_INTENSITY_LOW", 1.0),
+                            ("GLYPH_INTENSITY_HIGH", 1.0)):
+            monkeypatch.setattr(tw, name, value)
+        spec = tw.GlyphSpec(shape_kinds=tw.KNOWN_SHAPES)
         ds = tw.gen_glyphs(spec, 3, seed=5)
         for cid in range(spec.n_concepts):
             tmpl = tw.canonical_template(spec, cid)
