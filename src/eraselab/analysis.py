@@ -206,7 +206,6 @@ class KlChainReport:
 
     max_rel_discrepancy: float
     max_decomposition_err: float
-    n_probes: int
 
 
 def _guided_score(params: nnet.Parameters, z: np.ndarray, t: int, c: int,
@@ -260,7 +259,7 @@ def kl_chain_check(teacher: nnet.Parameters, student: nnet.Parameters,
         loss_c = gamma1 * cls_t - gamma2 * cls_s
         worst_decomp = max(worst_decomp,
                            float(np.abs((loss_u + loss_c) - diff).max()))
-    return KlChainReport(worst_gap, worst_decomp, len(probes))
+    return KlChainReport(worst_gap, worst_decomp)
 
 
 def triangle_bound_holds(residual_u: np.ndarray, residual_c: np.ndarray) -> bool:

@@ -90,7 +90,7 @@ def _checkpoint_meta(cfg, kind, extra=None) -> dict:
         "mode": cfg.mode,
         "schedule": {"t_train": cfg.t_train, "beta_start": cfg.beta_start,
                      "beta_end": cfg.beta_end},
-        "vocab": [c.name for c in vocab.concepts],
+        "vocab": list(vocab.names),
         **(extra or {}),
     }
 
@@ -203,8 +203,8 @@ def cmd_erase(args) -> int:
             ps.write_checkpoint(snapshot, dict(meta, iteration=iteration),
                                 os.path.join(ckpt_dir, name))
 
-        model, log = er.erase_finetune(base, ecfg, cfg.schedule(), vocab,
-                                       write_snapshot)
+        model, log = er.erase_finetune(base, ecfg, cfg.schedule(),
+                                       cfg.sampler(), vocab, write_snapshot)
         ps.write_checkpoint(model, meta, os.path.join(out, "erased.ssrg"))
         rp.write_csv(os.path.join(out, "loss.csv"),
                      ("iteration", "t_index", "concept", "penalty", "total"),
@@ -223,8 +223,7 @@ def cmd_sample(args) -> int:
     gamma = cfg.eval_gamma if args.gamma is None else args.gamma
     with _out_dir(args, cfg, {"sample": seed}) as out:
         X = _sample_batch(model, cfg, concept, args.n, seed, gamma)
-        dataset = tw.Dataset(X, np.full(args.n, concept), mode=cfg.mode,
-                             n_concepts=vocab.size)
+        dataset = tw.Dataset(X, np.full(args.n, concept), n_concepts=vocab.size)
         tw.dataset_to_csv(dataset, os.path.join(out, "samples.csv"))
     print(f"wrote {args.n} samples of {args.concept!r} "
           f"(gamma={gamma:g}) to {args.out}/samples.csv")
@@ -243,8 +242,7 @@ def cmd_invert(args) -> int:
         recon_rows = [(str(i), str(c), float(np.linalg.norm(r - x0))
                        / max(float(np.linalg.norm(x0)), 1e-300))
                       for i, (c, r, x0) in enumerate(zip(labels, recon, X))]
-        tw.dataset_to_csv(tw.Dataset(latents, labels, mode=cfg.mode,
-                                     n_concepts=vocab.size),
+        tw.dataset_to_csv(tw.Dataset(latents, labels, n_concepts=vocab.size),
                           os.path.join(out, "inverted.csv"))
         rp.write_csv(os.path.join(out, "recon.csv"),
                      ("index", "label", "rel_l2"), recon_rows)
@@ -329,7 +327,8 @@ def cmd_sweep_lambda(args) -> int:
         oracle, _, consistency = _scorer(cfg, vocab, base)
         rows = []
         for name, ecfg in runs.items():
-            model, _ = er.erase_finetune(base, ecfg, cfg.schedule(), vocab,
+            model, _ = er.erase_finetune(base, ecfg, cfg.schedule(),
+                                         cfg.sampler(), vocab,
                                          lambda iteration, snapshot: None)
             meta = _checkpoint_meta(cfg, "erased", {
                 "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed})

@@ -1,7 +1,7 @@
 """Noise schedule, forward diffusion, base training, DDIM sampling/inversion.
 
 Timestep conventions used throughout the package:
-  - schedule timesteps t are 1-based integers 1..T_train indexing the beta
+  - schedule timesteps t are 1-based integers 1..T_train indexing the alpha
     tables; t=0 denotes clean data (alpha_bar_0 := 1).
   - sampler indices i are 1-based positions in the subsampled sequence tau
     (length T); state index 0 is the fully denoised output. Guidance windows
@@ -26,11 +26,8 @@ from .toyworld import Dataset
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    T_train: int
-    beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
-    sigma: np.ndarray
 
     @staticmethod
     def from_betas(beta: np.ndarray) -> "NoiseSchedule":
@@ -40,9 +37,11 @@ class NoiseSchedule:
         if np.any(beta <= 0) or np.any(beta >= 1):
             raise ConfigError("beta values must lie in (0, 1)")
         alpha = 1.0 - beta
-        alpha_bar = np.cumprod(alpha)
-        return NoiseSchedule(T_train=beta.size, beta=beta, alpha=alpha,
-                             alpha_bar=alpha_bar, sigma=np.sqrt(1.0 - alpha_bar))
+        return NoiseSchedule(alpha=alpha, alpha_bar=np.cumprod(alpha))
+
+    @property
+    def T_train(self) -> int:
+        return len(self.alpha_bar)
 
     def _check_t(self, t: int, allow_zero: bool = False) -> None:
         lo = 0 if allow_zero else 1
@@ -56,7 +55,7 @@ class NoiseSchedule:
 
     def sigma_at(self, t: int) -> float:
         self._check_t(t, allow_zero=True)
-        return 0.0 if t == 0 else float(self.sigma[t - 1])
+        return 0.0 if t == 0 else float(np.sqrt(1.0 - self.alpha_bar[t - 1]))
 
 
 def make_linear_schedule(T_train: int, beta_start: float,
@@ -73,12 +72,9 @@ def make_linear_schedule(T_train: int, beta_start: float,
 class SamplerConfig:
     """Deterministic DDIM over a subsampled timestep sequence."""
 
-    T: int
     tau: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.tau) != self.T:
-            raise ConfigError(f"tau length {len(self.tau)} != T {self.T}")
         if any(b <= a for a, b in zip(self.tau, self.tau[1:])):
             raise ConfigError("tau must be strictly increasing")
         if self.tau[0] < 1:
@@ -92,7 +88,11 @@ class SamplerConfig:
         tau = np.unique(np.round(np.linspace(T_train / T, T_train, T)).astype(int))
         if tau.size != T:
             raise ConfigError(f"T={T} does not embed evenly into T_train={T_train}")
-        return SamplerConfig(T=T, tau=tuple(int(v) for v in tau))
+        return SamplerConfig(tuple(int(v) for v in tau))
+
+    @property
+    def T(self) -> int:
+        return len(self.tau)
 
     def schedule_t(self, sampler_index: int) -> int:
         """Schedule timestep at a sampler index; index 0 is clean data."""
@@ -119,8 +119,6 @@ def ddim_step(z_t: np.ndarray, eps_hat: np.ndarray, from_t: int, to_t: int,
     re-noises to to_t. to_t = 0 returns x0_hat. The algebra is its own
     inverse, so from_t < to_t runs the map upward (used by inversion).
     """
-    sched._check_t(from_t, allow_zero=True)
-    sched._check_t(to_t, allow_zero=True)
     a_from = sched.alpha_bar_at(from_t)
     a_to = sched.alpha_bar_at(to_t)
     x0_hat = (z_t - np.sqrt(1.0 - a_from) * eps_hat) / np.sqrt(a_from)

@@ -57,7 +57,6 @@ class EraseConfig:
     gamma2: float
     lam: float
     n_iters: int
-    sampler_T: int
     warmup: gd.WarmupRule
     loss_kind: str
     trainable: Optional[tuple[str, ...]]
@@ -79,8 +78,6 @@ class EraseConfig:
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.n_iters < 1:
             raise ConfigError(f"n_iters must be >= 1, got {self.n_iters}")
-        if self.sampler_T < 1:
-            raise ConfigError(f"sampler_T must be >= 1, got {self.sampler_T}")
         if self.trainable is not None and len(self.trainable) == 0:
             raise ConfigError("at least one tensor must stay trainable")
 
@@ -220,7 +217,7 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
     lowest index take the descent's result.
     """
     rng = np.random.default_rng(cfg.seed)
-    n, T = cfg.n_iters, cfg.sampler_T
+    n, T = cfg.n_iters, sampler.T
     t_index = np.empty(n, dtype=np.int64)
     concept = np.empty(n, dtype=np.int64)
     Z_T = np.empty((n, teacher.shape.input_dim))
@@ -249,7 +246,8 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
 
 
 def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
-                   sched: df.NoiseSchedule, vocab: ConceptVocab,
+                   sched: df.NoiseSchedule, sampler: df.SamplerConfig,
+                   vocab: ConceptVocab,
                    on_snapshot: Callable[[int, nnet.Parameters], None]
                    ) -> tuple[nnet.Parameters, list]:
     """Guided fine-tuning loop.
@@ -269,9 +267,9 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
     if vocab.size != base.n_concepts:
         raise ConfigError(f"vocab size {vocab.size} != model concepts "
                           f"{base.n_concepts}")
-    if cfg.warmup.style == "sega" and cfg.warmup.sampler_T != cfg.sampler_T:
+    if cfg.warmup.style == "sega" and cfg.warmup.sampler_T != sampler.T:
         raise ConfigError(f"warmup counts down from {cfg.warmup.sampler_T} "
-                          f"but the sampler has {cfg.sampler_T} steps")
+                          f"but the sampler has {sampler.T} steps")
 
     # An AdamW step builds new parameters and never writes into old ones,
     # so the student may start as base itself and on_snapshot may keep the
@@ -280,7 +278,6 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
     mask = cfg.mask_for(student.tensor_names())
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
                                       weight_decay=cfg.weight_decay)
-    sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
     teacher = _teacher_pass(base, cfg, sched, sampler)
     log = []
 

@@ -395,7 +395,7 @@ class OptimizerState:
     m: Parameters
     v: Parameters
     scratch: tuple
-    step_count: int = 0
+    step_count: int
 
     @staticmethod
     def fresh(params: Parameters, lr: float,
@@ -404,7 +404,7 @@ class OptimizerState:
                             np.zeros_like(params.flat)) for _ in range(2)]
         chunk = min(_ADAMW_CHUNK, params.flat.size)
         return OptimizerState(lr, weight_decay, zeros[0], zeros[1],
-                              (np.empty(chunk), np.empty(chunk)))
+                              (np.empty(chunk), np.empty(chunk)), 0)
 
 
 def adamw_step(params: Parameters, grads: Parameters, mask: frozenset[str],

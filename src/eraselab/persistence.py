@@ -414,6 +414,8 @@ def load_config(path) -> RunConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a text file ({exc.reason})") from exc
 
     given, instruction_sections, kw = set(), [], {"": {}}
     for section in parser.sections():
@@ -448,7 +450,7 @@ def load_config(path) -> RunConfig:
                     sampler_T=run["sampler_T"], **kw["erase.warmup"])
     cfg = RunConfig(erase=_built(
         _keys("erase."), given, er.EraseConfig, instructions=tuple(instructions),
-        sampler_T=run["sampler_T"], warmup=warmup, **kw["erase"]), **run)
+        warmup=warmup, **kw["erase"]), **run)
     shape = _built(_keys("base_hidden"), given, cfg.network_shape)
     # a checkpoint read later is checked again (erase_finetune), since its
     # shape need not be the config's

@@ -60,7 +60,8 @@ def _bounds(values):
 
 def svg_line_plot(series, title, xlabel, ylabel, path) -> None:
     """One 640x400 polyline per series with axis ticks and a legend; the
-    byte output depends only on the inputs."""
+    byte output depends only on the inputs. Legend labels are free text, so
+    their &, < and > are escaped."""
     width, height = 640, 400
     left, right, top, bottom = 64, 20, 36, 48
     plot_w, plot_h = width - left - right, height - top - bottom
@@ -108,9 +109,10 @@ def svg_line_plot(series, title, xlabel, ylabel, path) -> None:
             out.append(f'<line x1="{left + plot_w - 110}" y1="{ly - 4}" '
                        f'x2="{left + plot_w - 94}" y2="{ly - 4}" '
                        f'stroke="{color}" stroke-width="2"/>')
+            label = s.label.replace("&", "&amp;").replace("<", "&lt;") \
+                .replace(">", "&gt;")
             out.append(f'<text x="{left + plot_w - 90}" y="{ly}" '
-                       f'font-family="sans-serif" font-size="11">'
-                       f'{s.label}</text>')
+                       f'font-family="sans-serif" font-size="11">{label}</text>')
     else:
         out.append(f'<text x="{width / 2:.1f}" y="{height / 2:.1f}" '
                    f'text-anchor="middle" font-family="sans-serif" '
@@ -155,8 +157,9 @@ def _read_pairs(run_dir, name, x, y, x_type=float) -> list:
 
 
 def load_run(run_dir) -> RunRecord:
-    """Read one run directory; a missing or unreadable metrics.json, or an
-    unreadable loss.csv or sweep.csv, is a ConfigError naming the run."""
+    """Read one run directory; a missing or unreadable metrics.json, a
+    method that is not a string, or an unreadable loss.csv or sweep.csv, is
+    a ConfigError naming the run."""
     metrics_path = os.path.join(run_dir, "metrics.json")
     if not os.path.exists(metrics_path):
         raise ConfigError(f"run {run_dir}: missing metrics.json")
@@ -164,6 +167,8 @@ def load_run(run_dir) -> RunRecord:
         with open(metrics_path) as fh:
             raw = json.load(fh)
         method, timeline = raw["method"], raw.get("timeline")
+        if not isinstance(method, str):
+            raise TypeError(f"method {method!r} is not a string")
         report = MetricReport.from_dict(raw["report"])
         timeline = Series(method, tuple(map(float, timeline["iterations"])),
                           tuple(map(float, timeline["rates"]))) \

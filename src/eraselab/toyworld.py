@@ -1,16 +1,16 @@
 """Concept vocabularies, synthetic datasets, and analytic oracles.
 
-Two data worlds are supported: 2-D isotropic Gaussian mixtures (one
-component per concept) and 16x16 grayscale glyphs (one shape per concept).
-Each comes with an oracle classifier: the exact Bayes classifier for the
-mixture and a template-correlation classifier for glyphs.
+Two data worlds are supported: equal-weight 2-D isotropic Gaussian
+mixtures (one component per concept) and 16x16 grayscale glyphs (one
+shape per concept). Each comes with an oracle classifier: the exact Bayes
+classifier for the mixture and a template-correlation classifier for glyphs.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,42 +35,32 @@ KNOWN_SHAPES = ("circle", "square", "cross", "triangle", "stripes")
 
 
 @dataclass(frozen=True)
-class ConceptDef:
-    name: str
-    concept_id: int
-
-
-@dataclass(frozen=True)
 class ConceptVocab:
-    """Ordered concept set with a reserved unconditional token.
+    """Ordered concept names with a reserved unconditional token.
 
-    Concept ids are dense 0..K-1; the null token gets the distinct id K.
+    A concept's id is its position, 0..K-1; the null token gets the
+    distinct id K.
     """
 
-    concepts: tuple[ConceptDef, ...]
+    names: tuple[str, ...]
 
     def __post_init__(self):
-        ids = [c.concept_id for c in self.concepts]
-        if ids != list(range(len(ids))):
-            raise ConfigError(f"concept ids must be dense 0..K-1, got {ids}")
-        names = [c.name for c in self.concepts]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"duplicate concept names: {names}")
+        if len(set(self.names)) != len(self.names):
+            raise ConfigError(f"duplicate concept names: {list(self.names)}")
 
     @property
     def size(self) -> int:
-        return len(self.concepts)
+        return len(self.names)
 
     @property
     def null_id(self) -> int:
-        return len(self.concepts)
+        return len(self.names)
 
     def id_of(self, name: str) -> int:
-        for c in self.concepts:
-            if c.name == name:
-                return c.concept_id
-        raise ConfigError(f"unknown concept name {name!r}; "
-                          f"known: {[c.name for c in self.concepts]}")
+        if name not in self.names:
+            raise ConfigError(f"unknown concept name {name!r}; "
+                              f"known: {list(self.names)}")
+        return self.names.index(name)
 
     def validate_id(self, concept_id: int, allow_null: bool = False) -> None:
         limit = self.size + (1 if allow_null else 0)
@@ -80,28 +70,22 @@ class ConceptVocab:
 
     @staticmethod
     def from_names(names: Sequence[str]) -> "ConceptVocab":
-        return ConceptVocab(tuple(ConceptDef(n, i) for i, n in enumerate(names)))
+        return ConceptVocab(tuple(names))
 
 
 @dataclass(frozen=True)
 class PointMixtureSpec:
-    """Isotropic 2-D Gaussian mixture, one component per concept."""
+    """Equal-weight isotropic 2-D Gaussian mixture, one component per
+    concept."""
 
     means: tuple[tuple[float, float], ...]
     sigma: float
-    weights: tuple[float, ...]
 
     def __post_init__(self):
         if len(self.means) == 0:
             raise ConfigError("mixture needs at least one component")
         if self.sigma <= 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if len(self.weights) != len(self.means):
-            raise ConfigError("one weight per component required")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ConfigError(f"weights must sum to 1, got {sum(self.weights)!r}")
-        if any(w < 0 for w in self.weights):
-            raise ConfigError("weights must be non-negative")
 
     @property
     def n_components(self) -> int:
@@ -117,7 +101,6 @@ class GlyphSpec:
     by the GLYPH_* constants."""
 
     shape_kinds: tuple[str, ...]
-    resolution = GLYPH_RESOLUTION    # fixed; not a field
 
     def __post_init__(self):
         for kind in self.shape_kinds:
@@ -135,7 +118,6 @@ class Dataset:
 
     samples: np.ndarray
     labels: np.ndarray
-    mode: str
     n_concepts: int
 
     def __post_init__(self):
@@ -158,8 +140,7 @@ def default_points_vocab() -> tuple[ConceptVocab, PointMixtureSpec]:
     vocab = ConceptVocab.from_names([f"c{i}" for i in range(n_concepts)])
     angles = 2.0 * np.pi * np.arange(n_concepts) / n_concepts
     means = tuple((float(np.cos(a)), float(np.sin(a))) for a in angles)
-    weights = tuple([1.0 / n_concepts] * n_concepts)
-    return vocab, PointMixtureSpec(means=means, sigma=0.15, weights=weights)
+    return vocab, PointMixtureSpec(means=means, sigma=0.15)
 
 
 def default_glyph_vocab() -> tuple[ConceptVocab, GlyphSpec]:
@@ -183,13 +164,12 @@ def gen_points2d(spec: PointMixtureSpec, n_per_concept: int, seed: int) -> Datas
         block = slice(i * n_per_concept, (i + 1) * n_per_concept)
         samples[block] = means[i] + spec.sigma * rng.standard_normal((n_per_concept, 2))
         labels[block] = i
-    return Dataset(samples, labels, mode="points2d", n_concepts=k)
+    return Dataset(samples, labels, n_concepts=k)
 
 
-def _shape_mask(kind: str, cx: float, cy: float, scale: float,
-                resolution: int = GLYPH_RESOLUTION) -> np.ndarray:
+def _shape_mask(kind: str, cx: float, cy: float, scale: float) -> np.ndarray:
     """Soft-edged shape indicator in [0,1] on the pixel grid."""
-    ys, xs = np.mgrid[0:resolution, 0:resolution].astype(np.float64)
+    ys, xs = np.mgrid[0:GLYPH_RESOLUTION, 0:GLYPH_RESOLUTION].astype(np.float64)
     dx, dy = xs - cx, ys - cy
     soft = 1.0  # edge softness in pixels; keeps data smooth for diffusion
 
@@ -221,8 +201,8 @@ def canonical_template(spec: GlyphSpec, concept_id: int) -> np.ndarray:
     """Deterministic centered glyph at nominal scale and peak intensity."""
     if not 0 <= concept_id < spec.n_concepts:
         raise ConfigError(f"concept id {concept_id} out of range")
-    center = (spec.resolution - 1) / 2.0
-    mask = _shape_mask(spec.shape_kinds[concept_id], center, center, 1.0, spec.resolution)
+    center = (GLYPH_RESOLUTION - 1) / 2.0
+    mask = _shape_mask(spec.shape_kinds[concept_id], center, center, 1.0)
     return (GLYPH_INTENSITY_HIGH * mask).reshape(-1)
 
 
@@ -232,7 +212,7 @@ def gen_glyphs(spec: GlyphSpec, n_per_concept: int, seed: int) -> Dataset:
         raise ConfigError(f"n_per_concept must be >= 1, got {n_per_concept}")
     rng = np.random.default_rng(seed)
     k = spec.n_concepts
-    center = (spec.resolution - 1) / 2.0
+    center = (GLYPH_RESOLUTION - 1) / 2.0
     samples = np.empty((k * n_per_concept, GLYPH_DIM), dtype=np.float64)
     labels = np.empty(k * n_per_concept, dtype=np.int64)
     row = 0
@@ -242,11 +222,11 @@ def gen_glyphs(spec: GlyphSpec, n_per_concept: int, seed: int) -> Dataset:
             scale = rng.uniform(1.0 - GLYPH_JITTER_SCALE, 1.0 + GLYPH_JITTER_SCALE)
             amp = rng.uniform(GLYPH_INTENSITY_LOW, GLYPH_INTENSITY_HIGH)
             mask = _shape_mask(spec.shape_kinds[i], center + dx, center + dy,
-                               scale, spec.resolution)
+                               scale)
             samples[row] = np.clip(amp * mask, 0.0, 1.0).reshape(-1)
             labels[row] = i
             row += 1
-    return Dataset(samples, labels, mode="glyphs16", n_concepts=k)
+    return Dataset(samples, labels, n_concepts=k)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +238,7 @@ def bayes_classify(spec: PointMixtureSpec, x: np.ndarray) -> tuple:
     broken by lowest id. Gives (labels (n,), posteriors (n, K))."""
     means, var = spec.mean_array(), spec.sigma ** 2
     diff = np.asarray(x, dtype=np.float64)[:, None, :] - means   # (n, K, 2)
-    log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
+    log_w = np.log(1.0 / spec.n_components)
     log_comp = log_w - (diff ** 2).sum(axis=2) / (2.0 * var)
     posterior = np.exp(log_comp - log_comp.max(axis=1, keepdims=True))
     posterior /= posterior.sum(axis=1, keepdims=True)
@@ -273,7 +253,7 @@ def _template_bank(spec: GlyphSpec) -> np.ndarray:
     """Centered unit-norm canonical templates under every cyclic shift
     within +-TEMPLATE_SEARCH_RADIUS pixels, one row each, in (concept,
     sy, sx) order."""
-    res, r = spec.resolution, TEMPLATE_SEARCH_RADIUS
+    res, r = GLYPH_RESOLUTION, TEMPLATE_SEARCH_RADIUS
     rows = []
     for cid in range(spec.n_concepts):
         tmpl = canonical_template(spec, cid).reshape(res, res)
@@ -300,10 +280,9 @@ def template_classify(spec: GlyphSpec, image: np.ndarray) -> tuple:
     confidences (n,)).
     """
     images = np.asarray(image, dtype=np.float64)
-    dim = spec.resolution ** 2
-    if images.ndim != 2 or images.shape[1] != dim:
-        raise StructuralError(f"expected a batch of flattened {spec.resolution}x"
-                              f"{spec.resolution} images, got shape {images.shape}")
+    if images.ndim != 2 or images.shape[1] != GLYPH_DIM:
+        raise StructuralError(f"expected a batch of flattened {GLYPH_RESOLUTION}x"
+                              f"{GLYPH_RESOLUTION} images, got shape {images.shape}")
     centered = images - images.mean(axis=1, keepdims=True)
     norm = np.linalg.norm(centered, axis=1)
     ncc = centered @ _template_bank(spec).T
@@ -396,4 +375,4 @@ def dataset_from_csv(path, mode: str, n_concepts: int) -> Dataset:
         raise ConfigError(f"{path}: label {labels[row]:g} in data row {row + 1} "
                           f"is not a concept id in 0..{n_concepts - 1}")
     return Dataset(np.ascontiguousarray(table[:, 1:]), labels.astype(np.int64),
-                   mode=mode, n_concepts=n_concepts)
+                   n_concepts=n_concepts)

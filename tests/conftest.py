@@ -46,7 +46,7 @@ def points_base(points_world, sched):
 
 @pytest.fixture(scope="session")
 def gauss1_world():
-    spec = tw.PointMixtureSpec(means=((0.0, 0.0),), sigma=0.1, weights=(1.0,))
+    spec = tw.PointMixtureSpec(means=((0.0, 0.0),), sigma=0.1)
     dataset = tw.gen_points2d(spec, 2000, seed=0)
     return spec, dataset
 

@@ -51,12 +51,12 @@ def warmup_rule(**fields) -> WarmupRule:
 
 def erase_config(**fields) -> EraseConfig:
     """An EraseConfig at the paper's scales (gamma1 = gamma2 = 7.5, lambda
-    5, 200 iterations over 35 sampler steps, lr 2e-3) with no instructions
-    and warmup_rule(); fields, erase_set among them, override."""
+    5, 200 iterations, lr 2e-3) with no instructions and warmup_rule();
+    fields, erase_set among them, override."""
     return EraseConfig(**{
         "instructions": (), "replacement_mode": "delta", "replacement_id": None,
         "gamma1": 7.5, "gamma2": 7.5, "lam": 5.0, "n_iters": 200,
-        "sampler_T": 35, "warmup": warmup_rule(), "loss_kind": "ours",
+        "warmup": warmup_rule(), "loss_kind": "ours",
         "trainable": None, "lr": 2e-3, "weight_decay": 0.0,
         "snapshot_every": 10, "seed": 0, **fields})
 
@@ -301,7 +301,7 @@ def mixture_log_density_grad(spec: PointMixtureSpec, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     means, var = _noised_params(spec, alpha_bar)
     diff = x[None, :] - means                      # (K, 2)
-    log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
+    log_w = np.log(1.0 / spec.n_components)      # equal weights
     log_comp = log_w - (diff ** 2).sum(axis=1) / (2.0 * var)
     resp = np.exp(log_comp - logsumexp(log_comp))
     return -(resp[:, None] * diff).sum(axis=0) / var
@@ -318,11 +318,11 @@ def bayes_rate_quadrature(spec: PointMixtureSpec, extent: float = 2.5,
     h = axis[1] - axis[0]
     xs, ys = np.meshgrid(axis, axis)
     grid = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    weights = np.asarray(spec.weights)
+    weight = 1.0 / spec.n_components               # equal weights
     dens = np.empty((spec.n_components, grid.shape[0]))
     for k in range(spec.n_components):
         d2 = ((grid - means[k]) ** 2).sum(axis=1)
-        dens[k] = weights[k] * np.exp(-d2 / (2 * var)) / (2 * np.pi * var)
+        dens[k] = weight * np.exp(-d2 / (2 * var)) / (2 * np.pi * var)
     return float(dens.max(axis=0).sum() * h * h)
 
 

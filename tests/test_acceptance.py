@@ -71,7 +71,7 @@ def mean_consistency(base_ends, model, sched, sampler):
 
 
 @pytest.fixture(scope="module")
-def erase_run(points_base, points_world, sched):
+def erase_run(points_base, points_world, sched, sampler):
     """Memoized erase fine-tunes on the points base model."""
     vocab, _, _ = points_world
     cache = {}
@@ -81,13 +81,13 @@ def erase_run(points_base, points_world, sched):
         if key not in cache:
             cfg = oracles.erase_config(erase_set=(0,),
                                        instructions=POINT_INSTRUCTIONS,
-                                       lam=lam, n_iters=200, sampler_T=T_SAMPLE,
+                                       lam=lam, n_iters=200,
                                        warmup=gd.WarmupRule(5, "literal",
                                                             T_SAMPLE),
                                        loss_kind=loss_kind, trainable=trainable,
                                        lr=2e-3, seed=seed)
-            cache[key] = er.erase_finetune(points_base, cfg, sched, vocab,
-                                           oracles.drop_snapshot)[0]
+            cache[key] = er.erase_finetune(points_base, cfg, sched, sampler,
+                                           vocab, oracles.drop_snapshot)[0]
         return cache[key]
 
     return get
@@ -207,7 +207,7 @@ def test_criterion_05_stop_gradient_soundness(announce):
     teacher = nnet.init_params(shape, 3, seed=11)
     # lam = 0: the student step's gradient is the concept term's alone
     cfg = oracles.erase_config(
-        erase_set=(0,), sampler_T=10, lam=0.0,
+        erase_set=(0,), lam=0.0,
         instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),
                       gd.InstructionConcept(1, 6.5, 1, 10, 0.5)))
     sched = df.make_linear_schedule(20, 1e-4, 0.02)
@@ -261,7 +261,7 @@ def test_criterion_06_penalty_anchor_and_decomposition(announce):
     teacher = nnet.init_params(shape, 3, seed=21)
     rng = np.random.default_rng(22)
     cfg = oracles.erase_config(
-        erase_set=(0,), sampler_T=10,
+        erase_set=(0,),
         instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),))
 
     def step(student, z, t_index, schedule_t, lam, gamma2):
@@ -409,11 +409,11 @@ def test_criterion_11_concept_purification(announce, glyphs_world, glyphs_base,
                                            sched, sampler):
     vocab, spec, dataset = glyphs_world
     cfg = oracles.erase_config(erase_set=(0,), instructions=GLYPH_INSTRUCTIONS,
-                               lam=0.0, n_iters=200, sampler_T=T_SAMPLE,
+                               lam=0.0, n_iters=200,
                                warmup=gd.WarmupRule(5, "literal", T_SAMPLE),
                                loss_kind="ours", trainable=None, lr=2e-3,
                                seed=0)
-    erased, _ = er.erase_finetune(glyphs_base, cfg, sched, vocab,
+    erased, _ = er.erase_finetune(glyphs_base, cfg, sched, sampler, vocab,
                                   oracles.drop_snapshot)
 
     def flip_fraction(model):

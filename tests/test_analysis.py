@@ -323,7 +323,6 @@ class TestKlChainCheck:
         report = an.kl_chain_check(model, model, sched, probes,
                                    gamma1=7.5, gamma2=7.5)
         assert report.max_rel_discrepancy == 0.0
-        assert report.n_probes == 6
 
     def test_two_paths_agree_under_perturbation(self):
         sched = df.make_linear_schedule(20, 1e-4, 0.02)

@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import struct
+import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
 import numpy as np
@@ -416,6 +417,25 @@ class TestPipelineArtifacts:
             assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
         assert "polyline" in (tmp_path / "erasure_vs_iteration.svg").read_text()
 
+    def test_report_escapes_method_labels(self, pipeline, tmp_path):
+        """eval --method is free text; the legend of each plot reads it back
+        from a well-formed SVG."""
+        run = tmp_path / "run"
+        run.mkdir()
+        metrics = json.loads((pipeline["eval"] / "metrics.json").read_text())
+        (run / "metrics.json").write_text(json.dumps(dict(metrics,
+                                                          method="a<b & c")))
+        shutil.copy(pipeline["erased"] / "loss.csv", run)
+        shutil.copy(pipeline["sweep"] / "sweep.csv", run)
+        assert cli.main(["report", "--runs", str(run),
+                         "--out", str(tmp_path / "r")]) == 0
+        for name in ("loss_vs_iteration.svg", "erasure_vs_iteration.svg",
+                     "consistency_vs_lambda.svg"):
+            svg = ElementTree.parse(tmp_path / "r" / name).getroot()
+            texts = [el.text for el
+                     in svg.iter("{http://www.w3.org/2000/svg}text")]
+            assert "a<b & c" in texts, name
+
     def test_report_reruns_byte_identical(self, pipeline, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         for out in (out_a, out_b):
@@ -620,7 +640,7 @@ class TestExitCodes:
         run = tmp_path / "run.ini"
         run.write_text(config)
         code = cli.main(["sample", "--config", str(run), "--model", str(ckpt),
-                         "--concept", vocab.concepts[0].name if config else "c0",
+                         "--concept", vocab.names[0] if config else "c0",
                          "--n", "2", "--out", str(tmp_path / "o")])
         assert code == 1
         assert f"checkpoint {field} " in capsys.readouterr().err
@@ -630,6 +650,17 @@ class TestExitCodes:
         code = cli.main(["gen-data", "--config", str(tmp_path / "none.ini"),
                          "--out", str(tmp_path / "o")])
         assert code == 2
+
+    def test_non_utf8_config_is_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[run]\nmode = points2d\n# \xff\n")
+        code = cli.main(["gen-data", "--config", str(bad),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert str(bad) in err[0]
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_is_config(self, tmp_path):
         bad = tmp_path / "bad.ini"
@@ -668,8 +699,10 @@ class TestExitCodes:
         lambda good: json.dumps(dict(good, timeline={"iterations": [4, 8]})),
         lambda good: json.dumps(dict(good, timeline={"iterations": [4, 8],
                                                      "rates": [0.5]})),
+        lambda good: json.dumps(dict(good, method=5)),
     ], ids=["no-metrics", "junk-json", "no-report", "empty-report",
-            "timeline-without-rates", "timeline-lengths-differ"])
+            "timeline-without-rates", "timeline-lengths-differ",
+            "non-string-method"])
     def test_bad_report_run_leaves_no_out_dir(self, pipeline, tmp_path, capsys,
                                               edit):
         bad = tmp_path / "bad_run"
@@ -857,7 +890,7 @@ class TestInvertMatchesPerSample:
                                    vocab.size)
         picked = np.arange(0, len(full.labels), 13)
         tw.dataset_to_csv(tw.Dataset(full.samples[picked], full.labels[picked],
-                                     cfg.mode, vocab.size), data)
+                                     vocab.size), data)
         assert cli.main(["invert", "--config", str(pipeline["config"]),
                          "--model", str(base), "--data", str(data),
                          "--out", str(tmp_path / "i")]) == 0

@@ -33,11 +33,13 @@ class TestSchedule:
     def test_monotonicity(self):
         for beta_end in (0.02, 0.04):
             sched = df.make_linear_schedule(100, 1e-4, beta_end)
+            sigma = np.array([sched.sigma_at(t) for t in range(101)])
             assert np.all(np.diff(sched.alpha_bar) < 0)
-            assert np.all(np.diff(sched.sigma) > 0)
+            assert np.all(np.diff(sigma) > 0)
             assert sched.alpha_bar[0] == sched.alpha[0]
-            np.testing.assert_array_equal(sched.sigma,
-                                          np.sqrt(1.0 - sched.alpha_bar))
+            # sigma_at(t) is sqrt(1 - alpha_bar_t) bit for bit
+            np.testing.assert_array_equal(
+                sigma, np.concatenate([[0.0], np.sqrt(1.0 - sched.alpha_bar)]))
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ConfigError):
@@ -168,7 +170,7 @@ class TestTrainBase:
 
     def test_empty_dataset_rejected(self, sched):
         dataset = tw.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
-                             mode="points2d", n_concepts=2)
+                             n_concepts=2)
         with pytest.raises(ConfigError):
             df.train_base(dataset,
                           nnet.NetworkShape(input_dim=2,

@@ -25,12 +25,17 @@ def tiny_setup(seed=0, n_concepts=3):
     return params, sched
 
 
+# The sampler of the erase runs below: 10 steps over the 20-step schedules
+# of tiny_setup and oracle_setup.
+SAMPLER = df.SamplerConfig.uniform(10, 20)
+
+
 def small_vocab(n=3):
     return tw.ConceptVocab.from_names(tuple("abcdefgh"[:n]))
 
 
 def run_config(**overrides):
-    base = dict(erase_set=(0,), sampler_T=10, n_iters=4, seed=5)
+    base = dict(erase_set=(0,), n_iters=4, seed=5)
     base.update(overrides)
     return oracles.erase_config(**base)
 
@@ -100,8 +105,6 @@ class TestEraseConfig:
     def test_iteration_counts_must_be_positive(self):
         with pytest.raises(ConfigError):
             oracles.erase_config(erase_set=(0,), n_iters=0)
-        with pytest.raises(ConfigError):
-            oracles.erase_config(erase_set=(0,), sampler_T=0)
 
     def test_empty_trainable_tuple_rejected(self):
         with pytest.raises(ConfigError):
@@ -434,8 +437,7 @@ class TestStudentStep:
         extra = {} if mode == "delta" else dict(replacement_mode="explicit",
                                                 replacement_id=2)
         cfg = run_config(n_iters=24, erase_set=(0, 1), **extra)
-        sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
-        teacher = er._teacher_pass(base, cfg, sched, sampler)
+        teacher = er._teacher_pass(base, cfg, sched, SAMPLER)
         for k in range(cfg.n_iters):
             state = (base, teacher.z_t[k], int(teacher.schedule_t[k]),
                      int(teacher.concept[k]), teacher.target[k],
@@ -469,7 +471,7 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         vocab = small_vocab()
         cfg = run_config(n_iters=1, lr=0.0)
-        student, _ = er.erase_finetune(base, cfg, sched, vocab,
+        student, _ = er.erase_finetune(base, cfg, sched, SAMPLER, vocab,
                                        oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(student.get_tensor(name),
@@ -479,7 +481,7 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         snapshot = base.copy()
         cfg = run_config(n_iters=5, instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, small_vocab(),
+        er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
                           oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(base.get_tensor(name),
@@ -489,8 +491,8 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=5, trainable=("embed",),
                          instructions=window_instructions())
-        student, _ = er.erase_finetune(base, cfg, sched, small_vocab(),
-                                       oracles.drop_snapshot)
+        student, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
+                                       small_vocab(), oracles.drop_snapshot)
         for name in base.tensor_names():
             if name == "embed":
                 assert np.abs(student.get_tensor(name)
@@ -502,9 +504,9 @@ class TestEraseFinetune:
     def test_same_seed_same_result(self):
         base, sched = tiny_setup()
         cfg = run_config(n_iters=6, instructions=window_instructions())
-        a, _ = er.erase_finetune(base, cfg, sched, small_vocab(),
+        a, _ = er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
                                  oracles.drop_snapshot)
-        b, _ = er.erase_finetune(base, cfg, sched, small_vocab(),
+        b, _ = er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
                                  oracles.drop_snapshot)
         for name in a.tensor_names():
             np.testing.assert_array_equal(a.get_tensor(name), b.get_tensor(name))
@@ -515,38 +517,38 @@ class TestEraseFinetune:
                          instructions=window_instructions())
         snapshots = []
         _, log = er.erase_finetune(
-            base, cfg, sched, small_vocab(),
+            base, cfg, sched, SAMPLER, small_vocab(),
             lambda it, student: snapshots.append((it, student.flat.copy())))
         assert len(log) == 12
         assert [it for it, _ in snapshots] == [5, 10]
         for it, t_index, breakdown in log:
-            assert 1 <= t_index <= cfg.sampler_T
+            assert 1 <= t_index <= SAMPLER.T
             assert breakdown.total == breakdown.concept + 5.0 * breakdown.penalty
 
     def test_baseline_kinds_run_without_penalty(self):
         base, sched = tiny_setup()
         for kind in ("esd", "sdd"):
             cfg = run_config(n_iters=3, loss_kind=kind)
-            _, log = er.erase_finetune(base, cfg, sched, small_vocab(),
-                                       oracles.drop_snapshot)
+            _, log = er.erase_finetune(base, cfg, sched, SAMPLER,
+                                       small_vocab(), oracles.drop_snapshot)
             assert all(b.penalty == 0.0 for _, _, b in log)
 
     def test_sega_warmup_must_match_sampler_length(self):
         base, sched = tiny_setup()
         cfg = run_config(n_iters=3, instructions=window_instructions(),
                          warmup=gd.WarmupRule(2, "sega", sampler_T=10))
-        er.erase_finetune(base, cfg, sched, small_vocab(),
+        er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
                           oracles.drop_snapshot)
         bad = run_config(n_iters=3, warmup=gd.WarmupRule(2, "sega", sampler_T=35))
         with pytest.raises(ConfigError):
-            er.erase_finetune(base, bad, sched, small_vocab(),
+            er.erase_finetune(base, bad, sched, SAMPLER, small_vocab(),
                               oracles.drop_snapshot)
 
     def test_vocab_size_mismatch_rejected(self):
         base, sched = tiny_setup()
         with pytest.raises(ConfigError):
-            er.erase_finetune(base, run_config(), sched, small_vocab(5),
-                              oracles.drop_snapshot)
+            er.erase_finetune(base, run_config(), sched, SAMPLER,
+                              small_vocab(5), oracles.drop_snapshot)
 
     @pytest.mark.parametrize("kind", ["ours", "esd"])
     def test_one_two_row_forward_per_target_and_per_step(self, kind,
@@ -570,7 +572,7 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=5, loss_kind=kind,
                          instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, small_vocab(),
+        er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
                           oracles.drop_snapshot)
         assert rows == [2] * 10
         assert backwards == [2] * 5
@@ -623,7 +625,7 @@ def sequential_guidance(params, gamma, instructions, warmup):
     return guid
 
 
-def sequential_erase(base, cfg, sched):
+def sequential_erase(base, cfg, sched, sampler):
     """The erase loop before the teacher pass and the student step: one
     batch-1 teacher rollout and one teacher evaluation per iteration, and
     one batch-1 student forward and backward per loss term. Returns the
@@ -633,7 +635,6 @@ def sequential_erase(base, cfg, sched):
     mask = cfg.mask_for(student.tensor_names())
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
                                       weight_decay=cfg.weight_decay)
-    sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
     ours = cfg.loss_kind == "ours"
     rollout_ins = cfg.instructions if ours \
         and cfg.replacement_mode == "delta" else ()
@@ -641,10 +642,10 @@ def sequential_erase(base, cfg, sched):
     rng = np.random.default_rng(cfg.seed)
     losses, rows = [], []
     for _ in range(cfg.n_iters):
-        t_index = int(rng.integers(1, cfg.sampler_T + 1))
+        t_index = int(rng.integers(1, sampler.T + 1))
         c = int(cfg.erase_set[rng.integers(0, len(cfg.erase_set))])
         z_T = rng.standard_normal((1, base.shape.input_dim))
-        if t_index == cfg.sampler_T:
+        if t_index == sampler.T:
             z_t = z_T[0]
         else:
             z_t = df.descend(z_T, sampler, sched, c, guid,
@@ -702,13 +703,12 @@ class TestTeacherPassOracle:
     def test_teacher_pass_matches_sequential_loop(self, case):
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
-        sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
-        _, _, rows = sequential_erase(base, cfg, sched)
-        batched = er._teacher_pass(base, cfg, sched, sampler)
+        _, _, rows = sequential_erase(base, cfg, sched, SAMPLER)
+        batched = er._teacher_pass(base, cfg, sched, SAMPLER)
         assert len(set(batched.t_index.tolist())) > 1
         for k, (t_index, c, z_t, target, anchor) in enumerate(rows):
             assert (batched.t_index[k], batched.concept[k]) == (t_index, c)
-            assert batched.schedule_t[k] == sampler.schedule_t(t_index)
+            assert batched.schedule_t[k] == SAMPLER.schedule_t(t_index)
             assert_rel_close(batched.z_t[k], z_t)
             assert_rel_close(batched.target[k], target)
             assert_rel_close(batched.anchor[k], anchor)
@@ -719,8 +719,7 @@ class TestTeacherPassOracle:
         the recorded descent of all rows."""
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
-        sampler = df.SamplerConfig.uniform(cfg.sampler_T, sched.T_train)
-        T, rng = cfg.sampler_T, np.random.default_rng(cfg.seed)
+        T, rng = SAMPLER.T, np.random.default_rng(cfg.seed)
         draws = [(rng.integers(1, T + 1),
                   cfg.erase_set[rng.integers(0, len(cfg.erase_set))],
                   rng.standard_normal(base.shape.input_dim))
@@ -729,9 +728,9 @@ class TestTeacherPassOracle:
         rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
             and cfg.replacement_mode == "delta" else ()
         guid = gd.rollout_guidance(base, cfg.gamma1, rollout_ins, cfg.warmup)
-        _, states, _ = oracles.descend_recorded(Z_T, sampler, sched, c, guid,
+        _, states, _ = oracles.descend_recorded(Z_T, SAMPLER, sched, c, guid,
                                                 int(t_index.min()))
-        got = er._teacher_pass(base, cfg, sched, sampler)
+        got = er._teacher_pass(base, cfg, sched, SAMPLER)
         assert np.array_equal(got.t_index, t_index)
         assert np.array_equal(got.concept, c)
         for k, t in enumerate(t_index):
@@ -741,8 +740,8 @@ class TestTeacherPassOracle:
     def test_erase_matches_sequential_loop(self, case):
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
-        want, losses, _ = sequential_erase(base, cfg, sched)
-        got, log = er.erase_finetune(base, cfg, sched, small_vocab(),
+        want, losses, _ = sequential_erase(base, cfg, sched, SAMPLER)
+        got, log = er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
                                      oracles.drop_snapshot)
         # a penalty near 0 can differ from the oracle's by more than its
         # own size, so the losses are compared as one vector per kind
@@ -787,8 +786,8 @@ def test_erase_memory_does_not_grow_with_snapshots(tmp_path):
     taken = []
     tracemalloc.start()
     try:
-        er.erase_finetune(base, cfg.erase, cfg.schedule(), vocab,
-                          lambda it, student: taken.append(it))
+        er.erase_finetune(base, cfg.erase, cfg.schedule(), cfg.sampler(),
+                          vocab, lambda it, student: taken.append(it))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

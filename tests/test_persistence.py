@@ -237,7 +237,7 @@ class TestCheckpoint:
                                                  writer):
         path = tmp_path / "table.csv"
         ds = tw.Dataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1],
-                        mode="points2d", n_concepts=2)
+                        n_concepts=2)
 
         def write(fail):
             if writer == "dataset_to_csv":

@@ -10,6 +10,12 @@ an attribute of an outside import such as np.zeros). This is
 iterated to a fixed point, so definitions that only reference each other
 stay unreferenced. Helpers that only tests need live under tests/ instead.
 
+Every dataclass field is read: some ast.Attribute load of its name in
+src/eraselab lies outside the class's own __post_init__. Like the first
+guard this matches names only, so a field whose name is read as an
+attribute of any other object passes (a Dataset.mode that nothing read
+would pass behind cfg.mode).
+
 The package's options do not grow unnoticed: the defaulted parameters of
 public functions and methods, plus the defaulted fields of public
 dataclasses (a field(init=False) is no option), may not exceed a recorded
@@ -31,7 +37,7 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # Defaulted parameters and dataclass fields in the public surface. Lower it
 # when options go; raise it only for an option justified in CHANGES.md.
-OPTION_COUNT = 6
+OPTION_COUNT = 5
 
 
 def _public_definitions(tree):
@@ -111,6 +117,39 @@ def _unused(package=PACKAGE):
             in definitions if id(node) in unproven]
 
 
+def _is_dataclass(node):
+    return isinstance(node, ast.ClassDef) \
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+
+
+def _attribute_loads(node):
+    """Counter of the attribute names that node's subtree loads."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute)
+                   and isinstance(sub.ctx, ast.Load))
+
+
+def _unread_fields(package=PACKAGE):
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(package.glob("*.py"))}
+    loads = Counter()
+    for tree in trees.values():
+        loads.update(_attribute_loads(tree))
+    unread = []
+    for filename, tree in trees.items():
+        for cls in filter(_is_dataclass, ast.walk(tree)):
+            own = Counter()
+            for member in cls.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and member.name == "__post_init__":
+                    own.update(_attribute_loads(member))
+            unread += [f"{filename}: {cls.name}.{member.target.id}"
+                       for member in cls.body
+                       if isinstance(member, ast.AnnAssign)
+                       and loads[member.target.id] == own[member.target.id]]
+    return unread
+
+
 def _defaults(function):
     return len(function.args.defaults) \
         + sum(d is not None for d in function.args.kw_defaults)
@@ -132,7 +171,7 @@ def _option_count(package=PACKAGE):
         for _, node, _ in _public_definitions(tree):
             if not isinstance(node, ast.ClassDef):
                 count += _defaults(node)
-            elif any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            elif _is_dataclass(node):
                 count += sum(map(_is_option_field, node.body))
     return count
 
@@ -189,6 +228,28 @@ def test_guard_flags_dead_functions_that_call_each_other(tmp_path):
         fh.write("\n\ndef ping(n):\n    return pong(n - 1) if n else 0\n"
                  "\n\ndef pong(n):\n    return ping(n - 1) if n else 1\n")
     assert _unused(tmp_path) == ["nnet.py: ping", "nnet.py: pong"]
+
+
+def test_every_dataclass_field_is_read():
+    assert _unread_fields() == []
+
+
+def test_guard_flags_an_unread_field(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "from dataclasses import dataclass\n"
+        "\n\n"
+        "@dataclass\n"
+        "class Point:\n"
+        "    x: float\n"
+        "    y: float\n"
+        "\n"
+        "    def __post_init__(self):\n"
+        "        if self.y < 0:\n"
+        "            raise ValueError(self.y)\n"
+        "\n\n"
+        "def norm(point):\n"
+        "    return abs(point.x)\n")
+    assert _unread_fields(tmp_path) == ["mod.py: Point.y"]
 
 
 def test_no_new_options():

@@ -10,11 +10,8 @@ from eraselab.errors import ConfigError, StructuralError
 import oracles
 
 
-def make_mixture(means, sigma=0.1, weights=None):
-    k = len(means)
-    if weights is None:
-        weights = tuple([1.0 / k] * k)
-    return tw.PointMixtureSpec(means=tuple(means), sigma=sigma, weights=tuple(weights))
+def make_mixture(means, sigma=0.1):
+    return tw.PointMixtureSpec(means=tuple(means), sigma=sigma)
 
 
 class TestConceptVocab:
@@ -36,17 +33,13 @@ class TestConceptVocab:
 
 
 class TestSpecs:
-    def test_weights_must_normalize(self):
-        with pytest.raises(ConfigError):
-            tw.PointMixtureSpec(means=((0, 0),), sigma=0.1, weights=(0.5,))
-
     def test_sigma_positive(self):
         with pytest.raises(ConfigError):
             make_mixture([(0, 0)], sigma=0.0)
 
     def test_empty_means_rejected(self):
         with pytest.raises(ConfigError):
-            tw.PointMixtureSpec(means=(), sigma=0.1, weights=())
+            tw.PointMixtureSpec(means=(), sigma=0.1)
 
     def test_unknown_shape_rejected(self):
         with pytest.raises(ConfigError):
@@ -119,15 +112,14 @@ class TestMixtureScore:
         assert abs(grad[0]) < 1e-14
 
     def test_matches_finite_differences(self):
-        spec = make_mixture([(1, 0), (-0.4, 0.8), (0.2, -0.9)], sigma=0.3,
-                            weights=(0.5, 0.2, 0.3))
+        spec = make_mixture([(1, 0), (-0.4, 0.8), (0.2, -0.9)], sigma=0.3)
         h = 1e-5
         rng = np.random.default_rng(42)
 
         def log_density(pt, alpha_bar):
             means, var = oracles._noised_params(spec, alpha_bar)
             d2 = ((pt - means) ** 2).sum(axis=1)
-            return logsumexp(np.log(spec.weights) - d2 / (2 * var))
+            return logsumexp(np.log(1.0 / 3) - d2 / (2 * var))
 
         for alpha_bar in (None, 1.0, 0.7, 0.2):
             for _ in range(25):
@@ -253,10 +245,10 @@ class TestDatasetCsv:
             row = [1e-300, -0.0, 1e16, np.inf, -np.inf, np.nan, 5e-324,
                    np.finfo(np.float64).max, 0.1, -1.5e-7]
             ds = tw.Dataset(np.array([row, row[::-1]]), np.array([0, 7]),
-                            mode="points2d", n_concepts=8)
+                            n_concepts=8)
         else:
             ds = tw.Dataset(np.empty((3, 0)), np.array([2, 0, 1]),
-                            mode="points2d", n_concepts=3)
+                            n_concepts=3)
         tw.dataset_to_csv(ds, tmp_path / "fast.csv")
         oracles.dataset_to_csv(ds, tmp_path / "oracle.csv")
         assert (tmp_path / "fast.csv").read_bytes() == \
@@ -348,7 +340,7 @@ def per_row_bayes(spec, x):
     x = np.asarray(x, dtype=np.float64)
     means, var = oracles._noised_params(spec, None)
     diff = x[None, :] - means
-    log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
+    log_w = np.log(1.0 / spec.n_components)
     log_comp = log_w - (diff ** 2).sum(axis=1) / (2.0 * var)
     posterior = np.exp(log_comp - logsumexp(log_comp))
     posterior /= posterior.sum()
@@ -362,12 +354,12 @@ def per_row_template(spec, image):
     norm = np.linalg.norm(centered)
     if norm == 0.0:
         return 0, 0.0
-    img2 = centered.reshape(spec.resolution, spec.resolution)
+    img2 = centered.reshape(tw.GLYPH_RESOLUTION, tw.GLYPH_RESOLUTION)
     r = tw.TEMPLATE_SEARCH_RADIUS
     best_id, best_ncc = 0, -np.inf
     for cid in range(spec.n_concepts):
-        tmpl = tw.canonical_template(spec, cid).reshape(spec.resolution,
-                                                        spec.resolution)
+        tmpl = tw.canonical_template(spec, cid).reshape(tw.GLYPH_RESOLUTION,
+                                                        tw.GLYPH_RESOLUTION)
         for sy in range(-r, r + 1):
             for sx in range(-r, r + 1):
                 shifted = np.roll(np.roll(tmpl, sy, axis=0), sx, axis=1)
@@ -431,7 +423,7 @@ class TestBatchedOraclesMatchPerRow:
                        rng.uniform(-3, 3, (4000, 2)),
                        rng.uniform(-40, 40, (1000, 2))])
         diff = X[:, None, :] - spec.mean_array()
-        log_w = np.log(np.maximum(np.asarray(spec.weights), 1e-300))
+        log_w = np.log(1.0 / spec.n_components)
         log_comp = log_w - (diff ** 2).sum(axis=2) / (2.0 * spec.sigma ** 2)
         want = np.exp(log_comp - logsumexp(log_comp, axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
