@@ -75,31 +75,26 @@ def erasure_rate(samples: np.ndarray, target: int,
 
 
 def mmd2(X: np.ndarray, Y: np.ndarray) -> float:
-    """Unbiased MMD^2 estimate between two sample batches under the KID
-    kernel k(x, y) = (x.y/d + 1)^3 on raw vectors.
+    """Unbiased MMD^2 estimate between two batches of equal size under the
+    KID kernel k(x, y) = (x.y/d + 1)^3 on raw vectors.
 
-    Equal batch sizes use the paired U-statistic, whose summand cancels
-    exactly when X and Y coincide; unequal sizes fall back to the
-    off-diagonal within-batch means minus twice the cross mean. Either
-    way the estimate is unbiased and may be slightly negative.
+    The paired U-statistic's summand cancels exactly when X and Y
+    coincide; the estimate may be slightly negative.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     if X.shape[1] != Y.shape[1]:
         raise StructuralError(f"dimension mismatch: {X.shape[1]} vs {Y.shape[1]}")
-    m, n = X.shape[0], Y.shape[0]
-    if m < 2 or n < 2:
-        raise StructuralError(f"need at least 2 samples per batch, got {m} and {n}")
+    m = X.shape[0]
+    if m != Y.shape[0] or m < 2:
+        raise StructuralError(f"need two batches of one size >= 2, got "
+                              f"{m} and {Y.shape[0]}")
     d = X.shape[1]
     k_xx, k_yy, k_xy = ((A @ B.T / d + 1.0) ** 3
                         for A, B in ((X, X), (Y, Y), (X, Y)))
-    if m == n:
-        paired = k_xx + k_yy - k_xy - k_xy.T
-        np.fill_diagonal(paired, 0.0)
-        return float(paired.sum() / (m * (m - 1)))
-    off_xx = (k_xx.sum() - np.trace(k_xx)) / (m * (m - 1))
-    off_yy = (k_yy.sum() - np.trace(k_yy)) / (n * (n - 1))
-    return float(off_xx + off_yy - 2.0 * k_xy.mean())
+    paired = k_xx + k_yy - k_xy - k_xy.T
+    np.fill_diagonal(paired, 0.0)
+    return float(paired.sum() / (m * (m - 1)))
 
 
 def ssim(img_a: np.ndarray, img_b: np.ndarray) -> float:

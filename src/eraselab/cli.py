@@ -101,20 +101,27 @@ def _generate(cfg, n_per_concept, seed):
     return gen(spec, n_per_concept, seed=seed)
 
 
-def _check_meta(cfg, path, meta) -> None:
+def _check_header(cfg, path, meta, model) -> None:
     """ConfigError unless the checkpoint's mode, vocab and schedule are the
-    config's."""
+    config's and the model it declares takes the mode's width and the
+    vocab's concepts."""
     expected = _checkpoint_meta(cfg, None)
     for key in ("mode", "vocab", "schedule"):
         if meta.get(key) != expected[key]:
             raise ConfigError(f"{path}: checkpoint {key} {meta.get(key)!r} "
                               f"does not match the config's {expected[key]!r}")
+    for key, want in (("input_dim", cfg.input_dim()),
+                      ("n_concepts", len(expected["vocab"]))):
+        if model[key] != want:
+            raise ConfigError(f"{path}: checkpoint model {key} {model[key]} "
+                              f"does not match the config's {want}")
 
 
 def _read_checkpoint(cfg, path):
-    """Read a checkpoint whose mode, vocab and schedule match the config."""
+    """Read a checkpoint that _check_header accepts for the config."""
     params, meta = ps.read_checkpoint(path)
-    _check_meta(cfg, path, meta)
+    _check_header(cfg, path, meta, {"input_dim": params.shape.input_dim,
+                                    "n_concepts": params.n_concepts})
     return params, meta
 
 
@@ -188,7 +195,7 @@ def cmd_train_base(args) -> int:
 
 
 def cmd_erase(args) -> int:
-    cfg, vocab, [(base, _)] = _load(args, "base")
+    cfg, _, [(base, _)] = _load(args, "base")
     ecfg = cfg.erase if args.seed is None \
         else dataclasses.replace(cfg.erase, seed=args.seed)
     meta = _checkpoint_meta(cfg, "erased", {
@@ -204,7 +211,7 @@ def cmd_erase(args) -> int:
                                 os.path.join(ckpt_dir, name))
 
         model, log = er.erase_finetune(base, ecfg, cfg.schedule(),
-                                       cfg.sampler(), vocab, write_snapshot)
+                                       cfg.sampler(), write_snapshot)
         ps.write_checkpoint(model, meta, os.path.join(out, "erased.ssrg"))
         rp.write_csv(os.path.join(out, "loss.csv"),
                      ("iteration", "t_index", "concept", "penalty", "total"),
@@ -263,7 +270,8 @@ def cmd_eval(args) -> int:
         [os.path.join(ckpt_dir, f) for f in sorted(os.listdir(ckpt_dir))
          if f.endswith(".ssrg")]
     for path in snapshots or ():
-        _check_meta(cfg, path, ps.read_checkpoint_header(path)["meta"])
+        header = ps.read_checkpoint_header(path)
+        _check_header(cfg, path, header["meta"], header["model"])
     with _out_dir(args, cfg, {"eval": cfg.seed}) as out:
         method = args.method or model_meta.get("loss_kind", "ours")
         oracle, non_targets, consistency = _scorer(cfg, vocab, base)
@@ -287,7 +295,7 @@ def cmd_eval(args) -> int:
         if snapshots is not None:
             timeline = {"iterations": [], "rates": []}
             for k, path in enumerate(snapshots):
-                snapshot, meta = _read_checkpoint(cfg, path)
+                snapshot, meta = ps.read_checkpoint(path)
                 timeline["iterations"].append(int(meta.get("iteration", k)))
                 timeline["rates"].append(_rate(snapshot, cfg, oracle,
                                                erase_set[0], args.timeline_n))
@@ -328,7 +336,7 @@ def cmd_sweep_lambda(args) -> int:
         rows = []
         for name, ecfg in runs.items():
             model, _ = er.erase_finetune(base, ecfg, cfg.schedule(),
-                                         cfg.sampler(), vocab,
+                                         cfg.sampler(),
                                          lambda iteration, snapshot: None)
             meta = _checkpoint_meta(cfg, "erased", {
                 "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed})

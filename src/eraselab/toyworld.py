@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -36,24 +36,13 @@ KNOWN_SHAPES = ("circle", "square", "cross", "triangle", "stripes")
 
 @dataclass(frozen=True)
 class ConceptVocab:
-    """Ordered concept names with a reserved unconditional token.
-
-    A concept's id is its position, 0..K-1; the null token gets the
-    distinct id K.
-    """
+    """Ordered concept names; a concept's id is its position, 0..K-1, and
+    a model over K concepts gives the null token the id K."""
 
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise ConfigError(f"duplicate concept names: {list(self.names)}")
-
     @property
     def size(self) -> int:
-        return len(self.names)
-
-    @property
-    def null_id(self) -> int:
         return len(self.names)
 
     def id_of(self, name: str) -> int:
@@ -61,16 +50,6 @@ class ConceptVocab:
             raise ConfigError(f"unknown concept name {name!r}; "
                               f"known: {list(self.names)}")
         return self.names.index(name)
-
-    def validate_id(self, concept_id: int, allow_null: bool = False) -> None:
-        limit = self.size + (1 if allow_null else 0)
-        if not 0 <= concept_id < limit:
-            raise ConfigError(f"concept id {concept_id} out of range "
-                              f"(K={self.size}, null={self.null_id})")
-
-    @staticmethod
-    def from_names(names: Sequence[str]) -> "ConceptVocab":
-        return ConceptVocab(tuple(names))
 
 
 @dataclass(frozen=True)
@@ -80,12 +59,6 @@ class PointMixtureSpec:
 
     means: tuple[tuple[float, float], ...]
     sigma: float
-
-    def __post_init__(self):
-        if len(self.means) == 0:
-            raise ConfigError("mixture needs at least one component")
-        if self.sigma <= 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
 
     @property
     def n_components(self) -> int:
@@ -101,11 +74,6 @@ class GlyphSpec:
     by the GLYPH_* constants."""
 
     shape_kinds: tuple[str, ...]
-
-    def __post_init__(self):
-        for kind in self.shape_kinds:
-            if kind not in KNOWN_SHAPES:
-                raise ConfigError(f"unknown shape kind {kind!r}; known: {KNOWN_SHAPES}")
 
     @property
     def n_concepts(self) -> int:
@@ -137,14 +105,14 @@ def default_points_vocab() -> tuple[ConceptVocab, PointMixtureSpec]:
     """Eight equal-weight concepts, sigma 0.15, means on the unit circle: well
     separated, so erasure-rate changes come from fine-tuning, not the oracle."""
     n_concepts = 8
-    vocab = ConceptVocab.from_names([f"c{i}" for i in range(n_concepts)])
+    vocab = ConceptVocab(tuple(f"c{i}" for i in range(n_concepts)))
     angles = 2.0 * np.pi * np.arange(n_concepts) / n_concepts
     means = tuple((float(np.cos(a)), float(np.sin(a))) for a in angles)
     return vocab, PointMixtureSpec(means=means, sigma=0.15)
 
 
 def default_glyph_vocab() -> tuple[ConceptVocab, GlyphSpec]:
-    return ConceptVocab.from_names(KNOWN_SHAPES), GlyphSpec(shape_kinds=KNOWN_SHAPES)
+    return ConceptVocab(KNOWN_SHAPES), GlyphSpec(shape_kinds=KNOWN_SHAPES)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +121,6 @@ def default_glyph_vocab() -> tuple[ConceptVocab, GlyphSpec]:
 
 def gen_points2d(spec: PointMixtureSpec, n_per_concept: int, seed: int) -> Dataset:
     """Draw n_per_concept i.i.d. points from each labeled component."""
-    if n_per_concept < 1:
-        raise ConfigError(f"n_per_concept must be >= 1, got {n_per_concept}")
     rng = np.random.default_rng(seed)
     means = spec.mean_array()
     k = spec.n_components
@@ -208,8 +174,6 @@ def canonical_template(spec: GlyphSpec, concept_id: int) -> np.ndarray:
 
 def gen_glyphs(spec: GlyphSpec, n_per_concept: int, seed: int) -> Dataset:
     """Render jittered glyphs; each sample is a flattened image in [0,1]^256."""
-    if n_per_concept < 1:
-        raise ConfigError(f"n_per_concept must be >= 1, got {n_per_concept}")
     rng = np.random.default_rng(seed)
     k = spec.n_concepts
     center = (GLYPH_RESOLUTION - 1) / 2.0

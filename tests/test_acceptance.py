@@ -71,9 +71,8 @@ def mean_consistency(base_ends, model, sched, sampler):
 
 
 @pytest.fixture(scope="module")
-def erase_run(points_base, points_world, sched, sampler):
+def erase_run(points_base, sched, sampler):
     """Memoized erase fine-tunes on the points base model."""
-    vocab, _, _ = points_world
     cache = {}
 
     def get(loss_kind, trainable, lam, seed):
@@ -87,7 +86,7 @@ def erase_run(points_base, points_world, sched, sampler):
                                        loss_kind=loss_kind, trainable=trainable,
                                        lr=2e-3, seed=seed)
             cache[key] = er.erase_finetune(points_base, cfg, sched, sampler,
-                                           vocab, oracles.drop_snapshot)[0]
+                                           oracles.drop_snapshot)[0]
         return cache[key]
 
     return get
@@ -407,13 +406,13 @@ def test_criterion_10_lambda_tradeoff_ordering(announce, points_world, sched,
 
 def test_criterion_11_concept_purification(announce, glyphs_world, glyphs_base,
                                            sched, sampler):
-    vocab, spec, dataset = glyphs_world
+    _, spec, dataset = glyphs_world
     cfg = oracles.erase_config(erase_set=(0,), instructions=GLYPH_INSTRUCTIONS,
                                lam=0.0, n_iters=200,
                                warmup=gd.WarmupRule(5, "literal", T_SAMPLE),
                                loss_kind="ours", trainable=None, lr=2e-3,
                                seed=0)
-    erased, _ = er.erase_finetune(glyphs_base, cfg, sched, sampler, vocab,
+    erased, _ = er.erase_finetune(glyphs_base, cfg, sched, sampler,
                                   oracles.drop_snapshot)
 
     def flip_fraction(model):

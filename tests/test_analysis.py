@@ -51,21 +51,16 @@ class TestErasureRate:
 
 
 def mmd2_loops(X, Y, k):
-    """Literal double-loop evaluation of the estimator."""
-    m, n = len(X), len(Y)
-    if m == n:
-        total = 0.0
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                total += (k(X[i], X[j]) + k(Y[i], Y[j])
-                          - k(X[i], Y[j]) - k(X[j], Y[i]))
-        return total / (m * (m - 1))
-    xx = sum(k(X[i], X[j]) for i in range(m) for j in range(m) if i != j)
-    yy = sum(k(Y[i], Y[j]) for i in range(n) for j in range(n) if i != j)
-    xy = sum(k(X[i], Y[j]) for i in range(m) for j in range(n))
-    return xx / (m * (m - 1)) + yy / (n * (n - 1)) - 2 * xy / (m * n)
+    """Literal double-loop evaluation of the paired estimator."""
+    m = len(X)
+    total = 0.0
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            total += (k(X[i], X[j]) + k(Y[i], Y[j])
+                      - k(X[i], Y[j]) - k(X[j], Y[i]))
+    return total / (m * (m - 1))
 
 
 def kid_kernel(a, b):
@@ -87,11 +82,15 @@ class TestMmd2:
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_matches_double_loop_polynomial_unequal_sizes(self):
+        # Unequal batches are rejected rather than estimated; cut to one
+        # size, the same draws match the double-loop oracle.
         rng = np.random.default_rng(3)
         X = rng.standard_normal((10, 4))
         Y = rng.standard_normal((15, 4)) + 0.3
-        got = an.mmd2(X, Y)
-        want = mmd2_loops(X, Y, kid_kernel)
+        with pytest.raises(StructuralError):
+            an.mmd2(X, Y)
+        got = an.mmd2(X, Y[:10])
+        want = mmd2_loops(X, Y[:10], kid_kernel)
         np.testing.assert_allclose(got, want, rtol=1e-10)
 
     def test_permutation_null_has_zero_mean(self):
@@ -110,6 +109,10 @@ class TestMmd2:
             an.mmd2(np.zeros((4, 2)), np.zeros((4, 3)))
         with pytest.raises(StructuralError):
             an.mmd2(np.zeros((1, 2)), np.zeros((4, 2)))
+        with pytest.raises(StructuralError):
+            an.mmd2(np.zeros((1, 2)), np.zeros((1, 2)))
+        with pytest.raises(StructuralError):
+            an.mmd2(np.zeros((10, 4)), np.zeros((15, 4)))
 
 
 def ssim_loops(a, b, window):

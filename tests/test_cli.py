@@ -452,6 +452,17 @@ class TestPipelineArtifacts:
         assert (out_a / "dataset.csv").read_bytes() == \
             (out_b / "dataset.csv").read_bytes()
 
+    def test_train_base_generating_its_data_matches_gen_data(self, pipeline,
+                                                            tmp_path):
+        """train-base without --data trains on what gen-data would write:
+        the pipeline's base came from gen-data --n 20 and train-base --data."""
+        assert cli.main(["train-base", "--config", str(pipeline["config"]),
+                         "--n", "20", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "train_loss.csv").read_bytes() == \
+            (pipeline["base"] / "train_loss.csv").read_bytes()
+        assert payload_sha256(tmp_path / "base.ssrg") == \
+            payload_sha256(pipeline["base"] / "base.ssrg")
+
     def test_verify_theory_passes_on_defaults(self, pipeline, tmp_path):
         assert cli.main(["verify-theory", "--config", str(pipeline["config"]),
                          "--out", str(tmp_path)]) == 0
@@ -569,6 +580,7 @@ class TestExitCodes:
         ("gen-data", "run", "seed", "-5"),
         ("gen-data", "base", "seed", "-1"),
         ("gen-data", "instruction.a", "kappa", "nan"),
+        ("gen-data", "erase", "replacement", "c3"),
     ])
     def test_out_of_range_hyperparameter_is_config(self, pipeline, tmp_path,
                                                    capsys, command, section,
@@ -645,6 +657,52 @@ class TestExitCodes:
         assert code == 1
         assert f"checkpoint {field} " in capsys.readouterr().err
         assert not (tmp_path / "o" / "samples.csv").exists()
+
+    # Each way a command reads a checkpoint: the flag's command and its
+    # arguments, BAD standing for the checkpoint under test.
+    CHECKPOINT_READS = {
+        "sample": ["sample", "--model", "BAD", "--concept", "c0", "--n", "2"],
+        "invert": ["invert", "--model", "BAD", "--data", "DATA"],
+        "erase": ["erase", "--base", "BAD"],
+        "sweep-lambda": ["sweep-lambda", "--base", "BAD", "--values", "5"],
+        "eval-base": ["eval", "--base", "BAD", "--model", "ERASED"],
+        "eval-model": ["eval", "--base", "BASE", "--model", "BAD"],
+        "eval-snapshot": ["eval", "--base", "BASE", "--model", "ERASED",
+                          "--checkpoints", "SNAPSHOTS"],
+    }
+
+    @pytest.mark.parametrize("field,input_dim,n_concepts,want", [
+        ("n_concepts", 2, 5, 8), ("input_dim", 3, 8, 2)],
+        ids=["n_concepts", "input_dim"])
+    @pytest.mark.parametrize("read", sorted(CHECKPOINT_READS))
+    def test_checkpoint_model_config_mismatch_is_config(
+            self, pipeline, tmp_path, capsys, read, field, input_dim,
+            n_concepts, want):
+        """A checkpoint whose meta is the config's but whose header declares
+        another width or concept count fails before --out is made."""
+        cfg = persistence.load_config(pipeline["config"])
+        snapshots = tmp_path / "checkpoints"
+        snapshots.mkdir()
+        bad = snapshots / "iter_0004.ssrg"
+        params = nnet.init_params(
+            nnet.NetworkShape(input_dim=input_dim, hidden=(8,)), n_concepts,
+            seed=0)
+        persistence.write_checkpoint(params, cli._checkpoint_meta(cfg, "base"),
+                                     bad)
+        paths = {"BAD": bad, "SNAPSHOTS": snapshots,
+                 "DATA": pipeline["data"] / "dataset.csv",
+                 "BASE": pipeline["base"] / "base.ssrg",
+                 "ERASED": pipeline["erased"] / "erased.ssrg"}
+        command, *args = self.CHECKPOINT_READS[read]
+        code = cli.main([command, "--config", str(pipeline["config"]),
+                         *(str(paths.get(a, a)) for a in args),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        got = {"n_concepts": n_concepts, "input_dim": input_dim}[field]
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: {bad}: checkpoint model {field} {got} does not "
+            f"match the config's {want}"]
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file_is_io(self, tmp_path):
         code = cli.main(["gen-data", "--config", str(tmp_path / "none.ini"),

@@ -168,16 +168,6 @@ class TestTrainBase:
                 e_c, _ = oracles.forward(uncond_base, z, t, c)
                 assert np.linalg.norm(e_c - e_u) < 0.05
 
-    def test_empty_dataset_rejected(self, sched):
-        dataset = tw.Dataset(np.zeros((0, 2)), np.zeros(0, dtype=int),
-                             n_concepts=2)
-        with pytest.raises(ConfigError):
-            df.train_base(dataset,
-                          nnet.NetworkShape(input_dim=2,
-                                            hidden=oracles.POINTS_HIDDEN),
-                          sched, steps=1, p_uncond=0.1, seed=0, lr=1e-3,
-                          batch_size=64, loss_log=[])
-
 
 class TestSample:
     def test_seed_determinism(self, points_base, sched, sampler):

@@ -11,7 +11,6 @@ from eraselab import erasure as er
 from eraselab import guidance as gd
 from eraselab import nnet
 from eraselab import persistence
-from eraselab import toyworld as tw
 from eraselab.errors import ConfigError
 
 import oracles
@@ -28,10 +27,6 @@ def tiny_setup(seed=0, n_concepts=3):
 # The sampler of the erase runs below: 10 steps over the 20-step schedules
 # of tiny_setup and oracle_setup.
 SAMPLER = df.SamplerConfig.uniform(10, 20)
-
-
-def small_vocab(n=3):
-    return tw.ConceptVocab.from_names(tuple("abcdefgh"[:n]))
 
 
 def run_config(**overrides):
@@ -120,16 +115,6 @@ class TestEraseConfig:
         params, _ = tiny_setup()
         mask = run_config().mask_for(params.tensor_names())
         assert all(n in mask for n in params.tensor_names())
-
-    def test_id_validation_against_vocab(self):
-        vocab = small_vocab(3)
-        with pytest.raises(ConfigError):
-            run_config(erase_set=(3,)).validate_ids(vocab)
-        with pytest.raises(ConfigError):
-            run_config(instructions=(gd.InstructionConcept(7, 1.0, 1, 10, 0.5),)
-                       ).validate_ids(vocab)
-        run_config(instructions=window_instructions()).validate_ids(vocab)
-
 
 class TestConceptLoss:
     def test_matched_models_no_delta_zero_loss_zero_grad(self):
@@ -469,9 +454,8 @@ class TestResidualTriangleBound:
 class TestEraseFinetune:
     def test_zero_learning_rate_is_identity(self):
         base, sched = tiny_setup()
-        vocab = small_vocab()
         cfg = run_config(n_iters=1, lr=0.0)
-        student, _ = er.erase_finetune(base, cfg, sched, SAMPLER, vocab,
+        student, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
                                        oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(student.get_tensor(name),
@@ -481,8 +465,7 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         snapshot = base.copy()
         cfg = run_config(n_iters=5, instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
-                          oracles.drop_snapshot)
+        er.erase_finetune(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(base.get_tensor(name),
                                           snapshot.get_tensor(name))
@@ -492,7 +475,7 @@ class TestEraseFinetune:
         cfg = run_config(n_iters=5, trainable=("embed",),
                          instructions=window_instructions())
         student, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                       small_vocab(), oracles.drop_snapshot)
+                                       oracles.drop_snapshot)
         for name in base.tensor_names():
             if name == "embed":
                 assert np.abs(student.get_tensor(name)
@@ -504,9 +487,9 @@ class TestEraseFinetune:
     def test_same_seed_same_result(self):
         base, sched = tiny_setup()
         cfg = run_config(n_iters=6, instructions=window_instructions())
-        a, _ = er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
+        a, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
                                  oracles.drop_snapshot)
-        b, _ = er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
+        b, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
                                  oracles.drop_snapshot)
         for name in a.tensor_names():
             np.testing.assert_array_equal(a.get_tensor(name), b.get_tensor(name))
@@ -517,7 +500,7 @@ class TestEraseFinetune:
                          instructions=window_instructions())
         snapshots = []
         _, log = er.erase_finetune(
-            base, cfg, sched, SAMPLER, small_vocab(),
+            base, cfg, sched, SAMPLER,
             lambda it, student: snapshots.append((it, student.flat.copy())))
         assert len(log) == 12
         assert [it for it, _ in snapshots] == [5, 10]
@@ -530,25 +513,8 @@ class TestEraseFinetune:
         for kind in ("esd", "sdd"):
             cfg = run_config(n_iters=3, loss_kind=kind)
             _, log = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                       small_vocab(), oracles.drop_snapshot)
+                                       oracles.drop_snapshot)
             assert all(b.penalty == 0.0 for _, _, b in log)
-
-    def test_sega_warmup_must_match_sampler_length(self):
-        base, sched = tiny_setup()
-        cfg = run_config(n_iters=3, instructions=window_instructions(),
-                         warmup=gd.WarmupRule(2, "sega", sampler_T=10))
-        er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
-                          oracles.drop_snapshot)
-        bad = run_config(n_iters=3, warmup=gd.WarmupRule(2, "sega", sampler_T=35))
-        with pytest.raises(ConfigError):
-            er.erase_finetune(base, bad, sched, SAMPLER, small_vocab(),
-                              oracles.drop_snapshot)
-
-    def test_vocab_size_mismatch_rejected(self):
-        base, sched = tiny_setup()
-        with pytest.raises(ConfigError):
-            er.erase_finetune(base, run_config(), sched, SAMPLER,
-                              small_vocab(5), oracles.drop_snapshot)
 
     @pytest.mark.parametrize("kind", ["ours", "esd"])
     def test_one_two_row_forward_per_target_and_per_step(self, kind,
@@ -572,8 +538,7 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=5, loss_kind=kind,
                          instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
-                          oracles.drop_snapshot)
+        er.erase_finetune(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
         assert rows == [2] * 10
         assert backwards == [2] * 5
 
@@ -741,7 +706,7 @@ class TestTeacherPassOracle:
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
         want, losses, _ = sequential_erase(base, cfg, sched, SAMPLER)
-        got, log = er.erase_finetune(base, cfg, sched, SAMPLER, small_vocab(),
+        got, log = er.erase_finetune(base, cfg, sched, SAMPLER,
                                      oracles.drop_snapshot)
         # a penalty near 0 can differ from the oracle's by more than its
         # own size, so the losses are compared as one vector per kind
@@ -787,7 +752,7 @@ def test_erase_memory_does_not_grow_with_snapshots(tmp_path):
     tracemalloc.start()
     try:
         er.erase_finetune(base, cfg.erase, cfg.schedule(), cfg.sampler(),
-                          vocab, lambda it, student: taken.append(it))
+                          lambda it, student: taken.append(it))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
