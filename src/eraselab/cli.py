@@ -95,12 +95,6 @@ def _checkpoint_meta(cfg, kind, extra=None) -> dict:
     }
 
 
-def _generate(cfg, n_per_concept, seed):
-    _, spec = cfg.vocab_and_spec()
-    gen = tw.gen_points2d if cfg.mode == "points2d" else tw.gen_glyphs
-    return gen(spec, n_per_concept, seed=seed)
-
-
 def _check_header(cfg, path, meta, model) -> None:
     """ConfigError unless the checkpoint's mode, vocab and schedule are the
     config's and the model it declares takes the mode's width and the
@@ -163,8 +157,10 @@ def _scorer(cfg, vocab, base):
 
 def cmd_gen_data(args) -> int:
     cfg, _, _ = _load(args)
+    _, spec = cfg.vocab_and_spec()
     seed = cfg.seed if args.seed is None else args.seed
-    dataset = _generate(cfg, args.n, seed)
+    gen = tw.gen_points2d if cfg.mode == "points2d" else tw.gen_glyphs
+    dataset = gen(spec, args.n, seed=seed)
     with _out_dir(args, cfg, {"dataset": seed}) as out:
         tw.dataset_to_csv(dataset, os.path.join(out, "dataset.csv"))
     print(f"wrote {len(dataset.labels)} samples to {args.out}/dataset.csv")
@@ -173,13 +169,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train_base(args) -> int:
     cfg, vocab, _ = _load(args)
-    data_seed = cfg.seed if args.seed is None else args.seed
-    if args.data is not None:
-        dataset = tw.dataset_from_csv(args.data, cfg.mode, vocab.size)
-    else:
-        dataset = _generate(cfg, args.n, data_seed)
-    with _out_dir(args, cfg, {"dataset": data_seed,
-                              "train": cfg.base_seed}) as out:
+    dataset = tw.dataset_from_csv(args.data, cfg.mode, vocab.size)
+    with _out_dir(args, cfg, {"train": cfg.base_seed}) as out:
         loss_log = []
         model = df.train_base(dataset, cfg.network_shape(), cfg.schedule(),
                               steps=cfg.base_steps, p_uncond=cfg.base_p_uncond,
@@ -259,19 +250,33 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg, vocab, [(base, _), (model, model_meta)] = _load(args, "base", "model")
-    ckpt_dir = args.checkpoints
-    if ckpt_dir is None:
-        sibling = os.path.join(os.path.dirname(os.path.abspath(args.model)),
-                               "checkpoints")
-        ckpt_dir = sibling if os.path.isdir(sibling) else None
-    snapshots = None if ckpt_dir is None else \
-        [os.path.join(ckpt_dir, f) for f in sorted(os.listdir(ckpt_dir))
-         if f.endswith(".ssrg")]
-    for path in snapshots or ():
+def _timeline_snapshots(cfg, model_path):
+    """(iteration, path) of each snapshot in the checkpoints/ directory that
+    erase writes next to model_path, in the order of the iterations their
+    metas record, each header checked against the config; None when there
+    is no such directory."""
+    ckpt_dir = os.path.join(os.path.dirname(os.path.abspath(model_path)),
+                            "checkpoints")
+    if not os.path.isdir(ckpt_dir):
+        return None
+    snapshots = []
+    for name in sorted(os.listdir(ckpt_dir)):
+        if not name.endswith(".ssrg"):
+            continue
+        path = os.path.join(ckpt_dir, name)
         header = ps.read_checkpoint_header(path)
         _check_header(cfg, path, header["meta"], header["model"])
+        try:
+            iteration = ps._count(header["meta"].get("iteration"), least=0)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: snapshot iteration: {exc}") from exc
+        snapshots.append((iteration, path))
+    return sorted(snapshots)
+
+
+def cmd_eval(args) -> int:
+    cfg, vocab, [(base, _), (model, model_meta)] = _load(args, "base", "model")
+    snapshots = _timeline_snapshots(cfg, args.model)
     with _out_dir(args, cfg, {"eval": cfg.seed}) as out:
         method = args.method or model_meta.get("loss_kind", "ours")
         oracle, non_targets, consistency = _scorer(cfg, vocab, base)
@@ -293,12 +298,10 @@ def cmd_eval(args) -> int:
 
         timeline = None
         if snapshots is not None:
-            timeline = {"iterations": [], "rates": []}
-            for k, path in enumerate(snapshots):
-                snapshot, meta = ps.read_checkpoint(path)
-                timeline["iterations"].append(int(meta.get("iteration", k)))
-                timeline["rates"].append(_rate(snapshot, cfg, oracle,
-                                               erase_set[0], args.timeline_n))
+            timeline = {"iterations": [it for it, _ in snapshots],
+                        "rates": [_rate(ps.read_checkpoint(path)[0], cfg,
+                                        oracle, erase_set[0], args.timeline_n)
+                                  for _, path in snapshots]}
 
         ps.write_json(os.path.join(out, "metrics.json"),
                       {"method": method,
@@ -403,9 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=500, help="samples per concept")
 
     p = add("train-base", cmd_train_base, "train the base model")
-    p.add_argument("--data", default=None, help="dataset CSV (default: generate)")
-    p.add_argument("--n", type=int, default=500, help="samples per concept "
-                   "when generating")
+    p.add_argument("--data", required=True, help="dataset CSV (from gen-data)")
 
     p = add("erase", cmd_erase, "fine-tune a concept away from a base model")
     p.add_argument("--base", required=True, help="base checkpoint")
@@ -431,11 +432,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="samples per erased concept (default: config)")
     p.add_argument("--drift-n", type=int, default=200,
                    help="batch size per side for the drift metric")
-    p.add_argument("--checkpoints", default=None,
-                   help="snapshot directory for the erasure timeline "
-                        "(default: 'checkpoints' next to the model)")
     p.add_argument("--timeline-n", type=int, default=100,
-                   help="samples per snapshot for the timeline")
+                   help="samples per snapshot for the timeline of the "
+                        "'checkpoints' directory next to the model")
 
     p = add("sweep-lambda", cmd_sweep_lambda, "erase at several lambda values")
     p.add_argument("--base", required=True, help="base checkpoint")
@@ -454,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run directories containing metrics.json")
     p.set_defaults(handler=cmd_report)
 
-    for name in ("gen-data", "train-base", "erase", "sample"):
+    for name in ("gen-data", "erase", "sample"):
         sub.choices[name].add_argument("--seed", type=int, default=None,
                                        help="override the config seed")
 

@@ -43,14 +43,12 @@ from . import nnet
 from .errors import ConfigError, NumericalError
 
 LOSS_KINDS = ("ours", "esd", "sdd")
-REPLACEMENT_MODES = ("delta", "explicit")
 
 
 @dataclass(frozen=True)
 class EraseConfig:
     erase_set: tuple[int, ...]
     instructions: tuple[gd.InstructionConcept, ...]
-    replacement_mode: str
     replacement_id: Optional[int]
     gamma1: float
     gamma2: float
@@ -67,15 +65,11 @@ class EraseConfig:
     def __post_init__(self):
         if len(self.erase_set) == 0:
             raise ConfigError("erase_set must name at least one concept")
-        if self.replacement_mode not in REPLACEMENT_MODES:
-            raise ConfigError(f"unknown replacement mode {self.replacement_mode!r}")
-        if (self.replacement_mode == "explicit") != (self.replacement_id is not None):
-            raise ConfigError(f"explicit replacement mode needs a replacement "
-                              f"concept, and no other mode takes one; got mode "
-                              f"{self.replacement_mode!r}, replacement_id "
-                              f"{self.replacement_id}")
         if self.loss_kind not in LOSS_KINDS:
             raise ConfigError(f"unknown loss kind {self.loss_kind!r}")
+        if self.replacement_id is not None and self.loss_kind != "ours":
+            raise ConfigError(f"a replacement concept needs loss kind 'ours', "
+                              f"got {self.loss_kind!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.n_iters < 1:
@@ -122,8 +116,8 @@ def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
     Row r is evaluated at sampler index t_index[r], schedule timestep
     schedule_t[r] and concept c[r]; scalars apply to every row.
     anchor = eps_teacher(z, null) is the penalty's target. target is, for
-    ours, gamma1 * the teacher's class direction (under c plus delta in
-    delta mode; under the replacement concept, no delta, in explicit mode);
+    ours, gamma1 * the teacher's class direction (under c plus delta; under
+    the replacement concept, no delta, when cfg names one);
     for esd, eps_u - gamma1 * (eps_c - eps_u); for sdd, eps_u.
 
     eps_u and eps_c come row by row from the two-row call of student_step.
@@ -133,17 +127,15 @@ def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
     once.
     """
     Z = np.asarray(z_t, dtype=np.float64)
-    ours = cfg.loss_kind == "ours"
-    teacher_c = cfg.replacement_id if ours \
-        and cfg.replacement_mode == "explicit" else c
+    teacher_c = c if cfg.replacement_id is None else cfg.replacement_id
     t_rows = np.broadcast_to(schedule_t, (len(Z),))
     c_rows = np.broadcast_to(teacher_c, (len(Z),))
     eps = np.array([_null_and_concept(teacher, z, t, k)[0]
                     for z, t, k in zip(Z, t_rows, c_rows)])
     e_u, e_c = eps[:, 0], eps[:, 1]
-    if ours:
+    if cfg.loss_kind == "ours":
         target = cfg.gamma1 * (e_c - e_u)
-        if cfg.replacement_mode == "delta" and cfg.instructions:
+        if cfg.replacement_id is None and cfg.instructions:
             target = target + gd.delta(cfg.instructions, Z, t_index, schedule_t,
                                        teacher, cfg.warmup)
     elif cfg.loss_kind == "esd":
@@ -218,7 +210,7 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
         concept[k] = cfg.erase_set[rng.integers(0, len(cfg.erase_set))]
         Z_T[k] = rng.standard_normal(teacher.shape.input_dim)
     rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
-        and cfg.replacement_mode == "delta" else ()
+        and cfg.replacement_id is None else ()
     guid = gd.rollout_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
     z_t = np.empty_like(Z_T)
 

@@ -342,7 +342,6 @@ _ROWS = tuple(_Row(*row) for row in (
     ("erase", "seed", "erase.seed", _int, 0, _NON_NEGATIVE),
     ("erase", "t_warmup", "erase.warmup.t_warmup", _int, 5, None),
     ("erase", "warmup_style", "erase.warmup.style", None, "literal", None),
-    ("erase", "replacement_mode", "erase.replacement_mode", None, "delta", None),
     ("erase", "replacement", "erase.replacement_id", _concept, None, None),
     ("metrics", "threshold", "threshold", _float, 0.7, _UNIT),
     ("metrics", "eval_gamma", "eval_gamma", _float, 7.5, _FINITE),

@@ -54,7 +54,7 @@ def erase_config(**fields) -> EraseConfig:
     5, 200 iterations, lr 2e-3) with no instructions and warmup_rule();
     fields, erase_set among them, override."""
     return EraseConfig(**{
-        "instructions": (), "replacement_mode": "delta", "replacement_id": None,
+        "instructions": (), "replacement_id": None,
         "gamma1": 7.5, "gamma2": 7.5, "lam": 5.0, "n_iters": 200,
         "warmup": warmup_rule(), "loss_kind": "ours",
         "trainable": None, "lr": 2e-3, "weight_decay": 0.0,

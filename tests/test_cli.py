@@ -37,7 +37,7 @@ consistency_seeds = 0,1,2
 # sega warmup gate with decoupled weight decay on a partial AdamW mask.
 ERASE_VARIANTS = {
     "erased-esd": "loss_kind = esd\n",
-    "erased-explicit": "replacement_mode = explicit\nreplacement = c2\n",
+    "erased-explicit": "replacement = c2\n",
     "erased-sdd": "loss_kind = sdd\n",
     "erased-sega": "warmup_style = sega\nweight_decay = 0.01\n"
                    "trainable = embed,w3,b3\n",
@@ -54,7 +54,7 @@ GLYPH_CONFIG = "[run]\nmode = glyphs16\n" + TINY_CONFIG.replace(
 # fixture and the keys of its manifest's seeds.
 MANIFESTS = [
     ("gen-data", "data", {"dataset"}),
-    ("train-base", "base", {"dataset", "train"}),
+    ("train-base", "base", {"train"}),
     ("erase", "erased", {"erase"}),
     ("sample", "sample", {"sample"}),
     ("invert", "invert", set()),
@@ -231,6 +231,13 @@ class TestPipelineArtifacts:
                     if p.name.startswith("staging.")]
 
     @pytest.mark.parametrize("argv", [
+        ["train-base", "--config", "c.ini", "--out", "o"],
+        ["train-base", "--config", "c.ini", "--data", "d.csv", "--out", "o",
+         "--n", "20"],
+        ["train-base", "--config", "c.ini", "--data", "d.csv", "--out", "o",
+         "--seed", "1"],
+        ["eval", "--config", "c.ini", "--base", "b.ssrg", "--model", "m.ssrg",
+         "--out", "o", "--checkpoints", "snapshots"],
         ["eval", "--config", "c.ini", "--base", "b.ssrg", "--model", "m.ssrg",
          "--out", "o", "--seed", "1"],
         ["invert", "--config", "c.ini", "--model", "m.ssrg", "--data", "d.csv",
@@ -240,7 +247,8 @@ class TestPipelineArtifacts:
         ["verify-theory", "--config", "c.ini", "--out", "o", "--seed", "1"],
         ["report", "--runs", "r", "--out", "o", "--config", "c.ini"],
         ["report", "--runs", "r", "--out", "o", "--seed", "1"],
-    ], ids=["eval-seed", "invert-seed", "sweep-lambda-seed",
+    ], ids=["train-base-no-data", "train-base-n", "train-base-seed",
+            "eval-checkpoints", "eval-seed", "invert-seed", "sweep-lambda-seed",
             "verify-theory-seed", "report-config", "report-seed"])
     def test_flags_a_command_does_not_read_are_usage_errors(
             self, tmp_path, monkeypatch, argv):
@@ -380,6 +388,32 @@ class TestPipelineArtifacts:
         assert payload["timeline"]["iterations"] == [4, 8]
         assert all(0.0 <= r <= 1.0 for r in payload["timeline"]["rates"])
 
+    def test_eval_orders_the_timeline_by_recorded_iteration(self, pipeline,
+                                                            tmp_path):
+        """Snapshot names sort as text (iter_10000 before iter_2000); the
+        timeline follows the iterations their metas record."""
+        shutil.copy(pipeline["erased"] / "erased.ssrg", tmp_path)
+        (tmp_path / "checkpoints").mkdir()
+        for source, iteration in (("iter_0004.ssrg", 2000),
+                                  ("iter_0008.ssrg", 10000)):
+            params, meta = persistence.read_checkpoint(
+                pipeline["erased"] / "checkpoints" / source)
+            persistence.write_checkpoint(
+                params, dict(meta, iteration=iteration),
+                tmp_path / "checkpoints" / f"iter_{iteration:04d}.ssrg")
+        assert cli.main(["eval", "--config", str(pipeline["config"]),
+                         "--base", str(pipeline["base"] / "base.ssrg"),
+                         "--model", str(tmp_path / "erased.ssrg"),
+                         "--out", str(tmp_path / "e"), "--n", "10",
+                         "--drift-n", "4", "--timeline-n", "20"]) == 0
+        timeline = json.loads((tmp_path / "e" / "metrics.json").read_text())[
+            "timeline"]
+        assert timeline["iterations"] == [2000, 10000]
+        # each rate stays with its snapshot: the pipeline's eval scored
+        # iter_0004 and iter_0008 at the same --timeline-n
+        scored = json.loads((pipeline["eval"] / "metrics.json").read_text())
+        assert timeline["rates"] == scored["timeline"]["rates"]
+
     def test_eval_reruns_byte_identical(self, pipeline, tmp_path):
         assert cli.main(["eval", "--config", str(pipeline["config"]),
                          "--base", str(pipeline["base"] / "base.ssrg"),
@@ -451,17 +485,6 @@ class TestPipelineArtifacts:
                              "--out", str(out), "--n", "5"]) == 0
         assert (out_a / "dataset.csv").read_bytes() == \
             (out_b / "dataset.csv").read_bytes()
-
-    def test_train_base_generating_its_data_matches_gen_data(self, pipeline,
-                                                            tmp_path):
-        """train-base without --data trains on what gen-data would write:
-        the pipeline's base came from gen-data --n 20 and train-base --data."""
-        assert cli.main(["train-base", "--config", str(pipeline["config"]),
-                         "--n", "20", "--out", str(tmp_path)]) == 0
-        assert (tmp_path / "train_loss.csv").read_bytes() == \
-            (pipeline["base"] / "train_loss.csv").read_bytes()
-        assert payload_sha256(tmp_path / "base.ssrg") == \
-            payload_sha256(pipeline["base"] / "base.ssrg")
 
     def test_verify_theory_passes_on_defaults(self, pipeline, tmp_path):
         assert cli.main(["verify-theory", "--config", str(pipeline["config"]),
@@ -586,8 +609,12 @@ class TestExitCodes:
                                                    capsys, command, section,
                                                    key, value):
         bad = tmp_path / "bad.ini"
-        name = "name = c0\n" if section.startswith("instruction") else ""
-        bad.write_text(f"[{section}]\n{name}{key} = {value}\n")
+        # the line each case needs beside its key: an instruction's name, a
+        # loss that takes no replacement
+        beside = {("instruction.a", "kappa"): "name = c0\n",
+                  ("erase", "replacement"): "loss_kind = esd\n"}
+        bad.write_text(f"[{section}]\n{beside.get((section, key), '')}"
+                       f"{key} = {value}\n")
         inputs = {"gen-data": [],
                   "train-base": ["--data", str(pipeline["data"] / "dataset.csv")],
                   "erase": ["--base", str(pipeline["base"] / "base.ssrg")]}[command]
@@ -659,7 +686,9 @@ class TestExitCodes:
         assert not (tmp_path / "o" / "samples.csv").exists()
 
     # Each way a command reads a checkpoint: the flag's command and its
-    # arguments, BAD standing for the checkpoint under test.
+    # arguments, BAD standing for the checkpoint under test. BAD lies in a
+    # checkpoints/ directory next to SIBLING, a copy of the pipeline's
+    # erased model, so eval of SIBLING reads BAD as a timeline snapshot.
     CHECKPOINT_READS = {
         "sample": ["sample", "--model", "BAD", "--concept", "c0", "--n", "2"],
         "invert": ["invert", "--model", "BAD", "--data", "DATA"],
@@ -667,8 +696,7 @@ class TestExitCodes:
         "sweep-lambda": ["sweep-lambda", "--base", "BAD", "--values", "5"],
         "eval-base": ["eval", "--base", "BAD", "--model", "ERASED"],
         "eval-model": ["eval", "--base", "BASE", "--model", "BAD"],
-        "eval-snapshot": ["eval", "--base", "BASE", "--model", "ERASED",
-                          "--checkpoints", "SNAPSHOTS"],
+        "eval-snapshot": ["eval", "--base", "BASE", "--model", "SIBLING"],
     }
 
     @pytest.mark.parametrize("field,input_dim,n_concepts,want", [
@@ -689,7 +717,8 @@ class TestExitCodes:
             seed=0)
         persistence.write_checkpoint(params, cli._checkpoint_meta(cfg, "base"),
                                      bad)
-        paths = {"BAD": bad, "SNAPSHOTS": snapshots,
+        shutil.copy(pipeline["erased"] / "erased.ssrg", tmp_path)
+        paths = {"BAD": bad, "SIBLING": tmp_path / "erased.ssrg",
                  "DATA": pipeline["data"] / "dataset.csv",
                  "BASE": pipeline["base"] / "base.ssrg",
                  "ERASED": pipeline["erased"] / "erased.ssrg"}
@@ -774,19 +803,20 @@ class TestExitCodes:
         assert f"run {bad}:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("snapshot,code", [("junk", 4), ("glyph-mode", 1)])
+    @pytest.mark.parametrize("snapshot,code", [("junk", 4), ("glyph-mode", 1),
+                                               ("bad-iteration", 1)])
     def test_bad_timeline_snapshot_fails_before_sampling(
             self, pipeline, tmp_path, monkeypatch, capsys, snapshot, code):
-        snapshots = tmp_path / "checkpoints"
-        snapshots.mkdir()
-        for path in (pipeline["erased"] / "checkpoints").iterdir():
-            (snapshots / path.name).write_bytes(path.read_bytes())
-        bad = snapshots / "iter_9999.ssrg"
+        shutil.copytree(pipeline["erased"], tmp_path / "erased")
+        bad = tmp_path / "erased" / "checkpoints" / "iter_9999.ssrg"
         if snapshot == "junk":
             bad.write_bytes(b"JUNKJUNKJUNKJUNK")
         else:
-            params, meta = persistence.read_checkpoint(snapshots / "iter_0004.ssrg")
-            persistence.write_checkpoint(params, dict(meta, mode="glyphs16"), bad)
+            params, meta = persistence.read_checkpoint(bad.with_name(
+                "iter_0004.ssrg"))
+            edit = {"glyph-mode": {"mode": "glyphs16"},
+                    "bad-iteration": {"iteration": "ten"}}[snapshot]
+            persistence.write_checkpoint(params, dict(meta, **edit), bad)
 
         def no_sampling(*args, **kwargs):
             raise AssertionError("eval sampled before checking its snapshots")
@@ -795,8 +825,7 @@ class TestExitCodes:
         monkeypatch.setattr(cli.an, "consistency_endpoints", no_sampling)
         assert cli.main(["eval", "--config", str(pipeline["config"]),
                          "--base", str(pipeline["base"] / "base.ssrg"),
-                         "--model", str(pipeline["erased"] / "erased.ssrg"),
-                         "--checkpoints", str(snapshots),
+                         "--model", str(tmp_path / "erased" / "erased.ssrg"),
                          "--out", str(tmp_path / "o")]) == code
         assert "iter_9999.ssrg" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
@@ -909,7 +938,6 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command,args,named", [
         ("gen-data", ["--n", "0"], "--n:"),
-        ("train-base", ["--n", "0"], "--n:"),
         ("sample", ["--model", "BASE", "--concept", "c0", "--n", "0"], "--n:"),
         ("eval", ["--base", "BASE", "--model", "ERASED", "--n", "0"], "--n:"),
         ("eval", ["--base", "BASE", "--model", "ERASED", "--drift-n", "1"],
@@ -919,7 +947,7 @@ class TestExitCodes:
         ("sweep-lambda", ["--base", "BASE", "--n", "0"], "--n:"),
         ("invert", ["--model", "BASE", "--data", "EMPTY"], "empty.csv:"),
         ("invert", ["--model", "BASE", "--data", "HEADER"], "no rows"),
-    ], ids=["gen-data-n", "train-base-n", "sample-n", "eval-n", "eval-drift-n",
+    ], ids=["gen-data-n", "sample-n", "eval-n", "eval-drift-n",
             "eval-timeline-n", "sweep-n", "invert-empty-csv",
             "invert-header-only-csv"])
     def test_bad_count_or_empty_data_is_config(self, pipeline, tmp_path, capsys,
@@ -969,6 +997,33 @@ class TestInvertMatchesPerSample:
             assert np.abs(latents.samples[i] - z_T).max() \
                 <= 1e-9 * np.abs(z_T).max()
             assert abs(float(recon[i]["rel_l2"]) - rel) <= 5e-6 * rel
+
+
+def readme_command_lines():
+    """The arguments of each `eraselab` line in the README's command-line
+    section (its usage block and its typical pipeline): brackets dropped,
+    S read as 0, lines continued with a backslash joined."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Command line\n", 1)[1].split("\n## ", 1)[0]
+    blocks = "\n".join(section.split("```")[1::2]).replace("\\\n", " ")
+    return [["0" if word == "S" else word
+             for word in line.replace("[", "").replace("]", "").split()[1:]]
+            for line in blocks.splitlines() if line.startswith("eraselab ")]
+
+
+def test_readme_command_lines_parse():
+    """The command-line counterpart of test_readme_example_config_loads:
+    every command line the README shows is one the parser takes."""
+    argvs = readme_command_lines()
+    parser = cli.build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README shows a line the parser rejects: "
+                        f"eraselab {' '.join(argv)}")
+    assert {argv[0] for argv in argvs} == \
+        {command for command, _, _ in MANIFESTS} | {"inspect"}
 
 
 class TestInspect:

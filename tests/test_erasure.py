@@ -81,17 +81,17 @@ class TestEraseConfig:
         with pytest.raises(ConfigError):
             oracles.erase_config(erase_set=())
 
-    def test_unknown_mode_and_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            oracles.erase_config(erase_set=(0,), replacement_mode="swap")
+    def test_unknown_loss_kind_rejected(self):
         with pytest.raises(ConfigError):
             oracles.erase_config(erase_set=(0,), loss_kind="mystery")
 
-    def test_explicit_mode_needs_replacement_id(self):
-        with pytest.raises(ConfigError):
-            oracles.erase_config(erase_set=(0,), replacement_mode="explicit")
-        oracles.erase_config(erase_set=(0,), replacement_mode="explicit",
-                             replacement_id=1)
+    def test_replacement_needs_the_ours_loss(self):
+        oracles.erase_config(erase_set=(0,), replacement_id=1)
+        for kind in ("esd", "sdd"):
+            oracles.erase_config(erase_set=(0,), loss_kind=kind)
+            with pytest.raises(ConfigError, match="replacement"):
+                oracles.erase_config(erase_set=(0,), loss_kind=kind,
+                                     replacement_id=1)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ConfigError):
@@ -142,8 +142,7 @@ class TestConceptLoss:
 
     def test_explicit_replacement_closed_form(self):
         params, _ = tiny_setup()
-        cfg = run_config(replacement_mode="explicit", replacement_id=2,
-                         gamma1=3.0, gamma2=3.0)
+        cfg = run_config(replacement_id=2, gamma1=3.0, gamma2=3.0)
         z = np.array([0.4, -1.1])
         e_c, _ = oracles.forward(params, z, 6, 0)
         e_r, _ = oracles.forward(params, z, 6, 2)
@@ -415,13 +414,12 @@ class TestStudentStep:
     def test_exact_zero_residuals_at_the_teacher(self, mode):
         """A student equal to the teacher reproduces the teacher's eps bit
         for bit: the penalty is exactly 0, so it adds exactly nothing to the
-        gradient, and in delta mode without instructions so is the concept
-        residual. This needs teacher_targets to make the step's two-row
-        call; batch-1 calls round differently."""
+        gradient, and without a replacement ("delta") or instructions so is
+        the concept residual. This needs teacher_targets to make the step's
+        two-row call; batch-1 calls round differently."""
         base, sched = oracle_setup()
-        extra = {} if mode == "delta" else dict(replacement_mode="explicit",
-                                                replacement_id=2)
-        cfg = run_config(n_iters=24, erase_set=(0, 1), **extra)
+        cfg = run_config(n_iters=24, erase_set=(0, 1),
+                         replacement_id=None if mode == "delta" else 2)
         teacher = er._teacher_pass(base, cfg, sched, SAMPLER)
         for k in range(cfg.n_iters):
             state = (base, teacher.z_t[k], int(teacher.schedule_t[k]),
@@ -551,13 +549,13 @@ def sequential_targets(teacher, cfg, z, t_index, schedule_t, c):
     e_t_u, _ = oracles.forward(teacher, z, schedule_t, teacher.null_id)
     if cfg.loss_kind == "sdd":
         return e_t_u, e_t_u
-    explicit = cfg.loss_kind == "ours" and cfg.replacement_mode == "explicit"
     e_t_c, _ = oracles.forward(teacher, z, schedule_t,
-                               cfg.replacement_id if explicit else c)
+                               c if cfg.replacement_id is None
+                               else cfg.replacement_id)
     if cfg.loss_kind == "esd":
         return e_t_u - cfg.gamma1 * (e_t_c - e_t_u), e_t_u
     target = cfg.gamma1 * (e_t_c - e_t_u)
-    if cfg.replacement_mode == "delta" and cfg.instructions:
+    if cfg.replacement_id is None and cfg.instructions:
         target = target + sequential_delta(cfg.instructions, z, t_index,
                                            schedule_t, teacher, cfg.warmup)
     return target, e_t_u
@@ -602,7 +600,7 @@ def sequential_erase(base, cfg, sched, sampler):
                                       weight_decay=cfg.weight_decay)
     ours = cfg.loss_kind == "ours"
     rollout_ins = cfg.instructions if ours \
-        and cfg.replacement_mode == "delta" else ()
+        and cfg.replacement_id is None else ()
     guid = sequential_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
     rng = np.random.default_rng(cfg.seed)
     losses, rows = [], []
@@ -652,7 +650,7 @@ def oracle_setup():
 
 SLOW_PATH_CASES = {
     "ours-delta": dict(instructions=window_instructions(0.75), lam=2.0),
-    "ours-explicit": dict(replacement_mode="explicit", replacement_id=2,
+    "ours-explicit": dict(replacement_id=2,
                           instructions=window_instructions(0.75)),
     "esd": dict(loss_kind="esd"),
     "sdd": dict(loss_kind="sdd"),
@@ -691,7 +689,7 @@ class TestTeacherPassOracle:
                  for _ in range(cfg.n_iters)]
         t_index, c, Z_T = (np.array(col) for col in zip(*draws))
         rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
-            and cfg.replacement_mode == "delta" else ()
+            and cfg.replacement_id is None else ()
         guid = gd.rollout_guidance(base, cfg.gamma1, rollout_ins, cfg.warmup)
         _, states, _ = oracles.descend_recorded(Z_T, SAMPLER, sched, c, guid,
                                                 int(t_index.min()))

@@ -451,9 +451,12 @@ class TestLoadConfig:
             persistence.load_config(path)
 
     def test_unknown_key_rejected_with_path(self, tmp_path):
-        path = write_config(tmp_path, "[erase]\ngamma3 = 1\n")
-        with pytest.raises(ConfigError, match=r"\[erase\] gamma3"):
-            persistence.load_config(path)
+        # a replacement takes one key, [erase] replacement, and no mode
+        for key in ("gamma3", "replacement_mode"):
+            path = write_config(tmp_path, f"[erase]\n{key} = explicit\n")
+            with pytest.raises(ConfigError,
+                               match=rf"\[erase\] {key}: unknown key"):
+                persistence.load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(tmp_path, "[extras]\nx = 1\n")
@@ -507,12 +510,16 @@ class TestLoadConfig:
         assert cfg.erase.trainable == ("embed", "w1", "b1")
 
     def test_explicit_replacement_resolves_name(self, tmp_path):
-        path = write_config(tmp_path,
-                            "[erase]\nreplacement_mode = explicit\n"
-                            "replacement = c2\n")
+        path = write_config(tmp_path, "[erase]\nreplacement = c2\n")
         cfg = persistence.load_config(path)
-        assert cfg.erase.replacement_mode == "explicit"
         assert cfg.erase.replacement_id == 2
+
+    @pytest.mark.parametrize("kind", ["esd", "sdd"])
+    def test_replacement_needs_the_ours_loss(self, tmp_path, kind):
+        path = write_config(tmp_path, f"[erase]\nloss_kind = {kind}\n"
+                                      f"replacement = c2\n")
+        with pytest.raises(ConfigError, match=r"\[erase\] replacement: "):
+            persistence.load_config(path)
 
     def test_hyperparameter_range_edges_accepted(self, tmp_path):
         path = write_config(tmp_path, "[base]\nsteps = 1\nbatch_size = 1\n"
@@ -573,13 +580,12 @@ lambda = 2.5
 n_iters = 50
 lr = 1e-3
 weight_decay = 0.01
-loss_kind = sdd
+loss_kind = ours
 trainable = embed,w0
 snapshot_every = 5
 seed = 7
 t_warmup = 3
 warmup_style = sega
-replacement_mode = explicit
 replacement = triangle
 [metrics]
 threshold = 0.8
@@ -608,7 +614,7 @@ DEFAULT_SNAPSHOT = {
                    "kappa": 0.95},
                   {"concept_id": 1, "g": 6.5, "t_high": 12, "t_low": 35,
                    "kappa": 0.95}],
-              "replacement_mode": "delta", "replacement_id": None,
+              "replacement_id": None,
               "gamma1": 7.5, "gamma2": 7.5, "lambda": 5.0, "n_iters": 200,
               "t_warmup": 5, "warmup_style": "literal", "loss_kind": "ours",
               "trainable": None, "lr": 0.002, "weight_decay": 0.0,
@@ -628,9 +634,9 @@ EVERY_KEY_SNAPSHOT = {
               "instructions": [
                   {"concept_id": 2, "g": -5.0, "t_high": 4, "t_low": 27,
                    "kappa": 0.9}],
-              "replacement_mode": "explicit", "replacement_id": 3,
+              "replacement_id": 3,
               "gamma1": 6.0, "gamma2": 5.5, "lambda": 2.5, "n_iters": 50,
-              "t_warmup": 3, "warmup_style": "sega", "loss_kind": "sdd",
+              "t_warmup": 3, "warmup_style": "sega", "loss_kind": "ours",
               "trainable": ["embed", "w0"], "lr": 0.001,
               "weight_decay": 0.01, "snapshot_every": 5, "seed": 7},
     "metrics": {"threshold": 0.8, "eval_gamma": 6.0, "n_samples": 100,
