@@ -187,8 +187,7 @@ def cmd_train_base(args) -> int:
 
 def cmd_erase(args) -> int:
     cfg, _, [(base, _)] = _load(args, "base")
-    ecfg = cfg.erase if args.seed is None \
-        else dataclasses.replace(cfg.erase, seed=args.seed)
+    ecfg = cfg.erase
     meta = _checkpoint_meta(cfg, "erased", {
         "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed,
         "base": os.fspath(args.base)})
@@ -201,8 +200,8 @@ def cmd_erase(args) -> int:
             ps.write_checkpoint(snapshot, dict(meta, iteration=iteration),
                                 os.path.join(ckpt_dir, name))
 
-        model, log = er.erase_finetune(base, ecfg, cfg.schedule(),
-                                       cfg.sampler(), write_snapshot)
+        teacher = er.teacher_pass(base, ecfg, cfg.schedule(), cfg.sampler())
+        model, log = er.erase_finetune(base, teacher, ecfg, write_snapshot)
         ps.write_checkpoint(model, meta, os.path.join(out, "erased.ssrg"))
         rp.write_csv(os.path.join(out, "loss.csv"),
                      ("iteration", "t_index", "concept", "penalty", "total"),
@@ -336,10 +335,11 @@ def cmd_sweep_lambda(args) -> int:
         runs[f"{lam:g}"] = ecfg
     with _out_dir(args, cfg, {"erase": cfg.erase.seed}) as out:
         oracle, _, consistency = _scorer(cfg, vocab, base)
+        teacher = er.teacher_pass(base, cfg.erase, cfg.schedule(),
+                                  cfg.sampler())
         rows = []
         for name, ecfg in runs.items():
-            model, _ = er.erase_finetune(base, ecfg, cfg.schedule(),
-                                         cfg.sampler(),
+            model, _ = er.erase_finetune(base, teacher, ecfg,
                                          lambda iteration, snapshot: None)
             meta = _checkpoint_meta(cfg, "erased", {
                 "loss_kind": ecfg.loss_kind, "lambda": ecfg.lam, "seed": ecfg.seed})
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run directories containing metrics.json")
     p.set_defaults(handler=cmd_report)
 
-    for name in ("gen-data", "erase", "sample"):
+    for name in ("gen-data", "sample"):
         sub.choices[name].add_argument("--seed", type=int, default=None,
                                        help="override the config seed")
 

@@ -19,11 +19,11 @@ eps(z, c), so one iteration of the student is one forward over the rows
 the same two-row call at each state, so a student equal to the teacher
 reproduces them bit for bit.
 
-Nothing the teacher computes depends on the student, so erase_finetune
+Nothing the teacher computes depends on the student, so teacher_pass
 computes the teacher's side of every iteration first: all rollouts as one
 batched descent, then the targets at every rollout state. The descent keeps
 one state per iteration, taken as it passes that iteration's t, and no
-trajectory. The sequential loop keeps only the student step and AdamW.
+trajectory. erase_finetune takes the pass and runs the student steps alone.
 
 Each snapshot goes to the caller's on_snapshot when the loop takes it, and
 the loop keeps no list of them, so a run holds one student at a time
@@ -189,9 +189,9 @@ class TeacherPass:
     anchor: np.ndarray      # (n_iters, d) eps_teacher(z_t, null)
 
 
-def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
-                  sched: df.NoiseSchedule,
-                  sampler: df.SamplerConfig) -> TeacherPass:
+def teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
+                 sched: df.NoiseSchedule,
+                 sampler: df.SamplerConfig) -> TeacherPass:
     """Draw (t_index, c, z_T) for every iteration in the loop's RNG order,
     roll all rows down in one descent, then take every row's targets.
 
@@ -229,22 +229,21 @@ def _teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
     return TeacherPass(t_index, concept, schedule_t, z_t, target, anchor)
 
 
-def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
-                   sched: df.NoiseSchedule, sampler: df.SamplerConfig,
+def erase_finetune(base: nnet.Parameters, teacher: TeacherPass,
+                   cfg: EraseConfig,
                    on_snapshot: Callable[[int, nnet.Parameters], None]
                    ) -> tuple[nnet.Parameters, list]:
-    """Guided fine-tuning loop.
-
-    Per iteration: t ~ U{1..T} in sampler-index space, c ~ erase set, fresh
-    x_T ~ N(0, I); the frozen teacher rolls down to x_t under guided
-    prediction, the student's losses and their gradient are evaluated at x_t
-    (student_step), and the student takes one AdamW step. The teacher's side
-    of all iterations is computed up front (_teacher_pass). Every
-    cfg.snapshot_every iterations the loop calls on_snapshot(iteration,
-    student) and keeps nothing of the snapshot, so the caller decides
-    whether to write it, keep it (the parameters are never written again)
-    or drop it. Returns the student and one (iteration, t_index,
-    LossBreakdown) row per iteration.
+    """Guided fine-tuning loop over a built teacher pass: per row of
+    teacher, the student's losses and their gradient at the row's x_t
+    (student_step), then one AdamW step. The loop never writes into
+    teacher, so runs may share one; teacher must come from base and from a
+    config that differs from cfg only in student values (gamma2, lam, lr,
+    weight_decay, trainable, snapshot_every). Every cfg.snapshot_every
+    iterations the loop calls on_snapshot(iteration, student) and keeps
+    nothing of the snapshot, so the caller decides whether to write it,
+    keep it (the parameters are never written again) or drop it. Returns
+    the student and one (iteration, t_index, LossBreakdown) row per
+    iteration.
 
     cfg's concept ids are taken as ids of base's concepts: the config
     loader resolves them by name in the vocab, and the command line checks
@@ -257,10 +256,9 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
     mask = cfg.mask_for(student.tensor_names())
     state = nnet.OptimizerState.fresh(student, lr=cfg.lr,
                                       weight_decay=cfg.weight_decay)
-    teacher = _teacher_pass(base, cfg, sched, sampler)
     log = []
 
-    for k in range(cfg.n_iters):
+    for k in range(len(teacher.t_index)):
         it, z_t = k + 1, teacher.z_t[k]
         schedule_t, c = int(teacher.schedule_t[k]), int(teacher.concept[k])
         breakdown, grads = student_step(student, z_t, schedule_t, c,
@@ -271,6 +269,6 @@ def erase_finetune(base: nnet.Parameters, cfg: EraseConfig,
         except NumericalError as exc:
             raise NumericalError(f"iteration {it}: {exc}") from exc
         log.append((it, int(teacher.t_index[k]), breakdown))
-        if cfg.snapshot_every and it % cfg.snapshot_every == 0:
+        if it % cfg.snapshot_every == 0:
             on_snapshot(it, student)
     return student, log

@@ -11,7 +11,8 @@ own, the frozen-model eps columns and CFG closure as forward_batch calls,
 the nearest-rank percentile, the exact score and Bayes rate of a Gaussian
 mixture, and the dataset CSV writer through csv.writer. Also the operating
 point that tests build configs from when a value does not matter to them,
-and a snapshot callback for erase runs whose snapshots do not matter: the
+a snapshot callback for erase runs whose snapshots do not matter, and one
+erase run from its config (erasure.erase_finetune takes a built pass): the
 package's constructors take every value explicitly, and the
 run-configuration table in persistence is the only default the package
 itself keeps.
@@ -29,7 +30,7 @@ from scipy.special import logsumexp
 from eraselab import nnet
 from eraselab.diffusion import (GuidanceFn, NoiseSchedule, SamplerConfig,
                                 conditional_eps, ddim_step)
-from eraselab.erasure import EraseConfig
+from eraselab.erasure import EraseConfig, erase_finetune, teacher_pass
 from eraselab.errors import ConfigError, NumericalError, StructuralError
 from eraselab.guidance import WarmupRule, _nearest_rank, cfg_compose
 from eraselab.toyworld import Dataset, PointMixtureSpec
@@ -63,6 +64,14 @@ def erase_config(**fields) -> EraseConfig:
 
 def drop_snapshot(iteration, student) -> None:
     """An on_snapshot for erasure.erase_finetune that keeps nothing."""
+
+
+def erase(base: nnet.Parameters, cfg: EraseConfig, sched: NoiseSchedule,
+          sampler: SamplerConfig, on_snapshot):
+    """One erase run as the command line's erase makes it: the teacher pass
+    of base and cfg, then erasure.erase_finetune over it."""
+    return erase_finetune(base, teacher_pass(base, cfg, sched, sampler), cfg,
+                          on_snapshot)
 
 
 # ---------------------------------------------------------------------------

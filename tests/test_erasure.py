@@ -420,7 +420,7 @@ class TestStudentStep:
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, erase_set=(0, 1),
                          replacement_id=None if mode == "delta" else 2)
-        teacher = er._teacher_pass(base, cfg, sched, SAMPLER)
+        teacher = er.teacher_pass(base, cfg, sched, SAMPLER)
         for k in range(cfg.n_iters):
             state = (base, teacher.z_t[k], int(teacher.schedule_t[k]),
                      int(teacher.concept[k]), teacher.target[k],
@@ -453,8 +453,8 @@ class TestEraseFinetune:
     def test_zero_learning_rate_is_identity(self):
         base, sched = tiny_setup()
         cfg = run_config(n_iters=1, lr=0.0)
-        student, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                       oracles.drop_snapshot)
+        student, _ = oracles.erase(base, cfg, sched, SAMPLER,
+                                   oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(student.get_tensor(name),
                                           base.get_tensor(name))
@@ -463,7 +463,7 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         snapshot = base.copy()
         cfg = run_config(n_iters=5, instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
+        oracles.erase(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
         for name in base.tensor_names():
             np.testing.assert_array_equal(base.get_tensor(name),
                                           snapshot.get_tensor(name))
@@ -472,8 +472,8 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=5, trainable=("embed",),
                          instructions=window_instructions())
-        student, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                       oracles.drop_snapshot)
+        student, _ = oracles.erase(base, cfg, sched, SAMPLER,
+                                   oracles.drop_snapshot)
         for name in base.tensor_names():
             if name == "embed":
                 assert np.abs(student.get_tensor(name)
@@ -485,10 +485,8 @@ class TestEraseFinetune:
     def test_same_seed_same_result(self):
         base, sched = tiny_setup()
         cfg = run_config(n_iters=6, instructions=window_instructions())
-        a, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                 oracles.drop_snapshot)
-        b, _ = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                 oracles.drop_snapshot)
+        a, _ = oracles.erase(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
+        b, _ = oracles.erase(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
         for name in a.tensor_names():
             np.testing.assert_array_equal(a.get_tensor(name), b.get_tensor(name))
 
@@ -497,7 +495,7 @@ class TestEraseFinetune:
         cfg = run_config(n_iters=12, snapshot_every=5, lam=5.0,
                          instructions=window_instructions())
         snapshots = []
-        _, log = er.erase_finetune(
+        _, log = oracles.erase(
             base, cfg, sched, SAMPLER,
             lambda it, student: snapshots.append((it, student.flat.copy())))
         assert len(log) == 12
@@ -510,8 +508,8 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         for kind in ("esd", "sdd"):
             cfg = run_config(n_iters=3, loss_kind=kind)
-            _, log = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                       oracles.drop_snapshot)
+            _, log = oracles.erase(base, cfg, sched, SAMPLER,
+                                   oracles.drop_snapshot)
             assert all(b.penalty == 0.0 for _, _, b in log)
 
     @pytest.mark.parametrize("kind", ["ours", "esd"])
@@ -536,7 +534,7 @@ class TestEraseFinetune:
         base, sched = tiny_setup()
         cfg = run_config(n_iters=5, loss_kind=kind,
                          instructions=window_instructions())
-        er.erase_finetune(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
+        oracles.erase(base, cfg, sched, SAMPLER, oracles.drop_snapshot)
         assert rows == [2] * 10
         assert backwards == [2] * 5
 
@@ -667,7 +665,7 @@ class TestTeacherPassOracle:
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
         _, _, rows = sequential_erase(base, cfg, sched, SAMPLER)
-        batched = er._teacher_pass(base, cfg, sched, SAMPLER)
+        batched = er.teacher_pass(base, cfg, sched, SAMPLER)
         assert len(set(batched.t_index.tolist())) > 1
         for k, (t_index, c, z_t, target, anchor) in enumerate(rows):
             assert (batched.t_index[k], batched.concept[k]) == (t_index, c)
@@ -693,7 +691,7 @@ class TestTeacherPassOracle:
         guid = gd.rollout_guidance(base, cfg.gamma1, rollout_ins, cfg.warmup)
         _, states, _ = oracles.descend_recorded(Z_T, SAMPLER, sched, c, guid,
                                                 int(t_index.min()))
-        got = er._teacher_pass(base, cfg, sched, SAMPLER)
+        got = er.teacher_pass(base, cfg, sched, SAMPLER)
         assert np.array_equal(got.t_index, t_index)
         assert np.array_equal(got.concept, c)
         for k, t in enumerate(t_index):
@@ -704,8 +702,8 @@ class TestTeacherPassOracle:
         base, sched = oracle_setup()
         cfg = run_config(n_iters=24, **SLOW_PATH_CASES[case])
         want, losses, _ = sequential_erase(base, cfg, sched, SAMPLER)
-        got, log = er.erase_finetune(base, cfg, sched, SAMPLER,
-                                     oracles.drop_snapshot)
+        got, log = oracles.erase(base, cfg, sched, SAMPLER,
+                                 oracles.drop_snapshot)
         # a penalty near 0 can differ from the oracle's by more than its
         # own size, so the losses are compared as one vector per kind
         got_losses = [(b.concept, b.penalty) for _, _, b in log]
@@ -727,8 +725,8 @@ def test_teacher_pass_holds_no_trajectory(tmp_path):
     teacher = nnet.init_params(cfg.network_shape(), vocab.size, seed=0)
     tracemalloc.start()
     try:
-        got = er._teacher_pass(teacher, cfg.erase, cfg.schedule(),
-                               cfg.sampler())
+        got = er.teacher_pass(teacher, cfg.erase, cfg.schedule(),
+                              cfg.sampler())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -749,8 +747,8 @@ def test_erase_memory_does_not_grow_with_snapshots(tmp_path):
     taken = []
     tracemalloc.start()
     try:
-        er.erase_finetune(base, cfg.erase, cfg.schedule(), cfg.sampler(),
-                          lambda it, student: taken.append(it))
+        oracles.erase(base, cfg.erase, cfg.schedule(), cfg.sampler(),
+                      lambda it, student: taken.append(it))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
