@@ -67,7 +67,7 @@ def _out_dir(args, cfg, seeds):
             "version": f"eraselab-{__version__}",
             "created_utc": ps._utc_stamp(),
             "seeds": seeds,
-            "config": cfg.snapshot_dict() if cfg is not None else None,
+            "config": cfg.snapshot if cfg is not None else None,
         })
         # manifest.json moves last, after the artifacts it describes
         for name in sorted(os.listdir(stage), key="manifest.json".__eq__):
@@ -476,7 +476,9 @@ def main(argv=None) -> int:
         gamma = getattr(args, "gamma", None)
         if gamma is not None and not np.isfinite(gamma):
             raise ConfigError(f"--gamma: must be finite, got {gamma}")
-        return args.handler(args)
+        # an overflow surfaces as the package's NumericalError, in one line
+        with np.errstate(all="ignore"):
+            return args.handler(args)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -54,7 +54,6 @@ class EraseConfig:
     gamma2: float
     lam: float
     n_iters: int
-    warmup: gd.WarmupRule
     loss_kind: str
     trainable: Optional[tuple[str, ...]]
     lr: float
@@ -137,7 +136,7 @@ def teacher_targets(teacher: nnet.Parameters, cfg: EraseConfig, z_t: np.ndarray,
         target = cfg.gamma1 * (e_c - e_u)
         if cfg.replacement_id is None and cfg.instructions:
             target = target + gd.delta(cfg.instructions, Z, t_index, schedule_t,
-                                       teacher, cfg.warmup)
+                                       teacher)
     elif cfg.loss_kind == "esd":
         target = e_u - cfg.gamma1 * (e_c - e_u)
     else:
@@ -211,7 +210,7 @@ def teacher_pass(teacher: nnet.Parameters, cfg: EraseConfig,
         Z_T[k] = rng.standard_normal(teacher.shape.input_dim)
     rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
         and cfg.replacement_id is None else ()
-    guid = gd.rollout_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
+    guid = gd.rollout_guidance(teacher, cfg.gamma1, rollout_ins)
     z_t = np.empty_like(Z_T)
 
     def keep_and_guide(Z, sampler_index, schedule_t, c):

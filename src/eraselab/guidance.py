@@ -1,11 +1,12 @@
 """Score composition: CFG, class directions, and the erasing signal delta.
 
 delta is assembled per instruction concept from the class direction under
-the supplied (frozen) parameters, gated by a sampler-index window, a warmup
-rule, and an elementwise percentile bottleneck that keeps only the
-largest-magnitude coordinates. Windows and warmup live in sampler-index
-space (1..T of the subsampled DDIM sequence); the network itself is always
-evaluated at the corresponding schedule timestep.
+the supplied (frozen) parameters, gated by a sampler-index window and an
+elementwise percentile bottleneck that keeps only the largest-magnitude
+coordinates. Windows live in sampler-index space (1..T of the subsampled
+DDIM sequence); the config loader folds the [erase] warmup rule into each
+window. The network itself is always evaluated at the corresponding
+schedule timestep.
 
 The rollout closure composes eps_hat = eps_uncond + gamma*(eps_cond -
 eps_uncond) + delta. Note the convention gap against cfg_compose: without
@@ -53,35 +54,6 @@ class InstructionConcept:
         return (self.t_high <= t) & (t <= self.t_low)
 
 
-@dataclass(frozen=True)
-class WarmupRule:
-    """Gate on the sampler index t.
-
-    literal: active iff t >= t_warmup (the timestep-set reading).
-    sega: active iff t <= sampler_T - t_warmup, i.e. the first t_warmup
-    reverse iterations are skipped.
-    """
-
-    t_warmup: int
-    style: str
-    sampler_T: int
-
-    def __post_init__(self):
-        if self.style not in ("literal", "sega"):
-            raise ConfigError(f"unknown warmup style {self.style!r}")
-        if self.t_warmup < 0:
-            raise ConfigError(f"t_warmup must be >= 0, got {self.t_warmup}")
-        if self.t_warmup > self.sampler_T:
-            raise ConfigError(f"t_warmup {self.t_warmup} exceeds sampler_T "
-                              f"{self.sampler_T}")
-
-    def active(self, t):
-        """Whether the rule lets delta act at sampler index t (int or array)."""
-        if self.style == "literal":
-            return t >= self.t_warmup
-        return t <= self.sampler_T - self.t_warmup
-
-
 def cfg_compose(eps_uncond: np.ndarray, eps_cond: np.ndarray,
                 gamma: float) -> np.ndarray:
     """(1 + gamma) * eps_cond - gamma * eps_uncond."""
@@ -106,14 +78,14 @@ def _mask_rows(abs_delta: np.ndarray, kappa: float) -> np.ndarray:
 
 
 def _guided_terms(params: nnet.Parameters, Z: np.ndarray, sampler_index,
-                  schedule_t, c, instructions: Sequence[InstructionConcept],
-                  warmup: WarmupRule) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  schedule_t, c, instructions: Sequence[InstructionConcept]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(eps_uncond, eps_cond, delta) at states Z of shape (n, d).
 
     One nnet.eps_columns call evaluates, per row, the null token, c and the
-    concept of each instruction whose window and warmup rule are open at the
-    row's sampler index, each distinct concept once. c, sampler_index and
-    schedule_t may be scalars or per-row vectors.
+    concept of each instruction whose window is open at the row's sampler
+    index, each distinct concept once. c, sampler_index and schedule_t may
+    be scalars or per-row vectors.
 
     delta = sum over open instructions of g_c * mask * (eps(z, c'') -
     eps(z, null)), where mask keeps coordinates with |direction| at or
@@ -125,7 +97,7 @@ def _guided_terms(params: nnet.Parameters, Z: np.ndarray, sampler_index,
             raise ConfigError(f"instruction concept id {ins.concept_id} not in "
                               f"0..{params.n_concepts - 1}")
     index = np.broadcast_to(np.asarray(sampler_index), (n,))
-    gates = [ins.in_window(index) & warmup.active(index) for ins in instructions]
+    gates = [ins.in_window(index) for ins in instructions]
     e_u, e_c, *e_ins = nnet.eps_columns(
         params, Z, schedule_t, [params.null_id, c] + [
             np.where(gate, ins.concept_id, -1)
@@ -140,19 +112,17 @@ def _guided_terms(params: nnet.Parameters, Z: np.ndarray, sampler_index,
 
 
 def delta(instructions: Sequence[InstructionConcept], Z: np.ndarray,
-          sampler_index, schedule_t, params: nnet.Parameters,
-          warmup: WarmupRule) -> np.ndarray:
+          sampler_index, schedule_t, params: nnet.Parameters) -> np.ndarray:
     """Erasing signal for states Z of shape (n, d).
 
     sum over instructions of g_c * mask * (eps(z, c'') - eps(z, null)),
     where mask keeps coordinates with |direction| at or above the kappa
     percentile of the current state, and an instruction contributes only
-    when the sampler index lies in its window and the warmup rule is
-    active. The network is evaluated at schedule_t. sampler_index and
-    schedule_t may be one per row.
+    when the sampler index lies in its window. The network is evaluated at
+    schedule_t. sampler_index and schedule_t may be one per row.
     """
     return _guided_terms(params, np.asarray(Z, dtype=np.float64), sampler_index,
-                         schedule_t, params.null_id, instructions, warmup)[2]
+                         schedule_t, params.null_id, instructions)[2]
 
 
 def cfg_guidance(params: nnet.Parameters, gamma: float) -> GuidanceFn:
@@ -164,14 +134,13 @@ def cfg_guidance(params: nnet.Parameters, gamma: float) -> GuidanceFn:
 
 
 def rollout_guidance(params: nnet.Parameters, gamma1: float,
-                     instructions: Sequence[InstructionConcept],
-                     warmup: WarmupRule) -> GuidanceFn:
+                     instructions: Sequence[InstructionConcept]) -> GuidanceFn:
     """Sampling closure for the erasure rollout: eps_uncond + gamma1 *
     (eps_cond - eps_uncond) + delta, with c one concept id per row or one
     for all."""
     def guid(Z, sampler_index, schedule_t, c):
         e_u, e_c, signal = _guided_terms(params, Z, sampler_index, schedule_t,
-                                         c, instructions, warmup)
+                                         c, instructions)
         out = e_u + gamma1 * (e_c - e_u)
         if instructions:
             out = out + signal

@@ -14,11 +14,11 @@ The header is self-describing and readable without touching the payload;
 the payload keeps values bit-exact. Run configuration is a flat INI-style
 text file. One table, _ROWS (and _INSTRUCTION_ROWS), gives each key its
 field, parser, default and range rule; it drives parsing, the rejection of
-unknown names, validation and snapshot_dict. It is the only home of the
-default operating point: the constructors load_config builds from
-(EraseConfig, WarmupRule, make_linear_schedule, NetworkShape) take every
-value explicitly, and RunConfig.network_shape names each mode's widths
-when [base] hidden is unset.
+unknown names, validation and the manifest's snapshot. It is the only home
+of the default operating point: the constructors load_config builds from
+(EraseConfig, InstructionConcept, make_linear_schedule, NetworkShape) take
+every value explicitly, and RunConfig.network_shape names each mode's
+widths when [base] hidden is unset.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import configparser
 import contextlib
 import json
 import math
-import operator
 import os
 import struct
 import time
@@ -233,6 +232,7 @@ class RunConfig:
     eval_gamma: float
     n_samples: int
     consistency_seeds: tuple
+    snapshot: dict      # each value by [section] key, for the manifest
 
     def vocab_and_spec(self):
         return _WORLDS[self.mode]()
@@ -252,15 +252,6 @@ class RunConfig:
 
     def sampler(self):
         return df.SamplerConfig.uniform(self.sampler_T, self.t_train)
-
-    def snapshot_dict(self) -> dict:
-        """Every resolved value under its section and key, for the manifest."""
-        snap = {}
-        for row in _ROWS:
-            snap.setdefault(row.section, {}).update(_snapshot([row], self))
-        snap["erase"]["instructions"] = [_snapshot(_INSTRUCTION_ROWS, ins)
-                                         for ins in self.erase.instructions]
-        return snap
 
 
 def _number(kind, noun: str):
@@ -293,9 +284,14 @@ def _window_edge(raw, env) -> int:
         if not 0.0 < frac <= 1.0:
             raise ConfigError(f"fraction must lie in (0, 1], got {raw}")
         return int(frac * sampler_T)
+    return _index(raw, env)
+
+
+def _index(raw, env, least=1) -> int:
+    """An integer sampler index in least..[sampler] t_sample."""
     value = _int(raw)
-    if not 1 <= value <= sampler_T:
-        raise ConfigError(f"index {value} outside 1..{sampler_T}")
+    if not least <= value <= env["sampler_T"]:
+        raise ConfigError(f"index {value} outside {least}..{env['sampler_T']}")
     return value
 
 
@@ -321,7 +317,7 @@ _ROWS = tuple(_Row(*row) for row in (
     ("schedule", "t_train", "t_train", _int, 100, None),
     ("schedule", "beta_start", "beta_start", _float, 1e-4, None),
     ("schedule", "beta_end", "beta_end", _float, 0.04, None),
-    ("sampler", "t_sample", "sampler_T", _int, 35, None),
+    ("sampler", "t_sample", "sampler_T", _int, 35, _AT_LEAST_ONE),
     ("base", "steps", "base_steps", _int, 8000, _AT_LEAST_ONE),
     ("base", "lr", "base_lr", _float, 1e-3, _FINITE_POSITIVE),
     ("base", "batch_size", "base_batch", _int, 64, _AT_LEAST_ONE),
@@ -340,8 +336,10 @@ _ROWS = tuple(_Row(*row) for row in (
     ("erase", "trainable", "erase.trainable", _tensors, None, None),
     ("erase", "snapshot_every", "erase.snapshot_every", _int, 10, _AT_LEAST_ONE),
     ("erase", "seed", "erase.seed", _int, 0, _NON_NEGATIVE),
-    ("erase", "t_warmup", "erase.warmup.t_warmup", _int, 5, None),
-    ("erase", "warmup_style", "erase.warmup.style", None, "literal", None),
+    ("erase", "t_warmup", "warmup.t_warmup",
+     lambda raw, env: _index(raw, env, least=0), "5", None),
+    ("erase", "warmup_style", "warmup.style", None, "literal",
+     ("literal or sega", ("literal", "sega").__contains__)),
     ("erase", "replacement", "erase.replacement_id", _concept, None, None),
     ("metrics", "threshold", "threshold", _float, 0.7, _UNIT),
     ("metrics", "eval_gamma", "eval_gamma", _float, 7.5, _FINITE),
@@ -362,19 +360,10 @@ _INSTRUCTION_ROWS = tuple(_Row("instruction", *row) for row in (
 _DEFAULT_INSTRUCTIONS = (("default", {"name": 0}), ("default", {"name": 1, "g": 6.5}))
 
 
-def _snapshot(rows, obj) -> dict:
-    """Values by key; a key naming concepts holds the ids, under its field."""
-    snap = {}
-    for row in rows:
-        value = operator.attrgetter(row.field)(obj)
-        key = row.field.split(".")[-1] if row.parser in (_concept, _concepts) \
-            else row.key
-        snap[key] = list(value) if isinstance(value, tuple) else value
-    return snap
-
-
-def _value(section: str, row: _Row, raw, env: dict):
-    """Parse and range-check one value; errors are named [section] key."""
+def _value(section: str, row: _Row, raw, env: dict, snap: dict):
+    """Parse and range-check one value, and keep it in snap by its key (a
+    key naming concepts keeps the ids, under its field); errors are named
+    [section] key."""
     try:
         value = row.parser(raw, env) if row.parser and isinstance(raw, str) else raw
         items = value if isinstance(value, tuple) else (value,)
@@ -382,6 +371,9 @@ def _value(section: str, row: _Row, raw, env: dict):
             raise ConfigError(f"must be {row.check[0]}, got {value}")
     except ConfigError as exc:
         raise ConfigError(f"[{section}] {row.key}: {exc}") from exc
+    key = row.field.rpartition(".")[2] if row.parser in (_concept, _concepts) \
+        else row.key
+    snap[key] = list(value) if isinstance(value, tuple) else value
     return value
 
 
@@ -406,19 +398,24 @@ def load_config(path) -> RunConfig:
 
     Missing keys take the row defaults; unknown names, and values that a
     range rule or a constructor rejects, are errors named by [section] key.
+    The warmup rule is folded into each instruction's window: literal shuts
+    the indices below t_warmup, sega those above t_sample - t_warmup (the
+    first t_warmup reverse steps). An instruction whose window keeps no
+    index >= 1 could never act and is dropped; the snapshot keeps every
+    instruction as written.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {' '.join(str(exc).split())}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not a text file ({exc.reason})") from exc
 
-    given, instruction_sections, kw = set(), [], {"": {}}
+    given, instruction_sections, kw, snap = set(), [], {"": {}}, {}
     for section in parser.sections():
-        rows = _INSTRUCTION_ROWS if section.startswith("instruction") \
+        rows = _INSTRUCTION_ROWS if section.startswith("instruction.") \
             else [row for row in _ROWS if row.section == section]
         if not rows:
             raise ConfigError(f"[{section}]: unknown section")
@@ -432,24 +429,32 @@ def load_config(path) -> RunConfig:
     for row in _ROWS:   # field "x.y.z" goes to kw["x.y"]["z"]; kw[""] is RunConfig's
         owner, _, name = row.field.rpartition(".")
         raw = parser.get(row.section, row.key, fallback=row.default)
-        kw.setdefault(owner, {})[name] = _value(row.section, row, raw, kw[""])
-    run = kw[""]
+        kw.setdefault(owner, {})[name] = _value(row.section, row, raw, kw[""],
+                                                snap.setdefault(row.section, {}))
+    run, warmup = kw[""], kw["warmup"]
     _built(_keys("t_train", "beta_"), given, df.make_linear_schedule,
            run["t_train"], run["beta_start"], run["beta_end"])
     _built(_keys("sampler_T", "t_train"), given, df.SamplerConfig.uniform,
            run["sampler_T"], run["t_train"])
 
-    instructions = []
+    instructions, snap["erase"]["instructions"] = [], []
     for section, sec in instruction_sections or _DEFAULT_INSTRUCTIONS:
+        snap["erase"]["instructions"].append({})
         fields = {row.field: _value(section, row, sec.get(row.key, row.default),
-                                    run) for row in _INSTRUCTION_ROWS}
-        instructions.append(_built([(section, key) for key in sec if key != "name"],
-                                   given, gd.InstructionConcept, **fields))
-    warmup = _built(_keys("erase.warmup.", "sampler_T"), given, gd.WarmupRule,
-                    sampler_T=run["sampler_T"], **kw["erase.warmup"])
+                                    run, snap["erase"]["instructions"][-1])
+                  for row in _INSTRUCTION_ROWS}
+        _built([(section, key) for key in sec if key != "name"], given,
+               gd.InstructionConcept, **fields)
+        if warmup["style"] == "literal":
+            fields["t_high"] = max(fields["t_high"], warmup["t_warmup"])
+        else:
+            fields["t_low"] = min(fields["t_low"],
+                                  run["sampler_T"] - warmup["t_warmup"])
+        if fields["t_low"] >= max(fields["t_high"], 1):
+            instructions.append(gd.InstructionConcept(**fields))
     cfg = RunConfig(erase=_built(
         _keys("erase."), given, er.EraseConfig, instructions=tuple(instructions),
-        warmup=warmup, **kw["erase"]), **run)
+        **kw["erase"]), snapshot=snap, **run)
     shape = _built(_keys("base_hidden"), given, cfg.network_shape)
     # a checkpoint read later is checked again (erase_finetune), since its
     # shape need not be the config's

@@ -9,13 +9,14 @@ losses as separate batch-1 evaluations (erasure.student_step makes one
 two-row forward and one backward), the class direction evaluated on its
 own, the frozen-model eps columns and CFG closure as forward_batch calls,
 the nearest-rank percentile, the exact score and Bayes rate of a Gaussian
-mixture, and the dataset CSV writer through csv.writer. Also the operating
-point that tests build configs from when a value does not matter to them,
-a snapshot callback for erase runs whose snapshots do not matter, and one
-erase run from its config (erasure.erase_finetune takes a built pass): the
-package's constructors take every value explicitly, and the
-run-configuration table in persistence is the only default the package
-itself keeps.
+mixture, the dataset CSV writer through csv.writer, and the warmup rule as
+a gate of its own (the config loader folds it into each window). Also the
+operating point that tests build configs from when a value does not
+matter to them, a snapshot callback for erase runs whose snapshots do not
+matter, and one erase run from its config (erasure.erase_finetune takes a
+built pass): the package's constructors take every value explicitly, and
+the run-configuration table in persistence is the only default the
+package itself keeps.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from eraselab.diffusion import (GuidanceFn, NoiseSchedule, SamplerConfig,
                                 conditional_eps, ddim_step)
 from eraselab.erasure import EraseConfig, erase_finetune, teacher_pass
 from eraselab.errors import ConfigError, NumericalError, StructuralError
-from eraselab.guidance import WarmupRule, _nearest_rank, cfg_compose
+from eraselab.guidance import _nearest_rank, cfg_compose
 from eraselab.toyworld import Dataset, PointMixtureSpec
 
 # ---------------------------------------------------------------------------
@@ -43,21 +44,21 @@ from eraselab.toyworld import Dataset, PointMixtureSpec
 POINTS_HIDDEN = (128, 128, 128)
 
 
-def warmup_rule(**fields) -> WarmupRule:
-    """A WarmupRule at t_warmup 5, literal, over 35 sampler steps; fields
-    override. A literal rule reads sampler_T only to bound t_warmup."""
-    return WarmupRule(**{"t_warmup": 5, "style": "literal", "sampler_T": 35,
-                         **fields})
+def warmup_active(t, t_warmup: int, style: str, T: int) -> bool:
+    """Whether the [erase] warmup rule lets delta act at sampler index t of
+    T: literal from t_warmup up, sega up to T - t_warmup (the first
+    t_warmup reverse steps are skipped)."""
+    return t >= t_warmup if style == "literal" else t <= T - t_warmup
 
 
 def erase_config(**fields) -> EraseConfig:
     """An EraseConfig at the paper's scales (gamma1 = gamma2 = 7.5, lambda
-    5, 200 iterations, lr 2e-3) with no instructions and warmup_rule();
-    fields, erase_set among them, override."""
+    5, 200 iterations, lr 2e-3) with no instructions; fields, erase_set
+    among them, override."""
     return EraseConfig(**{
         "instructions": (), "replacement_id": None,
         "gamma1": 7.5, "gamma2": 7.5, "lam": 5.0, "n_iters": 200,
-        "warmup": warmup_rule(), "loss_kind": "ours",
+        "loss_kind": "ours",
         "trainable": None, "lr": 2e-3, "weight_decay": 0.0,
         "snapshot_every": 10, "seed": 0, **fields})
 

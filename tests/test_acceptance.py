@@ -23,10 +23,10 @@ from eraselab.errors import (ConfigError, CorruptionError, FormatError,
 
 import oracles
 
-T_SAMPLE = 35
-
-POINT_INSTRUCTIONS = (gd.InstructionConcept(0, -7.5, 1, 35, 0.5),
-                      gd.InstructionConcept(1, 6.5, 1, 35, 0.5))
+# Windows with the literal warmup of 5 folded in, as the config loader
+# builds them.
+POINT_INSTRUCTIONS = (gd.InstructionConcept(0, -7.5, 5, 35, 0.5),
+                      gd.InstructionConcept(1, 6.5, 5, 35, 0.5))
 GLYPH_INSTRUCTIONS = (gd.InstructionConcept(0, -7.5, 12, 35, 0.95),
                       gd.InstructionConcept(1, 6.5, 12, 35, 0.95))
 
@@ -83,8 +83,6 @@ def erase_run(points_base, sched, sampler):
             cfg = oracles.erase_config(erase_set=(0,),
                                        instructions=POINT_INSTRUCTIONS,
                                        lam=lam, n_iters=200,
-                                       warmup=gd.WarmupRule(5, "literal",
-                                                            T_SAMPLE),
                                        loss_kind=loss_kind, trainable=trainable,
                                        lr=2e-3, seed=seed)
             if (loss_kind, seed) not in passes:
@@ -174,30 +172,33 @@ def test_criterion_03_cfg_identities(announce):
              "on 1000 vectors, exactly")
 
 
-def test_criterion_04_erasing_signal_contract(announce):
+def test_criterion_04_erasing_signal_contract(announce, tmp_path):
     shape = nnet.NetworkShape(input_dim=6, hidden=(8,), time_embed_dim=4,
                               concept_embed_dim=4)
     params = nnet.init_params(shape, 3, seed=5)
     rng = np.random.default_rng(6)
     Z = rng.standard_normal((40, 6))
-    warmup = oracles.warmup_rule(t_warmup=1)
     ins = gd.InstructionConcept(0, -7.5, 5, 8, 0.5)
 
-    empty_ok = np.array_equal(gd.delta((), Z, 6, 12, params, warmup),
+    empty_ok = np.array_equal(gd.delta((), Z, 6, 12, params),
                               np.zeros_like(Z))
-    outside = all(np.array_equal(gd.delta((ins,), Z, idx, 12, params, warmup),
+    outside = all(np.array_equal(gd.delta((ins,), Z, idx, 12, params),
                                  np.zeros_like(Z)) for idx in (4, 9))
-    warm = oracles.warmup_rule(t_warmup=7)
-    warm_ok = np.array_equal(gd.delta((ins,), Z, 6, 12, params, warm),
+    # the same window under a literal warmup of 7, as the loader folds it
+    warm = tmp_path / "warm.ini"
+    warm.write_text("[erase]\nt_warmup = 7\n[instruction.a]\nname = c0\n"
+                    "g = -7.5\nt_high = 5\nt_low = 8\nkappa = 0.5\n")
+    warm_ins = ps.load_config(warm).erase.instructions
+    warm_ok = np.array_equal(gd.delta(warm_ins, Z, 6, 12, params),
                              np.zeros_like(Z))
 
     bound = 6 - (int(np.ceil(0.5 * 6)) - 1)
-    inside = gd.delta((ins,), Z, 6, 12, params, warmup)
+    inside = gd.delta((ins,), Z, 6, 12, params)
     counts_ok = bool(np.all((inside != 0).sum(axis=1) <= bound)) \
         and np.abs(inside).max() > 0
 
     doubled = gd.InstructionConcept(0, -15.0, 5, 8, 0.5)
-    homog_ok = np.array_equal(gd.delta((doubled,), Z, 6, 12, params, warmup),
+    homog_ok = np.array_equal(gd.delta((doubled,), Z, 6, 12, params),
                               2.0 * inside)
     ok = empty_ok and outside and warm_ok and counts_ok and homog_ok
     announce(4, "erasing-signal contract", ok,
@@ -213,8 +214,8 @@ def test_criterion_05_stop_gradient_soundness(announce):
     # lam = 0: the student step's gradient is the concept term's alone
     cfg = oracles.erase_config(
         erase_set=(0,), lam=0.0,
-        instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),
-                      gd.InstructionConcept(1, 6.5, 1, 10, 0.5)))
+        instructions=(gd.InstructionConcept(0, -7.5, 5, 10, 0.5),
+                      gd.InstructionConcept(1, 6.5, 5, 10, 0.5)))
     sched = df.make_linear_schedule(20, 1e-4, 0.02)
     h = 1e-5
     worst = 0.0
@@ -232,8 +233,7 @@ def test_criterion_05_stop_gradient_soundness(announce):
         e_t_c, _ = oracles.forward(teacher, z, schedule_t, c)
         e_t_u, _ = oracles.forward(teacher, z, schedule_t, teacher.null_id)
         target = cfg.gamma1 * (e_t_c - e_t_u) + gd.delta(
-            cfg.instructions, z[None], t_index, schedule_t, teacher,
-            cfg.warmup)[0]
+            cfg.instructions, z[None], t_index, schedule_t, teacher)[0]
 
         def frozen_loss(p):
             e_c, _ = oracles.forward(p, z, schedule_t, c)
@@ -267,7 +267,7 @@ def test_criterion_06_penalty_anchor_and_decomposition(announce):
     rng = np.random.default_rng(22)
     cfg = oracles.erase_config(
         erase_set=(0,),
-        instructions=(gd.InstructionConcept(0, -7.5, 1, 10, 0.5),))
+        instructions=(gd.InstructionConcept(0, -7.5, 5, 10, 0.5),))
 
     def step(student, z, t_index, schedule_t, lam, gamma2):
         step_cfg = dataclasses.replace(cfg, lam=lam, gamma2=gamma2)
@@ -415,7 +415,6 @@ def test_criterion_11_concept_purification(announce, glyphs_world, glyphs_base,
     _, spec, dataset = glyphs_world
     cfg = oracles.erase_config(erase_set=(0,), instructions=GLYPH_INSTRUCTIONS,
                                lam=0.0, n_iters=200,
-                               warmup=gd.WarmupRule(5, "literal", T_SAMPLE),
                                loss_kind="ours", trainable=None, lr=2e-3,
                                seed=0)
     erased, _ = oracles.erase(glyphs_base, cfg, sched, sampler,
@@ -531,7 +530,7 @@ def test_criterion_14_persistence_contract(announce, tmp_path):
     cfg = ps.load_config(empty)
     if not (cfg.erase.gamma1 == 7.5 and cfg.erase.lam == 5.0
             and cfg.erase.n_iters == 200 and cfg.sampler_T == 35
-            and cfg.erase.warmup.t_warmup == 5
+            and cfg.snapshot["erase"]["t_warmup"] == 5
             and cfg.erase.instructions[0].kappa == 0.95):
         config_ok = False
     frac = tmp_path / "frac.ini"

@@ -7,6 +7,7 @@ import math
 import os
 import shutil
 import struct
+import warnings
 import xml.etree.ElementTree as ElementTree
 from pathlib import Path
 
@@ -406,6 +407,8 @@ class TestPipelineArtifacts:
         timeline follows the iterations their metas record."""
         shutil.copy(pipeline["erased"] / "erased.ssrg", tmp_path)
         (tmp_path / "checkpoints").mkdir()
+        # eval reads only the .ssrg files there
+        (tmp_path / "checkpoints" / "notes.txt").write_text("not a snapshot")
         for source, iteration in (("iter_0004.ssrg", 2000),
                                   ("iter_0008.ssrg", 10000)):
             params, meta = persistence.read_checkpoint(
@@ -481,6 +484,21 @@ class TestPipelineArtifacts:
             texts = [el.text for el
                      in svg.iter("{http://www.w3.org/2000/svg}text")]
             assert "a<b & c" in texts, name
+
+    def test_report_leaves_missing_means_empty(self, pipeline, tmp_path):
+        """A run whose report has no drift or consistency values gets empty
+        mmd2 and consistency cells."""
+        run = tmp_path / "run"
+        run.mkdir()
+        metrics = json.loads((pipeline["eval"] / "metrics.json").read_text())
+        metrics["report"].update(drift={}, consistency={})
+        (run / "metrics.json").write_text(json.dumps(metrics))
+        assert cli.main(["report", "--runs", str(run),
+                         "--out", str(tmp_path / "r")]) == 0
+        [row] = read_rows(tmp_path / "r" / "report.csv")
+        assert (row["mmd2"], row["consistency"]) == ("", "")
+        assert row["erasure_rate"] == fmt6(
+            np.mean(list(metrics["report"]["erasure_rates"].values())))
 
     def test_report_reruns_byte_identical(self, pipeline, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -641,6 +659,7 @@ class TestExitCodes:
         ("gen-data", "erase", "snapshot_every", "-1"),
         ("gen-data", "erase", "seed", "-1"),
         ("gen-data", "erase", "t_warmup", "99"),
+        ("gen-data", "erase", "t_warmup", "-1"),
         ("gen-data", "erase", "warmup_style", "foo"),
         ("gen-data", "erase", "trainable", "w9"),
         ("gen-data", "erase", "trainable", ""),
@@ -653,6 +672,8 @@ class TestExitCodes:
         ("gen-data", "run", "seed", "-5"),
         ("gen-data", "base", "seed", "-1"),
         ("gen-data", "instruction.a", "kappa", "nan"),
+        ("gen-data", "instruction.a", "g", "inf"),
+        ("gen-data", "instruction.a", "t_low", "99"),
         ("gen-data", "erase", "replacement", "c3"),
     ])
     def test_out_of_range_hyperparameter_is_config(self, pipeline, tmp_path,
@@ -662,6 +683,8 @@ class TestExitCodes:
         # the line each case needs beside its key: an instruction's name, a
         # loss that takes no replacement
         beside = {("instruction.a", "kappa"): "name = c0\n",
+                  ("instruction.a", "g"): "name = c0\n",
+                  ("instruction.a", "t_low"): "name = c0\n",
                   ("erase", "replacement"): "loss_kind = esd\n"}
         bad.write_text(f"[{section}]\n{beside.get((section, key), '')}"
                        f"{key} = {value}\n")
@@ -695,7 +718,7 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("values", ["0,-1", "0,nan", "1,1", "1,1.0000001",
-                                        "0,-0"])
+                                        "0,-0", ","])
     def test_bad_lambda_values_fail_before_erasing(
             self, pipeline, tmp_path, monkeypatch, capsys, values):
         def no_erase(*args, **kwargs):
@@ -790,22 +813,54 @@ class TestExitCodes:
         assert code == 2
 
     def test_non_utf8_config_is_config(self, tmp_path, capsys):
+        # configparser's own message for a file without a section header
+        # spans three lines
         bad = tmp_path / "bad.ini"
-        bad.write_bytes(b"[run]\nmode = points2d\n# \xff\n")
-        code = cli.main(["gen-data", "--config", str(bad),
-                         "--out", str(tmp_path / "o")])
-        assert code == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("config error: ")
-        assert str(bad) in err[0]
-        assert not (tmp_path / "o").exists()
+        for text in (b"[run]\nmode = points2d\n# \xff\n", b"mode = points2d\n"):
+            bad.write_bytes(text)
+            code = cli.main(["gen-data", "--config", str(bad),
+                             "--out", str(tmp_path / "o")])
+            assert code == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error: "), err
+            assert str(bad) in err[0]
+            assert not (tmp_path / "o").exists()
 
-    def test_unknown_config_key_is_config(self, tmp_path):
+    def test_unknown_config_key_is_config(self, tmp_path, capsys):
         bad = tmp_path / "bad.ini"
-        bad.write_text("[erase]\ngamma9 = 1\n")
-        code = cli.main(["gen-data", "--config", str(bad),
-                         "--out", str(tmp_path / "o")])
-        assert code == 1
+        # an instruction's section is named [instruction.<label>]
+        for text, named in (("[erase]\ngamma9 = 1\n", "[erase] gamma9: "),
+                            ("[instructions]\nname = c0\n", "[instructions]: "),
+                            ("[instruction]\nname = c0\n", "[instruction]: ")):
+            bad.write_text(text)
+            code = cli.main(["gen-data", "--config", str(bad),
+                             "--out", str(tmp_path / "o")])
+            assert code == 1
+            assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,base_keys,args", [
+        ("sample", "", ["--model", "BASE", "--concept", "c0", "--n", "2",
+                        "--gamma", "1e300"]),
+        ("train-base", "lr = 1e300\n", ["--data", "DATA"]),
+    ], ids=["sample-gamma", "train-base-lr"])
+    def test_overflow_is_one_numerical_error_line(self, pipeline, tmp_path,
+                                                  capsys, command, base_keys,
+                                                  args):
+        """An overflow in the arithmetic gives NumPy no warning to print;
+        the package's finiteness check reports it, in one line."""
+        run = tmp_path / "run.ini"
+        run.write_text(TINY_CONFIG.replace("[base]\n", "[base]\n" + base_keys))
+        paths = {"BASE": pipeline["base"] / "base.ssrg",
+                 "DATA": pipeline["data"] / "dataset.csv"}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main([command, "--config", str(run),
+                             *(str(paths.get(a, a)) for a in args),
+                             "--out", str(tmp_path / "o")])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numerical error: "), err
+        assert [str(w.message) for w in caught] == []
 
     def test_unknown_concept_is_config(self, pipeline, tmp_path):
         code = cli.main(["sample", "--config", str(pipeline["config"]),
@@ -829,25 +884,31 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")])
         assert code == 1
 
+    # Each edit gives the bad run's files, by name, from the good run's
+    # parsed metrics.json.
     @pytest.mark.parametrize("edit", [
         None,
-        lambda good: "{not json",
-        lambda good: json.dumps({"method": "x"}),
-        lambda good: json.dumps(dict(good, report={})),
-        lambda good: json.dumps(dict(good, timeline={"iterations": [4, 8]})),
-        lambda good: json.dumps(dict(good, timeline={"iterations": [4, 8],
-                                                     "rates": [0.5]})),
-        lambda good: json.dumps(dict(good, method=5)),
+        lambda good: {"metrics.json": "{not json"},
+        lambda good: {"metrics.json": json.dumps({"method": "x"})},
+        lambda good: {"metrics.json": json.dumps(dict(good, report={}))},
+        lambda good: {"metrics.json": json.dumps(dict(
+            good, timeline={"iterations": [4, 8]}))},
+        lambda good: {"metrics.json": json.dumps(dict(
+            good, timeline={"iterations": [4, 8], "rates": [0.5]}))},
+        lambda good: {"metrics.json": json.dumps(dict(good, method=5))},
+        lambda good: {"metrics.json": json.dumps(good),
+                      "loss.csv": "iteration,total\n1,abc\n"},
     ], ids=["no-metrics", "junk-json", "no-report", "empty-report",
             "timeline-without-rates", "timeline-lengths-differ",
-            "non-string-method"])
+            "non-string-method", "unreadable-loss-csv"])
     def test_bad_report_run_leaves_no_out_dir(self, pipeline, tmp_path, capsys,
                                               edit):
         bad = tmp_path / "bad_run"
         bad.mkdir()
         if edit is not None:
             good = json.loads((pipeline["eval"] / "metrics.json").read_text())
-            (bad / "metrics.json").write_text(edit(good))
+            for name, text in edit(good).items():
+                (bad / name).write_text(text)
         code = cli.main(["report", "--runs", str(pipeline["eval"]), str(bad),
                          "--out", str(tmp_path / "o")])
         assert code == 1

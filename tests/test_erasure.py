@@ -36,8 +36,9 @@ def run_config(**overrides):
 
 
 def window_instructions(kappa=0.5):
-    return (gd.InstructionConcept(0, -7.5, 1, 10, kappa),
-            gd.InstructionConcept(1, 6.5, 1, 10, kappa))
+    """Windows 1..10 with a literal warmup of 5 folded in."""
+    return (gd.InstructionConcept(0, -7.5, 5, 10, kappa),
+            gd.InstructionConcept(1, 6.5, 5, 10, kappa))
 
 
 # Each loss term through the package's student step, in the (student,
@@ -135,7 +136,7 @@ class TestConceptLoss:
         rng = np.random.default_rng(2)
         for _ in range(5):
             z = rng.standard_normal(2)
-            sig = gd.delta(cfg.instructions, z[None], 7, 14, params, cfg.warmup)[0]
+            sig = gd.delta(cfg.instructions, z[None], 7, 14, params)[0]
             assert sig @ sig > 0
             loss, _ = concept_loss(params, params, z, 7, 14, 0, cfg)
             assert loss == sig @ sig
@@ -173,8 +174,7 @@ class TestConceptLoss:
             e_t_c, _ = oracles.forward(teacher, z, schedule_t, c)
             e_t_u, _ = oracles.forward(teacher, z, schedule_t, teacher.null_id)
             target = cfg.gamma1 * (e_t_c - e_t_u) + gd.delta(
-                cfg.instructions, z[None], t_index, schedule_t, teacher,
-                cfg.warmup)[0]
+                cfg.instructions, z[None], t_index, schedule_t, teacher)[0]
 
             def frozen_loss(p):
                 e_c, _ = oracles.forward(p, z, schedule_t, c)
@@ -555,16 +555,16 @@ def sequential_targets(teacher, cfg, z, t_index, schedule_t, c):
     target = cfg.gamma1 * (e_t_c - e_t_u)
     if cfg.replacement_id is None and cfg.instructions:
         target = target + sequential_delta(cfg.instructions, z, t_index,
-                                           schedule_t, teacher, cfg.warmup)
+                                           schedule_t, teacher)
     return target, e_t_u
 
 
-def sequential_delta(instructions, Z, sampler_index, schedule_t, params, warmup):
+def sequential_delta(instructions, Z, sampler_index, schedule_t, params):
     """delta with two forwards per open instruction, as before fusion."""
     Z_arr = np.atleast_2d(np.asarray(Z, dtype=np.float64))
     out = np.zeros_like(Z_arr)
     for ins in instructions:
-        if not ins.in_window(sampler_index) or not warmup.active(sampler_index):
+        if not ins.in_window(sampler_index):
             continue
         e_c = nnet.forward_batch(params, Z_arr, schedule_t, ins.concept_id)[0]
         e_u = nnet.forward_batch(params, Z_arr, schedule_t, params.null_id)[0]
@@ -574,14 +574,14 @@ def sequential_delta(instructions, Z, sampler_index, schedule_t, params, warmup)
     return out[0] if np.asarray(Z).ndim == 1 else out
 
 
-def sequential_guidance(params, gamma, instructions, warmup):
+def sequential_guidance(params, gamma, instructions):
     def guid(Z, sampler_index, schedule_t, c):
         e_u = nnet.forward_batch(params, Z, schedule_t, params.null_id)[0]
         e_c = nnet.forward_batch(params, Z, schedule_t, c)[0]
         out = e_u + gamma * (e_c - e_u)
         if instructions:
             out = out + sequential_delta(instructions, Z, sampler_index,
-                                         schedule_t, params, warmup)
+                                         schedule_t, params)
         return out
     return guid
 
@@ -599,7 +599,7 @@ def sequential_erase(base, cfg, sched, sampler):
     ours = cfg.loss_kind == "ours"
     rollout_ins = cfg.instructions if ours \
         and cfg.replacement_id is None else ()
-    guid = sequential_guidance(teacher, cfg.gamma1, rollout_ins, cfg.warmup)
+    guid = sequential_guidance(teacher, cfg.gamma1, rollout_ins)
     rng = np.random.default_rng(cfg.seed)
     losses, rows = [], []
     for _ in range(cfg.n_iters):
@@ -652,9 +652,9 @@ SLOW_PATH_CASES = {
                           instructions=window_instructions(0.75)),
     "esd": dict(loss_kind="esd"),
     "sdd": dict(loss_kind="sdd"),
-    "sega-warmup": dict(instructions=(gd.InstructionConcept(0, -7.5, 3, 10, 0.75),
-                                      gd.InstructionConcept(1, 6.5, 1, 8, 0.5)),
-                        warmup=gd.WarmupRule(4, "sega", sampler_T=10)),
+    # windows 3..10 and 1..8 with a sega warmup of 4 of 10 folded in
+    "sega-warmup": dict(instructions=(gd.InstructionConcept(0, -7.5, 3, 6, 0.75),
+                                      gd.InstructionConcept(1, 6.5, 1, 6, 0.5))),
     "two-concepts": dict(erase_set=(0, 2), instructions=window_instructions(0.75)),
 }
 
@@ -688,7 +688,7 @@ class TestTeacherPassOracle:
         t_index, c, Z_T = (np.array(col) for col in zip(*draws))
         rollout_ins = cfg.instructions if cfg.loss_kind == "ours" \
             and cfg.replacement_id is None else ()
-        guid = gd.rollout_guidance(base, cfg.gamma1, rollout_ins, cfg.warmup)
+        guid = gd.rollout_guidance(base, cfg.gamma1, rollout_ins)
         _, states, _ = oracles.descend_recorded(Z_T, SAMPLER, sched, c, guid,
                                                 int(t_index.min()))
         got = er.teacher_pass(base, cfg, sched, SAMPLER)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from eraselab import guidance as gd
-from eraselab import nnet
+from eraselab import nnet, persistence
 from eraselab.errors import ConfigError, StructuralError
 
 import oracles
@@ -16,8 +16,12 @@ def small_params(n_concepts=4, input_dim=2, seed=0):
     return nnet.init_params(shape, n_concepts, seed=seed)
 
 
-def default_warmup():
-    return gd.WarmupRule(t_warmup=5, style="literal", sampler_T=35)
+def loaded_instructions(tmp_path, text):
+    """The instructions the config loader builds from text, the [erase]
+    warmup rule folded into their windows."""
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return persistence.load_config(path).erase.instructions
 
 
 class TestCfgCompose:
@@ -111,49 +115,93 @@ class TestInstructionConcept:
 
 
 class TestWarmupRule:
-    def test_literal_gate(self):
-        rule = gd.WarmupRule(t_warmup=5, style="literal", sampler_T=35)
-        assert not rule.active(4)
-        assert rule.active(5)
-        assert rule.active(35)
+    """The [erase] warmup rule, which the config loader folds into each
+    instruction's window (sampler length 35)."""
 
-    def test_sega_gate(self):
-        rule = gd.WarmupRule(t_warmup=5, style="sega", sampler_T=35)
-        assert rule.active(30)
-        assert not rule.active(31)
-        assert rule.active(1)
+    WINDOW = "[instruction.a]\nname = c0\nt_high = 1\nt_low = 35\n"
 
-    def test_warmup_longer_than_the_sampler_rejected(self):
+    def test_literal_gate(self, tmp_path):
+        [ins] = loaded_instructions(tmp_path, "[erase]\nt_warmup = 5\n"
+                                    + self.WINDOW)
+        assert not ins.in_window(4)
+        assert ins.in_window(5)
+        assert ins.in_window(35)
+
+    def test_sega_gate(self, tmp_path):
+        [ins] = loaded_instructions(tmp_path, "[erase]\nt_warmup = 5\n"
+                                    "warmup_style = sega\n" + self.WINDOW)
+        assert ins.in_window(30)
+        assert not ins.in_window(31)
+        assert ins.in_window(1)
+
+    def test_warmup_longer_than_the_sampler_rejected(self, tmp_path):
         for style in ("literal", "sega"):
-            gd.WarmupRule(t_warmup=35, style=style, sampler_T=35)
-            with pytest.raises(ConfigError):
-                gd.WarmupRule(t_warmup=36, style=style, sampler_T=35)
+            # a warmup as long as the sampler is valid: literal leaves
+            # index 35 open, and sega shuts the window, dropping it
+            kept = loaded_instructions(
+                tmp_path, f"[erase]\nt_warmup = 35\nwarmup_style = {style}\n"
+                + self.WINDOW)
+            assert [(i.t_high, i.t_low) for i in kept] == \
+                {"literal": [(35, 35)], "sega": []}[style]
+            with pytest.raises(ConfigError, match=r"\[erase\] t_warmup: "):
+                loaded_instructions(
+                    tmp_path, f"[erase]\nt_warmup = 36\n"
+                    f"warmup_style = {style}\n" + self.WINDOW)
+
+    def test_fold_equals_the_window_and_warmup_gates(self, tmp_path):
+        """Every window a config can write for sampler lengths 1..8, under
+        every warmup of either style: at each index 1..T the loaded
+        instruction's gate, or its absence, is the window's test and the
+        warmup rule's together."""
+        for T in range(1, 9):
+            # t_high = 0 comes only from a fraction that floors to 0
+            windows = [(high, low) for high in range(T + 1)
+                       for low in range(max(high, 1), T + 1)]
+            sections = "".join(
+                f"[instruction.w{k}]\nname = c0\ng = {k + 1}\n"
+                f"t_high = {high or '0.01'}\nt_low = {low}\n"
+                for k, (high, low) in enumerate(windows))
+            for style in ("literal", "sega"):
+                for t_warmup in range(T + 1):
+                    loaded = loaded_instructions(
+                        tmp_path, f"[sampler]\nt_sample = {T}\n[erase]\n"
+                        f"t_warmup = {t_warmup}\nwarmup_style = {style}\n"
+                        + sections)
+                    # each instruction's g is its window's position plus 1
+                    by_window = {int(ins.g_c) - 1: ins for ins in loaded}
+                    for k, (high, low) in enumerate(windows):
+                        for t in range(1, T + 1):
+                            want = high <= t <= low and oracles.warmup_active(
+                                t, t_warmup, style, T)
+                            got = k in by_window and by_window[k].in_window(t)
+                            assert got == want, (T, style, t_warmup, high,
+                                                 low, t)
 
 
 class TestDelta:
     def test_empty_instructions_zero(self):
         params = small_params()
-        out = gd.delta([], np.array([[0.1, 0.2]]), 20, 57, params,
-                       default_warmup())
+        out = gd.delta([], np.array([[0.1, 0.2]]), 20, 57, params)
         np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
     def test_outside_window_zero(self):
         params = small_params(seed=8)
         ins = gd.InstructionConcept(concept_id=0, g_c=-7.5, t_high=12,
                                     t_low=35, kappa=0.95)
-        warmup = default_warmup()
         Z = np.array([[0.4, -0.1]])
         for t in (1, 4, 11):
-            out = gd.delta([ins], Z, t, 30, params, warmup)
+            out = gd.delta([ins], Z, t, 30, params)
             np.testing.assert_array_equal(out, np.zeros((1, 2)))
 
-    def test_warmup_blocks_low_indices(self):
+    def test_warmup_blocks_low_indices(self, tmp_path):
         params = small_params(seed=9)
-        ins = gd.InstructionConcept(concept_id=1, g_c=1.0, t_high=1,
-                                    t_low=35, kappa=0.0)
-        out = gd.delta([ins], np.array([[0.2, 0.3]]), 4, 12, params,
-                       default_warmup())
-        np.testing.assert_array_equal(out, np.zeros((1, 2)))
+        # window 1..35 under the default literal warmup of 5
+        ins = loaded_instructions(tmp_path, "[instruction.a]\nname = c1\n"
+                                  "g = 1\nt_high = 1\nt_low = 35\nkappa = 0\n")
+        Z = np.array([[0.2, 0.3]])
+        np.testing.assert_array_equal(gd.delta(ins, Z, 4, 12, params),
+                                      np.zeros((1, 2)))
+        assert np.abs(gd.delta(ins, Z, 5, 12, params)).max() > 0
 
     def test_kappa_zero_in_window_is_direction(self):
         params = small_params(seed=10)
@@ -161,7 +209,7 @@ class TestDelta:
                                     t_low=35, kappa=0.0)
         rng = np.random.default_rng(11)
         z = rng.standard_normal(2)
-        out = gd.delta([ins], z[None], 20, 57, params, default_warmup())[0]
+        out = gd.delta([ins], z[None], 20, 57, params)[0]
         expect = oracles.class_direction(params, z, 57, 2)
         np.testing.assert_allclose(out, expect, rtol=1e-12, atol=1e-15)
 
@@ -173,9 +221,8 @@ class TestDelta:
                 gd.InstructionConcept(1, 6.5, 12, 35, 0.95)]
         scaled = [gd.InstructionConcept(0, -7.5 * 3.0, 12, 35, 0.95),
                   gd.InstructionConcept(1, 6.5 * 3.0, 12, 35, 0.95)]
-        warmup = default_warmup()
-        a = gd.delta(base, z[None], 20, 57, params, warmup)
-        b = gd.delta(scaled, z[None], 20, 57, params, warmup)
+        a = gd.delta(base, z[None], 20, 57, params)
+        b = gd.delta(scaled, z[None], 20, 57, params)
         np.testing.assert_allclose(b, 3.0 * a, rtol=1e-12, atol=1e-15)
 
     def test_sparsity_bound_per_instruction(self):
@@ -183,18 +230,17 @@ class TestDelta:
             params = small_params(input_dim=d, seed=14)
             ins = gd.InstructionConcept(0, 1.0, 1, 35, kappa)
             rng = np.random.default_rng(15)
-            warmup = gd.WarmupRule(t_warmup=0, style="literal", sampler_T=35)
             kept_bound = d - (int(np.ceil(kappa * d)) - 1)
             for _ in range(10):
                 z = rng.standard_normal(d)
-                out = gd.delta([ins], z[None], 20, 57, params, warmup)
+                out = gd.delta([ins], z[None], 20, 57, params)
                 assert np.count_nonzero(out) <= kept_bound
 
     def test_invalid_instruction_id_rejected(self):
         params = small_params(n_concepts=2)
         ins = gd.InstructionConcept(5, 1.0, 1, 35, 0.5)
         with pytest.raises(ConfigError):
-            gd.delta([ins], np.zeros((1, 2)), 20, 57, params, default_warmup())
+            gd.delta([ins], np.zeros((1, 2)), 20, 57, params)
 
     def test_batch_matches_single(self):
         params = small_params(input_dim=8, seed=16)
@@ -202,10 +248,9 @@ class TestDelta:
                gd.InstructionConcept(1, 6.5, 1, 35, 0.75)]
         rng = np.random.default_rng(17)
         Z = rng.standard_normal((5, 8))
-        warmup = default_warmup()
-        batch = gd.delta(ins, Z, 20, 57, params, warmup)
+        batch = gd.delta(ins, Z, 20, 57, params)
         for i in range(5):
-            single = gd.delta(ins, Z[i][None], 20, 57, params, warmup)[0]
+            single = gd.delta(ins, Z[i][None], 20, 57, params)[0]
             np.testing.assert_allclose(batch[i], single, rtol=1e-12, atol=1e-14)
 
 
@@ -221,7 +266,7 @@ class TestGuidedEps:
             t = int(rng.integers(1, 50))
             c = int(rng.integers(0, 4))
             e_u, _ = oracles.forward(params, z, t, params.null_id)
-            guid = gd.rollout_guidance(params, gamma, [], default_warmup())
+            guid = gd.rollout_guidance(params, gamma, [])
             out = guid(z[None], 20, t, c)[0]
             np.testing.assert_allclose(
                 out - e_u, gamma * oracles.class_direction(params, z, t, c),
@@ -236,7 +281,7 @@ class TestGuidedEps:
             c = 1
             e_c, _ = oracles.forward(params, z, t, c)
             e_u, _ = oracles.forward(params, z, t, params.null_id)
-            guid = gd.rollout_guidance(params, gamma, [], default_warmup())
+            guid = gd.rollout_guidance(params, gamma, [])
             out = guid(z[None], 20, t, c)[0]
             np.testing.assert_allclose(out, gd.cfg_compose(e_u, e_c, gamma - 1.0),
                                        rtol=1e-12, atol=1e-14)
@@ -245,12 +290,11 @@ class TestGuidedEps:
         params = small_params(input_dim=16, seed=22)
         ins = [gd.InstructionConcept(0, -7.5, 12, 35, 0.95),
                gd.InstructionConcept(1, 6.5, 12, 35, 0.95)]
-        warmup = default_warmup()
         rng = np.random.default_rng(23)
         Z = rng.standard_normal((1, 16))
-        with_delta = gd.rollout_guidance(params, 7.5, ins, warmup)(Z, 20, 57, 2)
-        without = gd.rollout_guidance(params, 7.5, [], warmup)(Z, 20, 57, 2)
-        d = gd.delta(ins, Z, 20, 57, params, warmup)
+        with_delta = gd.rollout_guidance(params, 7.5, ins)(Z, 20, 57, 2)
+        without = gd.rollout_guidance(params, 7.5, [])(Z, 20, 57, 2)
+        d = gd.delta(ins, Z, 20, 57, params)
         np.testing.assert_allclose(with_delta, without + d, rtol=1e-12,
                                    atol=1e-14)
 
@@ -260,13 +304,12 @@ class TestGuidedEps:
         ins = [gd.InstructionConcept(0, -7.5, 12, 35, 0.95),
                gd.InstructionConcept(1, 6.5, 12, 35, 0.95),
                gd.InstructionConcept(2, 6.5, 12, 35, 0.95)]
-        warmup = default_warmup()
         rng = np.random.default_rng(25)
         bound = 0.05 * d + 1
         for t in (12, 20, 35):
             z = rng.standard_normal(d)
             for single in ins:
-                out = gd.delta([single], z[None], t, 57, params, warmup)
+                out = gd.delta([single], z[None], t, 57, params)
                 assert np.count_nonzero(out) <= bound
 
 

@@ -402,7 +402,7 @@ class TestLoadConfig:
         assert cfg.erase.gamma1 == 7.5 and cfg.erase.gamma2 == 7.5
         assert cfg.erase.lam == 5.0
         assert cfg.erase.n_iters == 200
-        assert cfg.erase.warmup.t_warmup == 5
+        assert cfg.snapshot["erase"]["t_warmup"] == 5
         assert cfg.erase.erase_set == (0,)
         ids = [i.concept_id for i in cfg.erase.instructions]
         gs = [i.g_c for i in cfg.erase.instructions]
@@ -425,6 +425,7 @@ class TestLoadConfig:
 
     def test_integer_window_taken_literally(self, tmp_path):
         path = write_config(tmp_path,
+                            "[erase]\nt_warmup = 0\n"
                             "[instruction.a]\nname = c0\nt_high = 1\n"
                             "t_low = 35\n")
         ins = persistence.load_config(path).erase.instructions[0]
@@ -439,7 +440,7 @@ class TestLoadConfig:
 
     def test_high_edge_may_floor_to_zero(self, tmp_path):
         path = write_config(tmp_path, "[sampler]\nt_sample = 2\n"
-                                      "[erase]\nt_warmup = 1\n")
+                                      "[erase]\nt_warmup = 0\n")
         cfg = persistence.load_config(path)
         assert [(i.t_high, i.t_low) for i in cfg.erase.instructions] \
             == [(0, 2), (0, 2)]
@@ -535,10 +536,26 @@ class TestLoadConfig:
 
     def test_snapshot_dict_is_json_serializable(self, tmp_path):
         cfg = persistence.load_config(write_config(tmp_path, ""))
-        snap = json.loads(json.dumps(cfg.snapshot_dict()))
+        snap = json.loads(json.dumps(cfg.snapshot))
         assert snap["run"]["mode"] == "points2d"
         assert snap["erase"]["lambda"] == 5.0
         assert len(snap["erase"]["instructions"]) == 2
+
+    def test_snapshot_keeps_the_windows_as_written(self, tmp_path):
+        """The warmup folds into the windows the package runs on; the
+        manifest's snapshot keeps each instruction as the file wrote it,
+        one that the fold shut among them."""
+        path = write_config(tmp_path, "[erase]\nt_warmup = 7\n"
+                                      "[instruction.a]\nname = c0\n"
+                                      "t_high = 1\nt_low = 35\n"
+                                      "[instruction.b]\nname = c1\n"
+                                      "t_high = 1\nt_low = 6\n")
+        cfg = persistence.load_config(path)
+        assert [(i.concept_id, i.t_high, i.t_low)
+                for i in cfg.erase.instructions] == [(0, 7, 35)]
+        assert [(i["concept_id"], i["t_high"], i["t_low"])
+                for i in cfg.snapshot["erase"]["instructions"]] == \
+            [(0, 1, 35), (1, 1, 6)]
 
     def test_schedule_and_sampler_construct(self, tmp_path):
         cfg = persistence.load_config(write_config(tmp_path, ""))
@@ -552,7 +569,7 @@ class TestLoadConfig:
         example = re.search(r"```ini\n(.*?)```", readme, re.DOTALL).group(1)
         cfg = persistence.load_config(write_config(tmp_path, example))
         # the README spells out the whole default operating point
-        assert json.loads(json.dumps(cfg.snapshot_dict())) == DEFAULT_SNAPSHOT
+        assert json.loads(json.dumps(cfg.snapshot)) == DEFAULT_SNAPSHOT
 
 
 EVERY_KEY_CONFIG = """\
@@ -649,7 +666,7 @@ EVERY_KEY_SNAPSHOT = {
     (EVERY_KEY_CONFIG, EVERY_KEY_SNAPSHOT),
 ], ids=["empty", "every-key"])
 def test_snapshot_dict_golden(tmp_path, text, expected):
-    snap = persistence.load_config(write_config(tmp_path, text)).snapshot_dict()
+    snap = persistence.load_config(write_config(tmp_path, text)).snapshot
     assert json.loads(json.dumps(snap)) == expected
     assert all(type(snap["erase"][k]) is float
                for k in ("gamma1", "gamma2", "lambda", "lr", "weight_decay"))

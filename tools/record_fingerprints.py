@@ -17,6 +17,15 @@ Run it from the repository root after a change that alters the arithmetic
 on purpose, and quote that table in the change's notes:
 
     python3 tools/record_fingerprints.py [--out tests/fingerprints.json]
+
+OpenBLAS picks its kernels per CPU, and some values move with the kernel.
+With --kernel NAME it also reruns the pipeline in a child process under
+OPENBLAS_CORETYPE=NAME, prints for each artifact how many values differ
+from this process's run and their largest relative shift, and the payload
+hashes that differ, and writes nothing. A rounding change can then tell
+that noise from its own effect:
+
+    python3 tools/record_fingerprints.py --kernel Haswell
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -46,14 +56,39 @@ def _leaves(tree, where=""):
         yield where, tree
 
 
-def _shift(old, new) -> str:
-    """' (+1.2e-05)': the relative shift of two numbers, or '' if either
-    is not a number or old is zero."""
+def _relative(old, new):
+    """The relative shift of two numbers, or None if either is not a
+    number or old is zero."""
     try:
         a, b = float(old), float(new)
     except (TypeError, ValueError):
-        return ""
-    return f" ({(b - a) / abs(a):+.3g})" if a != 0.0 else ""
+        return None
+    return (b - a) / abs(a) if a != 0.0 else None
+
+
+def _shift(old, new) -> str:
+    """' (+1.2e-05)': the relative shift of two numbers, or ''."""
+    shift = _relative(old, new)
+    return "" if shift is None else f" ({shift:+.3g})"
+
+
+def _moved(old_artifact, new_artifact, name):
+    """(where, old value, new value) for every value of one artifact that
+    differs between two records; '(none)' stands for a value one lacks."""
+    before = dict(_leaves(old_artifact, name))
+    after = dict(_leaves(new_artifact, name))
+    for where in {**after, **before}:
+        was, value = before.get(where, "(none)"), after.get(where, "(none)")
+        if was != value or type(was) is not type(value):
+            yield where, was, value
+
+
+def _hashes_changed(old: dict, new: dict) -> str:
+    old_hashes, new_hashes = old["payload_sha256"], new["payload_sha256"]
+    moved = [name for name in {**old_hashes, **new_hashes}
+             if old_hashes.get(name) != new_hashes.get(name)]
+    return f"{len(moved)} payload hashes changed" \
+        + (": " + ", ".join(moved) if moved else "")
 
 
 def changes(old: dict, new: dict) -> list:
@@ -65,34 +100,61 @@ def changes(old: dict, new: dict) -> list:
         if name not in old["artifacts"]:
             lines.append(f"  {name}: added")
             continue
-        before = dict(_leaves(old["artifacts"][name], name))
-        after = dict(_leaves(artifact, name))
-        for where, value in after.items():
-            was = before.get(where, "(none)")
-            if was != value or type(was) is not type(value):
-                lines.append(f"  {where}: {was!r} -> {value!r}"
-                             f"{_shift(was, value)}")
-        lines += [f"  {where}: {value!r} -> (none)"
-                  for where, value in before.items() if where not in after]
+        lines += [f"  {where}: {was!r} -> {value!r}{_shift(was, value)}"
+                  for where, was, value
+                  in _moved(old["artifacts"][name], artifact, name)]
     lines += [f"  {name}: removed" for name in old["artifacts"]
               if name not in new["artifacts"]]
     lines.insert(0, f"{len(lines)} artifact changes"
                  + (":" if lines else ""))
-    old_hashes, new_hashes = old["payload_sha256"], new["payload_sha256"]
-    moved = [name for name in {**old_hashes, **new_hashes}
-             if old_hashes.get(name) != new_hashes.get(name)]
-    lines.append(f"{len(moved)} payload hashes changed"
-                 + (": " + ", ".join(moved) if moved else ""))
-    return lines
+    return lines + [_hashes_changed(old, new)]
+
+
+def kernel_noise(old: dict, new: dict) -> list:
+    """Report lines for two records of the same code under two OpenBLAS
+    kernels: per artifact, how many values differ and the largest relative
+    shift among them, then the payload hashes that differ."""
+    lines, total = [], 0
+    for name, artifact in new["artifacts"].items():
+        moved = list(_moved(old["artifacts"][name], artifact, name))
+        if moved:
+            total += len(moved)
+            shifts = [abs(s) for s in (_relative(was, value)
+                                       for _, was, value in moved)
+                      if s is not None]
+            lines.append(f"  {name}: {len(moved)} values, largest relative "
+                         f"shift {max(shifts):.2g}" if shifts else
+                         f"  {name}: {len(moved)} values, none a number")
+    return [f"{total} values differ in {len(lines)} artifacts"
+            + (":" if lines else "")] + lines + [_hashes_changed(old, new)]
+
+
+def _record_under(kernel: str) -> dict:
+    """The record of a run of this script in a child process whose OpenBLAS
+    uses kernel."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "fingerprints.json")
+        subprocess.run([sys.executable, os.path.abspath(__file__), "--out", out],
+                       env=dict(os.environ, OPENBLAS_CORETYPE=kernel),
+                       check=True, stdout=subprocess.DEVNULL)
+        with open(out) as fh:
+            return json.load(fh)
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", default=str(test_cli.FINGERPRINTS))
+    ap.add_argument("--kernel", help="rerun the pipeline under this OpenBLAS "
+                    "kernel, list what moved, and write nothing")
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         paths = test_cli.run_pipeline(Path(tmp))
         fingerprints = test_cli.pipeline_fingerprints(paths["root"])
+    if args.kernel:
+        print(f"under {args.kernel}, against this process's kernel:")
+        print("\n".join(kernel_noise(fingerprints,
+                                     _record_under(args.kernel))))
+        return 0
     if os.path.exists(args.out):
         with open(args.out) as fh:
             old = json.load(fh)
